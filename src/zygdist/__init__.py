@@ -4,7 +4,7 @@ maximal second differences, wavelet coefficient thresholds, and hyperbolic
 derivatives of the Poisson extension."""
 
 from .dyadic import (CarlesonReport, DyadicCube, HalfSpacePoint, HalfSpaceSet,
-                     WhitneyCell, carleson_box_value, carleson_sup,
+                     LevelField, WhitneyCell, carleson_box_value, carleson_sup,
                      cube_contains, enlarge, hyperbolic_distance)
 from .distance import (DistanceEstimate, InclusionReport, MethodComparison,
                        compare_methods, epsilon_star, inclusion_probe,
@@ -12,13 +12,13 @@ from .distance import (DistanceEstimate, InclusionReport, MethodComparison,
 from .gridfn import (CORPUS_SPECS, FunctionSpec, GridFunction, SpecError,
                      SpectralFunction, bessel_lift, corpus, from_spectral,
                      parse_function_spec, sup_norm, synthesize, to_spectral)
-from .poisson import (bmo_norm, build_D, d2y_extension, derivative_field,
+from .poisson import (bmo_norm, d2y_extension, derivative_field,
                       holder_poisson_norm, jbmo_direct_norm, lipschitz_check,
                       poisson_extend)
-from .secdiff import (build_S, continuity_check, holder_seminorm,
-                      second_diff_field, second_difference)
-from .wavelet import (FilterBank, WaveletCoefficients, analyze, build_T,
-                      filter_bank, jbmo_wavelet_norm, lip_wavelet_norm,
-                      reconstruct, truncate_projection)
+from .secdiff import (continuity_check, holder_seminorm, second_diff_field,
+                      second_difference)
+from .wavelet import (FilterBank, WaveletCoefficients, analyze, filter_bank,
+                      jbmo_wavelet_norm, lip_wavelet_norm, reconstruct,
+                      truncate_projection)
 
 __version__ = "0.1.0"

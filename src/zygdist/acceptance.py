@@ -228,8 +228,7 @@ def criterion_6() -> CriterionResult:
     for f in corpus(1, J):
         coeffs = _wavelet.analyze(f, bank)
         for s in (0.5, 1.0):
-            ratio = _wavelet.scale_ratio_field(coeffs, s)
-            eps_hi = max(float(v.max()) for v in ratio.values() if v.size)
+            eps_hi = _wavelet.scale_ratio_field(coeffs, s).max_value
             for frac in (0.25, 0.5, 0.75):
                 w = _distance.projection_distance_witness(f, s, frac * eps_hi, bank=bank)
                 if not w.tail_ok:
@@ -322,13 +321,13 @@ def criterion_8(theta: float = THETA) -> CriterionResult:
     fit_start = (J_range[0] + J_range[1] + 1) // 2
     safe_top = max(fit_start - spill - 1, 0)
     for f in corpus(1, J):
-        ctx = _distance.method_context(f, 1.0, "secdiff", J_max=J_max)
-        est = _distance.epsilon_star(f, 1.0, "secdiff", J_range, theta, context=ctx)
+        fld = _distance.method_context(f, 1.0, "secdiff", J_max=J_max)
+        est = _distance.epsilon_star(f, 1.0, "secdiff", J_range, theta, context=fld)
         eps_div = 0.5 * est.epsilon_star
-        deep_max = max(float(ctx.values[j].max()) for j in range(safe_top + 1, J_max + 1))
+        deep_max = max(float(fld.values[j].max()) for j in range(safe_top + 1, J_max + 1))
         eps_sat = 1.05 * deep_max
         for tag, eps in (("div", eps_div), ("sat", eps_sat)):
-            A = ctx.build(eps)
+            A = fld.threshold(eps)
             base = carleson_sup(A, J_range, theta).diverging
             flips = []
             for R in R_values:

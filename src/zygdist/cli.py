@@ -42,8 +42,6 @@ class RunConfig:
     J_lo: int = 7
     J_hi: int = 10
     K: int = 0  # 0 means the per-dimension default
-    probes_per_cell: int = 8
-    seed: int = 0
     out: str = "out"
 
     def as_dict(self) -> dict:
@@ -64,7 +62,7 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
-_INT_FIELDS = {"n", "J_grid", "wavelet_p", "J_lo", "J_hi", "K", "probes_per_cell", "seed"}
+_INT_FIELDS = {"n", "J_grid", "wavelet_p", "J_lo", "J_hi", "K"}
 _FLOAT_FIELDS = {"s", "theta"}
 
 
@@ -80,7 +78,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                 setattr(cfg, key, float(val))
             else:
                 setattr(cfg, key, val)
-    for key in ("n", "s", "theta", "seed", "out"):
+    for key in ("n", "s", "theta", "out"):
         val = getattr(args, key, None)
         if val is not None:
             setattr(cfg, key, val)
@@ -168,11 +166,10 @@ def cmd_sets(args) -> int:
     cfg = build_config(args)
     spec = parse_function_spec(args.spec)
     f = synthesize(spec, cfg.n, cfg.J_grid)
-    ctx = _distance.method_context(
-        f, cfg.s, args.method, bank=_wavelet.filter_bank(cfg.wavelet_p),
-        K=_k_or_none(cfg), probes_per_cell=cfg.probes_per_cell)
-    A = ctx.build(args.eps)
-    report = carleson_sup(A, (cfg.J_lo, min(cfg.J_hi, ctx.J_max)), cfg.theta)
+    fld = _distance.method_context(
+        f, cfg.s, args.method, bank=_wavelet.filter_bank(cfg.wavelet_p), K=_k_or_none(cfg))
+    A = fld.threshold(args.eps)
+    report = carleson_sup(A, (cfg.J_lo, min(cfg.J_hi, fld.J_max)), cfg.theta)
     body = {
         "function": f.label, "n": cfg.n, "s": cfg.s, "method": args.method,
         "eps": args.eps, "cells": A.cell_count, "set": json.loads(A.to_json()),
@@ -191,8 +188,7 @@ def cmd_distance(args) -> int:
     f = synthesize(spec, cfg.n, cfg.J_grid)
     comp = _distance.compare_methods(
         f, cfg.s, (cfg.J_lo, cfg.J_hi), cfg.theta,
-        bank=_wavelet.filter_bank(cfg.wavelet_p),
-        K=_k_or_none(cfg), probes_per_cell=cfg.probes_per_cell)
+        bank=_wavelet.filter_bank(cfg.wavelet_p), K=_k_or_none(cfg))
     body = {"function": f.label, "n": cfg.n, "s": cfg.s,
             "comparisons": comp.as_dict()}
     path = _emit_json(cfg, "distance", body, args.spec)
@@ -205,7 +201,7 @@ def cmd_inclusion(args) -> int:
     spec = parse_function_spec(args.spec)
     f = synthesize(spec, cfg.n, cfg.J_grid)
     bank = _wavelet.filter_bank(cfg.wavelet_p)
-    kwargs = {"bank": bank, "K": _k_or_none(cfg), "probes_per_cell": cfg.probes_per_cell}
+    kwargs = {"bank": bank, "K": _k_or_none(cfg)}
     if args.eps is None:
         est = _distance.epsilon_star(f, cfg.s, args.source, (cfg.J_lo, cfg.J_hi),
                                      cfg.theta, **kwargs)
@@ -249,7 +245,6 @@ def _add_shared(parser: argparse.ArgumentParser):
     parser.add_argument("--theta", type=float, default=None)
     parser.add_argument("--jrange", type=str, default=None, help="lo:hi depth range")
     parser.add_argument("--K", type=int, default=None, help="direction count for n=2")
-    parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", type=str, default=None)
     parser.add_argument("--config", type=str, default=None, help="key=value file")
 

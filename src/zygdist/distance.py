@@ -5,7 +5,8 @@ coefficient-truncation witness.
 For each method the critical threshold is the infimum of eps for which the
 eps-superlevel set stops looking like a Carleson-divergent set at desk scale.
 It is bracketed by bisection on [0, eps_hi], where eps_hi is the method's own
-probe-field maximum, so the set at eps_hi is empty by construction.
+probe-field maximum (LevelField.max_value), so the set at eps_hi is empty by
+construction.
 """
 
 from __future__ import annotations
@@ -13,55 +14,33 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import poisson as _poisson
 from . import secdiff as _secdiff
 from . import wavelet as _wavelet
-from .dyadic import LOG2, HalfSpaceSet, carleson_sup, enlarge, threshold_set
+from .dyadic import LOG2, HalfSpaceSet, LevelField, carleson_sup, enlarge
 from .gridfn import GridFunction
 
 METHODS = ("secdiff", "wavelet", "poisson")
 
 
-@dataclass
-class MethodContext:
-    """A method's cached probe field plus the set builder derived from it."""
-
-    method: str
-    s: float
-    J_max: int
-    eps_hi: float
-    values: dict[int, np.ndarray]
-    n: int
-
-    def build(self, eps: float) -> HalfSpaceSet:
-        return threshold_set(self.values, eps, self.n, self.J_max)
-
-
 def method_context(
     f: GridFunction, s: float, method: str,
     J_max: int | None = None, bank: _wavelet.FilterBank | None = None,
-    K: int | None = None, probes_per_cell: int = 8,
-) -> MethodContext:
-    if method == "secdiff":
-        J_max = f.J_grid - 2 if J_max is None else min(J_max, f.J_grid - 2)
-        fld = _secdiff.second_diff_field(f, s, J_max, K=K, probes_per_cell=probes_per_cell)
-        values = fld.values
-    elif method == "wavelet":
-        bank = bank or _wavelet.filter_bank(8)
-        coeffs = _wavelet.analyze(f, bank)
-        values = _wavelet.scale_ratio_field(coeffs, s)
-        J_max = f.J_grid - 1 if J_max is None else min(J_max, f.J_grid - 1)
-        values = {j: values[j] for j in range(J_max + 1)}
-    elif method == "poisson":
-        J_max = f.J_grid - 2 if J_max is None else min(J_max, f.J_grid - 2)
-        fld = _poisson.derivative_field(f, s, J_max)
-        values = fld.values
-    else:
+    K: int | None = None,
+) -> LevelField:
+    """The method's probe field, on levels up to J_max (by default, and at
+    most, the deepest level the method supports on f's grid)."""
+    if method == "wavelet":
+        fld = _wavelet.scale_ratio_field(_wavelet.analyze(f, bank or _wavelet.filter_bank(8)), s)
+        if J_max is not None and J_max < fld.J_max:
+            fld = LevelField(method, f.n, J_max, {j: fld.values[j] for j in range(J_max + 1)})
+        return fld
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r} (expected one of {METHODS})")
-    eps_hi = max((float(v.max()) for v in values.values() if v.size), default=0.0)
-    return MethodContext(method=method, s=s, J_max=J_max, eps_hi=eps_hi, values=values, n=f.n)
+    J_max = f.J_grid - 2 if J_max is None else min(J_max, f.J_grid - 2)
+    if method == "secdiff":
+        return _secdiff.second_diff_field(f, s, J_max, K=K)
+    return _poisson.derivative_field(f, s, J_max)
 
 
 @dataclass
@@ -114,7 +93,7 @@ class DistanceEstimate:
 def epsilon_star(
     f: GridFunction, s: float, method: str,
     J_range: tuple[int, int], theta: float = 0.1, iterations: int = 20,
-    context: MethodContext | None = None, **ctx_kwargs,
+    context: LevelField | None = None, **ctx_kwargs,
 ) -> DistanceEstimate:
     """Bisect for the smallest eps whose superlevel set is not diverging.
 
@@ -123,29 +102,30 @@ def epsilon_star(
     not be monotone in eps at finite depth; a violated ordering in the probe
     trace is reported, not repaired.
     """
-    ctx = context or method_context(f, s, method, **ctx_kwargs)
+    fld = context or method_context(f, s, method, **ctx_kwargs)
+    eps_hi = fld.max_value
     warnings: list[str] = []
     trace: list[ProbeRecord] = []
 
-    if ctx.eps_hi == 0.0:
+    if eps_hi == 0.0:
         return DistanceEstimate(
-            method=ctx.method, s=s, epsilon_star=0.0, bracket=(0.0, 0.0),
+            method=fld.method, s=s, epsilon_star=0.0, bracket=(0.0, 0.0),
             iterations=iterations, theta=theta, J_range=tuple(J_range),
-            J_max=ctx.J_max, eps_hi=0.0, resolution=0.0, collapsed=True,
+            J_max=fld.J_max, eps_hi=0.0, resolution=0.0, collapsed=True,
             monotone=True, warnings=["trivial field: function has zero probe field"],
         )
 
     def probe(eps: float) -> ProbeRecord:
-        report = carleson_sup(ctx.build(eps), J_range, theta)
+        report = carleson_sup(fld.threshold(eps), J_range, theta)
         rec = ProbeRecord(eps=eps, m_values=report.m_values,
                           slope=report.slope, diverging=report.diverging)
         trace.append(rec)
         return rec
 
-    top = probe(ctx.eps_hi)
+    top = probe(eps_hi)
     if top.diverging:
         warnings.append("set at eps_hi unexpectedly diverging")
-    lo, hi = 0.0, ctx.eps_hi
+    lo, hi = 0.0, eps_hi
     for _ in range(iterations):
         mid = 0.5 * (lo + hi)
         if probe(mid).diverging:
@@ -159,11 +139,11 @@ def epsilon_star(
     if not monotone:
         warnings.append("divergence flags not monotone across the probe trace")
 
-    resolution = ctx.eps_hi * 2.0**-iterations
+    resolution = eps_hi * 2.0**-iterations
     return DistanceEstimate(
-        method=ctx.method, s=s, epsilon_star=0.5 * (lo + hi), bracket=(lo, hi),
-        iterations=iterations, theta=theta, J_range=tuple(J_range), J_max=ctx.J_max,
-        eps_hi=ctx.eps_hi, resolution=resolution, collapsed=(lo == 0.0),
+        method=fld.method, s=s, epsilon_star=0.5 * (lo + hi), bracket=(lo, hi),
+        iterations=iterations, theta=theta, J_range=tuple(J_range), J_max=fld.J_max,
+        eps_hi=eps_hi, resolution=resolution, collapsed=(lo == 0.0),
         monotone=monotone, warnings=warnings, trace=trace,
     )
 
@@ -265,8 +245,8 @@ def inclusion_probe(
     source_method: str, target_method: str,
     c_grid=(1.0, 0.5, 0.25, 0.125), R_grid=(0.5, 1.0, 2.0, 4.0),
     eta: float = 0.99,
-    source_context: MethodContext | None = None,
-    target_context: MethodContext | None = None,
+    source_context: LevelField | None = None,
+    target_context: LevelField | None = None,
     **ctx_kwargs,
 ) -> InclusionReport:
     """Fraction of source cells inside the R-enlarged target set at c * eps.
@@ -279,9 +259,9 @@ def inclusion_probe(
         raise ValueError("c_grid entries must lie in (0, 1]")
     if any(r < 0.0 for r in R_grid):
         raise ValueError("R_grid entries must be >= 0")
-    src_ctx = source_context or method_context(f, s, source_method, **ctx_kwargs)
-    tgt_ctx = target_context or method_context(f, s, target_method, **ctx_kwargs)
-    source = src_ctx.build(eps)
+    src = source_context or method_context(f, s, source_method, **ctx_kwargs)
+    tgt = target_context or method_context(f, s, target_method, **ctx_kwargs)
+    source = src.threshold(eps)
 
     cs = tuple(sorted(c_grid, reverse=True))
     rs = tuple(sorted(R_grid))
@@ -289,7 +269,7 @@ def inclusion_probe(
     achieved: tuple[float, float] | None = None
     for c in cs:
         row = []
-        base_target = tgt_ctx.build(c * eps)
+        base_target = tgt.threshold(c * eps)
         for R in rs:
             frac = _contained_fraction(source, enlarge(base_target, R))
             row.append(frac)
@@ -297,7 +277,7 @@ def inclusion_probe(
                 achieved = (c, R)
         fractions.append(row)
     return InclusionReport(
-        source_method=src_ctx.method, target_method=tgt_ctx.method, eps=eps,
+        source_method=src.method, target_method=tgt.method, eps=eps,
         eta=eta, c_grid=cs, R_grid=rs, fractions=fractions,
         achieved=achieved, source_cells=source.cell_count,
     )
@@ -332,9 +312,8 @@ def projection_distance_witness(
     tail_ok = tail_norm <= eps or (eps == 0.0 and tail_norm == 0.0)
 
     ratio = _wavelet.scale_ratio_field(coeffs, s)
-    c_norm = max((float(v.max()) for v in ratio.values() if v.size), default=0.0)
-    factor = (2**f.n - 1) * c_norm**2
-    T = _wavelet.build_T(coeffs, s, eps)
+    factor = (2**f.n - 1) * ratio.max_value**2
+    T = ratio.threshold(eps)
 
     per_depth: list[tuple[int, float, float]] = []
     box_ok = True

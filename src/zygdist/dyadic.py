@@ -198,7 +198,34 @@ def threshold_set(values: dict[int, np.ndarray], eps: float, n: int, J_max: int)
     return out
 
 
-def _pool_children(arr: np.ndarray, n: int) -> np.ndarray:
+@dataclass
+class LevelField:
+    """Per-cell values of one construction on the Whitney cells of levels
+    0..J_max; its eps-superlevel set is the construction's bad set."""
+
+    method: str
+    n: int
+    J_max: int
+    values: dict[int, np.ndarray]
+
+    @property
+    def max_value(self) -> float:
+        return max((float(v.max()) for v in self.values.values() if v.size), default=0.0)
+
+    def threshold(self, eps: float) -> HalfSpaceSet:
+        return threshold_set(self.values, eps, self.n, self.J_max)
+
+    def to_csv(self, path):
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["level", "index", "value"])
+            for j in sorted(self.values):
+                for pos, val in enumerate(self.values[j].ravel()):
+                    writer.writerow([j, pos, repr(float(val))])
+
+
+def pool_children(arr: np.ndarray, n: int) -> np.ndarray:
+    """Sum each dyadic cube's 2^n children: a level-(j+1) table to level j."""
     if n == 1:
         return arr[0::2] + arr[1::2]
     h, w = arr.shape
@@ -269,7 +296,7 @@ def carleson_sup(A: HalfSpaceSet, J_range: tuple[int, int], theta: float) -> Car
         acc = None  # volume of A-cells of level <= top inside each cube, per level
         for j in range(top, -1, -1):
             own = A._masks[j].astype(float) * 2.0 ** (-A.n * j)
-            acc = own if acc is None else own + _pool_children(acc, A.n)
+            acc = own if acc is None else own + pool_children(acc, A.n)
             values = acc * 2.0 ** (A.n * j)
             pos = int(np.argmax(values))
             val = float(values.flat[pos])

@@ -10,13 +10,12 @@ scale information.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import HalfSpaceSet, threshold_set
+from .dyadic import LevelField, pool_children
 from .gridfn import GridFunction, bessel_lift, sup_norm, _freq_sq
 from .secdiff import CELL_FRACS
 
@@ -52,31 +51,9 @@ def d2y_extension(f: GridFunction, y: float) -> GridFunction:
     return _apply_multiplier(f, mult, label=f"{f.label}|d2yP[{y:g}]")
 
 
-@dataclass
-class DerivativeField:
-    """Per-cell max of y^(2-s) |d^2 u / dy^2| over the cell's probe points."""
-
-    label: str
-    s: float
-    J_max: int
-    values: dict[int, np.ndarray]
-
-    @property
-    def max_value(self) -> float:
-        return max((float(v.max()) for v in self.values.values() if v.size), default=0.0)
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["level", "index", "value"])
-            for j in sorted(self.values):
-                flat = self.values[j].ravel()
-                for pos, val in enumerate(flat):
-                    writer.writerow([j, pos, repr(float(val))])
-
-
-def derivative_field(f: GridFunction, s: float, J_max: int) -> DerivativeField:
-    """Sample y^(2-s) |d2y u| at heights CELL_FRACS * 2^-j, all grid columns."""
+def derivative_field(f: GridFunction, s: float, J_max: int) -> LevelField:
+    """Per-cell max of y^(2-s) |d2y u| at heights CELL_FRACS * 2^-j over all
+    grid columns of the cell."""
     if not 0.0 < s <= 1.0:
         raise ValueError("s must lie in (0, 1]")
     if J_max > f.J_grid:
@@ -95,7 +72,7 @@ def derivative_field(f: GridFunction, s: float, J_max: int) -> DerivativeField:
                 per_cell = g.reshape(cells, pts, cells, pts).max(axis=(1, 3))
             np.maximum(level_max, per_cell, out=level_max)
         values[j] = level_max
-    return DerivativeField(label=f.label, s=s, J_max=J_max, values=values)
+    return LevelField("poisson", f.n, J_max, values)
 
 
 def holder_poisson_norm(f: GridFunction, s: float, J_max: int | None = None) -> float:
@@ -104,16 +81,6 @@ def holder_poisson_norm(f: GridFunction, s: float, J_max: int | None = None) -> 
         J_max = f.J_grid - _DEFAULT_FIELD_MARGIN
     field = derivative_field(f, s, J_max)
     return sup_norm(f) + field.max_value
-
-
-def build_D(
-    f: GridFunction, s: float, eps: float, J_max: int,
-    field: DerivativeField | None = None,
-) -> HalfSpaceSet:
-    """Cells where y^(2-s) |d2y u| strictly exceeds eps somewhere."""
-    if field is None:
-        field = derivative_field(f, s, J_max)
-    return threshold_set(field.values, eps, f.n, field.J_max)
 
 
 @dataclass
@@ -216,13 +183,8 @@ def bmo_norm(f: GridFunction, J_max: int) -> float:
             osc_sq = np.maximum(meansq - mean**2, 0.0)
             best = max(best, float(osc_sq.max()))
         if j > 0:
-            if f.n == 1:
-                sums = sums[0::2] + sums[1::2]
-                sqs = sqs[0::2] + sqs[1::2]
-            else:
-                h, w = sums.shape
-                sums = sums.reshape(h // 2, 2, w // 2, 2).sum(axis=(1, 3))
-                sqs = sqs.reshape(h // 2, 2, w // 2, 2).sum(axis=(1, 3))
+            sums = pool_children(sums, f.n)
+            sqs = pool_children(sqs, f.n)
             count *= 2**f.n
     l2 = math.sqrt(float((f.samples**2).mean()))
     return math.sqrt(best) + l2

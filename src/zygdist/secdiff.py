@@ -9,36 +9,45 @@ pure index arithmetic with periodic wraparound.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import HalfSpaceSet, threshold_set
+from .dyadic import LevelField
 from .gridfn import GridFunction
 
 # probe heights inside a Whitney cell, as fractions of the cube side
 CELL_FRACS = (0.625, 0.75, 0.875, 1.0)
+# probe x points per cell and axis, where the grid is that fine
+PROBES_PER_CELL = 8
 
 
-def _directions(n: int, m: int, N: int, K: int) -> list[tuple[int, ...]]:
-    """Lattice direction vectors of norm m (grid units), K angles for n=2."""
+def _lattice_directions(m, K: int):
+    """For each of K angles pi i / K, the rounded lattice vector (ha, hb) of
+    norm m and whether it is within 2 percent of m.  m may be an int or an
+    int array; ha, hb and valid then have its shape."""
+    K = max(K, 1)
+    for i in range(K):
+        theta = math.pi * i / K
+        ha = np.round(m * math.cos(theta)).astype(int)
+        hb = np.round(m * math.sin(theta)).astype(int)
+        norm = np.hypot(ha, hb)
+        yield ha, hb, (norm > 0) & (np.abs(norm - m) <= 0.02 * m)
+
+
+def _directions(n: int, m: int, K: int) -> list[tuple[int, ...]]:
+    """Lattice direction vectors of norm m (grid units), K angles for n=2,
+    without repeats or opposite pairs.  Angle 0 always yields (m, 0)."""
     if m < 1:
         raise ValueError("probe scale below grid resolution")
     if n == 1:
         return [(m,)]
     dirs: list[tuple[int, ...]] = []
-    for i in range(max(K, 1)):
-        theta = math.pi * i / max(K, 1)
-        h = (round(m * math.cos(theta)), round(m * math.sin(theta)))
-        norm = math.hypot(*h)
-        if norm == 0 or abs(norm - m) > 0.02 * m:
-            continue
-        if h not in dirs and (-h[0], -h[1]) not in dirs:
+    for ha, hb, valid in _lattice_directions(m, K):
+        h = (int(ha), int(hb))
+        if valid and h not in dirs and (-h[0], -h[1]) not in dirs:
             dirs.append(h)
-    if not dirs:
-        dirs = [(m, 0)]
     return dirs
 
 
@@ -69,7 +78,7 @@ def second_difference(f: GridFunction, x, y: float, K: int = 1) -> float:
     idx = (np.asarray([x], dtype=int),) if f.n == 1 else (
         np.asarray([x[0]], dtype=int), np.asarray([x[1]], dtype=int))
     best = 0.0
-    for h in _directions(f.n, m, N, K):
+    for h in _directions(f.n, m, K):
         best = max(best, float(_d2_at_indices(f.samples, idx, h)[0]))
     return best
 
@@ -104,46 +113,19 @@ def holder_seminorm(f: GridFunction, s: float, K: int | None = None, refine: int
             if m < 1 or m >= N:
                 continue
             y = m / N
-            for h in _directions(f.n, m, N, K):
+            for h in _directions(f.n, m, K):
                 val = float(_d2_at_indices(f.samples, idx, h).max())
                 best = max(best, val / y**s)
     return best
 
 
-@dataclass
-class SecondDiffField:
-    """Per-cell max of Delta2 f(x, y) / y^s over the cell's probe points."""
-
-    label: str
-    s: float
-    J_max: int
-    K: int
-    values: dict[int, np.ndarray]
-
-    @property
-    def max_value(self) -> float:
-        return max((float(v.max()) for v in self.values.values() if v.size), default=0.0)
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["level", "index", "value"])
-            for j in sorted(self.values):
-                flat = self.values[j].ravel()
-                for pos, val in enumerate(flat):
-                    writer.writerow([j, pos, repr(float(val))])
-
-
-def second_diff_field(
-    f: GridFunction, s: float, J_max: int,
-    K: int | None = None, probes_per_cell: int = 8,
-) -> SecondDiffField:
-    """Sample the second-difference ratio on every Whitney cell.
+def second_diff_field(f: GridFunction, s: float, J_max: int, K: int | None = None) -> LevelField:
+    """Per-cell max of Delta2 f(x, y) / y^s over the cell's probe points.
 
     Probe heights are the CELL_FRACS multiples of the cube side that land on
     the grid (all four at levels j <= J_grid-3, the representable pair at
     J_grid-2); probe x points are stride-coarsened so each cell sees about
-    probes_per_cell points per axis.
+    PROBES_PER_CELL points per axis.
     """
     if not 0.0 < s <= 1.0:
         raise ValueError("s must lie in (0, 1]")
@@ -154,7 +136,7 @@ def second_diff_field(
     values: dict[int, np.ndarray] = {}
     for j in range(J_max + 1):
         cells_per_axis = 2**j
-        pts_per_cell = min(2 ** (f.J_grid - j), probes_per_cell)
+        pts_per_cell = min(2 ** (f.J_grid - j), PROBES_PER_CELL)
         stride = 2 ** (f.J_grid - j) // pts_per_cell
         probes = np.arange(0, N, stride)
         if f.n == 1:
@@ -170,7 +152,7 @@ def second_diff_field(
             if abs(m - m_exact) > 1e-9 or m < 1:
                 continue
             y = m / N
-            for h in _directions(f.n, m, N, K):
+            for h in _directions(f.n, m, K):
                 vals = _d2_at_indices(f.samples, idx, h) / y**s
                 if f.n == 1:
                     per_cell = vals.reshape(cells_per_axis, pts_per_cell).max(axis=1)
@@ -180,18 +162,7 @@ def second_diff_field(
                     ).max(axis=(1, 3))
                 np.maximum(level_max, per_cell, out=level_max)
         values[j] = level_max
-    return SecondDiffField(label=f.label, s=s, J_max=J_max, K=K, values=values)
-
-
-def build_S(
-    f: GridFunction, s: float, eps: float, J_max: int,
-    K: int | None = None, probes_per_cell: int = 8,
-    field: SecondDiffField | None = None,
-) -> HalfSpaceSet:
-    """Cells where the sampled second-difference ratio strictly exceeds eps."""
-    if field is None:
-        field = second_diff_field(f, s, J_max, K=K, probes_per_cell=probes_per_cell)
-    return threshold_set(field.values, eps, f.n, field.J_max)
+    return LevelField("secdiff", f.n, J_max, values)
 
 
 def _d2_vector(samples: np.ndarray, pos, m: np.ndarray, K: int) -> np.ndarray:
@@ -202,12 +173,7 @@ def _d2_vector(samples: np.ndarray, pos, m: np.ndarray, K: int) -> np.ndarray:
         return np.abs((samples[(i + m) % N] + samples[(i - m) % N]) - 2.0 * samples[i])
     out = np.zeros(m.shape)
     i, j = pos
-    for t in range(max(K, 1)):
-        theta = math.pi * t / max(K, 1)
-        ha = np.round(m * math.cos(theta)).astype(int)
-        hb = np.round(m * math.sin(theta)).astype(int)
-        norm = np.hypot(ha, hb)
-        valid = (norm > 0) & (np.abs(norm - m) <= 0.02 * m)
+    for ha, hb, valid in _lattice_directions(m, K):
         vals = np.abs(
             (samples[(i + ha) % N, (j + hb) % N]
              + samples[(i - ha) % N, (j - hb) % N])

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dyadic import LevelField, pool_children
 from .gridfn import GridFunction
 
 # Daubechies extremal-phase scaling filters (orthonormal, sum = sqrt 2),
@@ -272,27 +273,20 @@ def reconstruct(coeffs: WaveletCoefficients, bank: FilterBank) -> GridFunction:
     return GridFunction(2, J, samples, label="reconstructed")
 
 
-def scale_ratio_field(coeffs: WaveletCoefficients, s: float) -> dict[int, np.ndarray]:
+def scale_ratio_field(coeffs: WaveletCoefficients, s: float) -> LevelField:
     """Per-cube 2^(j(n/2+s)) * sup_l |c|, the quantity thresholded by the
-    coefficient smoothness norm and the bad-cube sets."""
+    coefficient smoothness norm and the bad-cube sets: cubes with
+    sup_l |c| > eps * 2^(-j(n/2+s)) form field.threshold(eps)."""
     ex = coeffs.n / 2.0 + s
-    return {j: 2.0 ** (j * ex) * coeffs.sup_abs(j) for j in range(coeffs.J_grid)}
+    values = {j: 2.0 ** (j * ex) * coeffs.sup_abs(j) for j in range(coeffs.J_grid)}
+    return LevelField("wavelet", coeffs.n, coeffs.J_grid - 1, values)
 
 
 def lip_wavelet_norm(coeffs: WaveletCoefficients, s: float) -> float:
     """|d| + sup over coefficients of 2^(j(n/2+s)) |c|."""
     if not 0.0 < s <= 1.0:
         raise ValueError("s must lie in (0, 1]")
-    field = scale_ratio_field(coeffs, s)
-    c_part = max((float(v.max()) for v in field.values() if v.size), default=0.0)
-    return abs(coeffs.d) + c_part
-
-
-def _pool(arr: np.ndarray, n: int) -> np.ndarray:
-    if n == 1:
-        return arr[0::2] + arr[1::2]
-    h, w = arr.shape
-    return arr.reshape(h // 2, 2, w // 2, 2).sum(axis=(1, 3))
+    return abs(coeffs.d) + scale_ratio_field(coeffs, s).max_value
 
 
 def jbmo_box_sup(coeffs: WaveletCoefficients, s: float, max_level: int | None = None) -> float:
@@ -306,7 +300,7 @@ def jbmo_box_sup(coeffs: WaveletCoefficients, s: float, max_level: int | None = 
         if coeffs.n == 2:
             sq = sq.sum(axis=0)
         own = 4.0 ** (j * s) * sq
-        acc = own if acc is None else own + _pool(acc, coeffs.n)
+        acc = own if acc is None else own + pool_children(acc, coeffs.n)
         best = max(best, float(acc.max()) * 2.0 ** (coeffs.n * j))
     return best
 
@@ -318,13 +312,6 @@ def jbmo_wavelet_norm(coeffs: WaveletCoefficients, s: float) -> float:
     return abs(coeffs.d) + math.sqrt(jbmo_box_sup(coeffs, s))
 
 
-def build_T(coeffs: WaveletCoefficients, s: float, eps: float):
-    """Whitney cells of cubes with sup_l |c| > eps * 2^(-j(n/2+s))."""
-    from .dyadic import threshold_set
-
-    return threshold_set(scale_ratio_field(coeffs, s), eps, coeffs.n, coeffs.J_grid - 1)
-
-
 def truncate_projection(coeffs: WaveletCoefficients, s: float, eps: float) -> WaveletCoefficients:
     """Keep every orientation on cubes whose threshold ratio exceeds eps,
     zero the rest, keep d.  The discarded part has coefficient smoothness
@@ -334,7 +321,7 @@ def truncate_projection(coeffs: WaveletCoefficients, s: float, eps: float) -> Wa
     field = scale_ratio_field(coeffs, s)
     out = coeffs.copy()
     for j in range(coeffs.J_grid):
-        keep = field[j] > eps
+        keep = field.values[j] > eps
         if coeffs.n == 1:
             out.c[j] = np.where(keep, coeffs.c[j], 0.0)
         else:

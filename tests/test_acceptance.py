@@ -6,7 +6,7 @@ functions under the second-difference and Poisson constructions is known to
 be unattainable at finite tree depth (their probe fields stay positive well
 past the slope-fit window, so the divergence flag sees a full stack at every
 small threshold), and the test reports that failure honestly rather than
-loosening the check.  See notes/decisions.md at the repository root.
+loosening the check.  See "Known limitation" in README.md.
 """
 
 from zygdist import acceptance

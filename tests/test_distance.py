@@ -5,7 +5,7 @@ from zygdist import GridFunction, parse_function_spec, synthesize
 from zygdist.distance import (METHODS, compare_methods, epsilon_star,
                               inclusion_probe, method_context,
                               projection_distance_witness)
-from zygdist.wavelet import analyze, lip_wavelet_norm
+from zygdist.wavelet import analyze, lip_wavelet_norm, scale_ratio_field
 
 J = 12
 J_RANGE = (6, 10)
@@ -15,6 +15,18 @@ THETA = 0.1
 @pytest.fixture(scope="module")
 def contexts_weier(weier1_12):
     return {m: method_context(weier1_12, 1.0, m) for m in METHODS}
+
+
+class TestMethodContext:
+    def test_wavelet_depth_cap_drops_deeper_levels(self, weier1_12, bank8):
+        full = scale_ratio_field(analyze(weier1_12, bank8), 1.0)
+        k = 1  # the fixture's field peaks at level 2, so the cap is visible
+        capped = method_context(weier1_12, 1.0, "wavelet", J_max=k, bank=bank8)
+        assert capped.J_max == k
+        assert sorted(capped.values) == list(range(k + 1))
+        assert capped.max_value == max(float(full.values[j].max()) for j in range(k + 1))
+        assert capped.max_value < full.max_value
+        assert capped.threshold(0.0).J_max == k
 
 
 class TestEpsilonStar:
@@ -78,7 +90,7 @@ class TestEpsilonStar:
         # what drives the divergence flag
         ctx = contexts_weier["secdiff"]
         est = epsilon_star(weier1_12, 1.0, "secdiff", J_RANGE, THETA, context=ctx)
-        S = ctx.build(0.5 * est.epsilon_star)
+        S = ctx.threshold(0.5 * est.epsilon_star)
         for j in range(1, S.J_max + 1):
             assert S.mask(j).mean() >= 0.05
 
@@ -112,7 +124,7 @@ class TestCompareMethods:
 
 class TestInclusionProbe:
     def test_empty_source_vacuous(self, weier1_12, contexts_weier):
-        big_eps = contexts_weier["secdiff"].eps_hi * 2.0
+        big_eps = contexts_weier["secdiff"].max_value * 2.0
         rep = inclusion_probe(weier1_12, 1.0, big_eps, "secdiff", "poisson",
                               source_context=contexts_weier["secdiff"],
                               target_context=contexts_weier["poisson"])
@@ -122,7 +134,7 @@ class TestInclusionProbe:
 
     def test_self_inclusion_identity(self, weier1_12, contexts_weier):
         ctx = contexts_weier["secdiff"]
-        eps = 0.3 * ctx.eps_hi
+        eps = 0.3 * ctx.max_value
         rep = inclusion_probe(weier1_12, 1.0, eps, "secdiff", "secdiff",
                               c_grid=(1.0,), R_grid=(0.0,),
                               source_context=ctx, target_context=ctx)

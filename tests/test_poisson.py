@@ -6,9 +6,9 @@ import pytest
 from zygdist import (GridFunction, bessel_lift, parse_function_spec, sup_norm,
                      synthesize)
 from zygdist.dyadic import carleson_sup
-from zygdist.poisson import (bmo_norm, build_D, d2y_extension,
-                             derivative_field, holder_poisson_norm,
-                             jbmo_direct_norm, lipschitz_check, poisson_extend)
+from zygdist.poisson import (bmo_norm, d2y_extension, derivative_field,
+                             holder_poisson_norm, jbmo_direct_norm,
+                             lipschitz_check, poisson_extend)
 from zygdist.secdiff import CELL_FRACS
 from zygdist.wavelet import analyze, jbmo_wavelet_norm
 
@@ -120,30 +120,33 @@ class TestPoissonNorm:
 
 
 class TestBuildD:
+    """The Poisson sets D(s, f, eps) = derivative_field(...).threshold(eps)."""
+
     def test_constant_empty_for_positive_eps(self):
         f = GridFunction(1, J, np.full(N, 2.0))
+        field = derivative_field(f, 1.0, J - 2)
         for eps in (0.0, 0.01, 1.0):
-            assert build_D(f, 1.0, eps, J - 2).is_empty()
+            assert field.threshold(eps).is_empty()
 
     def test_empty_above_field_max(self, weier1_12):
         field = derivative_field(weier1_12, 1.0, J - 2)
-        assert build_D(weier1_12, 1.0, field.max_value, J - 2, field=field).is_empty()
+        assert field.threshold(field.max_value).is_empty()
 
     def test_monotone_in_eps(self, weier1_12):
         field = derivative_field(weier1_12, 1.0, J - 2)
-        d1 = build_D(weier1_12, 1.0, 0.2 * field.max_value, J - 2, field=field)
-        d2 = build_D(weier1_12, 1.0, 0.6 * field.max_value, J - 2, field=field)
+        d1 = field.threshold(0.2 * field.max_value)
+        d2 = field.threshold(0.6 * field.max_value)
         assert d2.issubset(d1)
 
     def test_weierstrass_moderate_eps_diverges(self, weier1_12):
         field = derivative_field(weier1_12, 1.0, J - 2)
-        D = build_D(weier1_12, 1.0, 0.2 * field.max_value, J - 2, field=field)
+        D = field.threshold(0.2 * field.max_value)
         assert carleson_sup(D, (4, J - 2), 0.1).diverging
 
     def test_scaling_covariance(self, weier1_12):
         lam, eps = 4.0, 2.5
-        D1 = build_D(weier1_12, 1.0, eps, J - 2)
-        D2 = build_D(weier1_12.scaled(lam), 1.0, lam * eps, J - 2)
+        D1 = derivative_field(weier1_12, 1.0, J - 2).threshold(eps)
+        D2 = derivative_field(weier1_12.scaled(lam), 1.0, J - 2).threshold(lam * eps)
         assert D1 == D2
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from zygdist import GridFunction, parse_function_spec, synthesize
 from zygdist.dyadic import carleson_sup
-from zygdist.secdiff import (build_S, continuity_check, holder_seminorm,
+from zygdist.secdiff import (continuity_check, holder_seminorm,
                              second_diff_field, second_difference)
 
 J = 12
@@ -102,36 +102,38 @@ class TestHolderSeminorm:
 
 
 class TestBuildS:
+    """The second-difference sets S(s, f, eps) = second_diff_field(...).threshold(eps)."""
+
     def test_eps_zero_keeps_positive_cells(self, cos_12):
         field = second_diff_field(cos_12, 1.0, J - 2)
-        S = build_S(cos_12, 1.0, 0.0, J - 2, field=field)
+        S = field.threshold(0.0)
         want = sum(int((v > 0).sum()) for v in field.values.values())
         assert S.cell_count == want
         assert S.cell_count > 0
 
     def test_empty_above_field_max(self, cos_12):
         field = second_diff_field(cos_12, 1.0, J - 2)
-        S = build_S(cos_12, 1.0, field.max_value, J - 2, field=field)
+        S = field.threshold(field.max_value)
         assert S.is_empty()
 
     def test_monotone_decreasing_in_eps(self, weier1_12):
         field = second_diff_field(weier1_12, 1.0, J - 2)
         eps_values = np.linspace(0.0, field.max_value, 7)
-        sets = [build_S(weier1_12, 1.0, e, J - 2, field=field) for e in eps_values]
+        sets = [field.threshold(e) for e in eps_values]
         for bigger, smaller in zip(sets, sets[1:]):
             assert smaller.issubset(bigger)
 
     def test_scaling_covariance_exact(self, weier1_12):
         s, eps = 1.0, 3.0
         lam = 4.0
-        S1 = build_S(weier1_12, s, eps, J - 2)
-        S2 = build_S(weier1_12.scaled(lam), s, lam * eps, J - 2)
+        S1 = second_diff_field(weier1_12, s, J - 2).threshold(eps)
+        S2 = second_diff_field(weier1_12.scaled(lam), s, J - 2).threshold(lam * eps)
         assert S1 == S2
 
     def test_weierstrass_median_threshold_diverges(self, weier1_12):
         field = second_diff_field(weier1_12, 1.0, J - 2)
         med = float(np.median(np.concatenate([v.ravel() for v in field.values.values()])))
-        S = build_S(weier1_12, 1.0, 0.5 * med, J - 2, field=field)
+        S = field.threshold(0.5 * med)
         assert all(S.mask(jj).any() for jj in range(J - 1))  # every level occupied
         assert carleson_sup(S, (4, J - 2), 0.1).diverging
 

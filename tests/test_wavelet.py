@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from zygdist import GridFunction, parse_function_spec, sup_norm, synthesize
-from zygdist.wavelet import (WaveletCoefficients, analyze, build_T,
-                             coeffs_from_json, coeffs_to_json, filter_bank,
+from zygdist.wavelet import (WaveletCoefficients, analyze, coeffs_from_json,
+                             coeffs_to_json, filter_bank,
                              jbmo_box_sup, jbmo_wavelet_norm, lip_wavelet_norm,
                              moment_residuals, orthonormality_residual,
                              reconstruct, scale_ratio_field,
@@ -217,24 +217,26 @@ class TestJbmoNorm:
 
 
 class TestBuildT:
+    """The wavelet sets T(s, f, eps) = scale_ratio_field(...).threshold(eps)."""
+
     def test_empty_at_coefficient_norm(self, weier1_12, bank8):
         coeffs = analyze(weier1_12, bank8)
         field = scale_ratio_field(coeffs, 1.0)
-        c_norm = max(float(v.max()) for v in field.values())
-        assert build_T(coeffs, 1.0, c_norm).is_empty()
+        c_norm = field.max_value
+        assert field.threshold(c_norm).is_empty()
 
     def test_single_cell_at_half_threshold(self):
         coeffs = WaveletCoefficients.zeros(1, 8)
         eps = 0.3
         coeffs.c[4][7] = 2.0 * eps * 2.0 ** (-4 * 1.5)
-        T = build_T(coeffs, 1.0, eps)
+        T = scale_ratio_field(coeffs, 1.0).threshold(eps)
         assert T.cell_count == 1
         assert (4, (7,)) in T
 
     def test_matches_literal_scan(self, weier1_12, bank8):
         coeffs = analyze(weier1_12, bank8)
         s, eps = 1.0, 0.4
-        T = build_T(coeffs, s, eps)
+        T = scale_ratio_field(coeffs, s).threshold(eps)
         for j in range(coeffs.J_grid):
             for k in range(2**j):
                 expected = abs(coeffs.c[j][k]) > eps * 2.0 ** (-j * (0.5 + s))
@@ -242,8 +244,9 @@ class TestBuildT:
 
     def test_monotone_in_eps(self, weier1_12, bank8):
         coeffs = analyze(weier1_12, bank8)
-        T1 = build_T(coeffs, 1.0, 0.2)
-        T2 = build_T(coeffs, 1.0, 0.5)
+        field = scale_ratio_field(coeffs, 1.0)
+        T1 = field.threshold(0.2)
+        T2 = field.threshold(0.5)
         assert T2.issubset(T1)
 
     def test_weierstrass_mid_eps_everywhere_and_diverging(self, weier1_12, bank8):
@@ -252,8 +255,8 @@ class TestBuildT:
         field = scale_ratio_field(coeffs, 1.0)
         lacunary_top = 9  # spec levels of the fixture
         # half the amplitude floor across the lacunary band
-        floor = min(float(field[j].max()) for j in range(lacunary_top + 1))
-        T = build_T(coeffs, 1.0, 0.5 * floor)
+        floor = min(float(field.values[j].max()) for j in range(lacunary_top + 1))
+        T = field.threshold(0.5 * floor)
         assert all(T.mask(j).any() for j in range(lacunary_top + 1))
         assert carleson_sup(T, (4, lacunary_top), 0.1).diverging
 
@@ -276,8 +279,7 @@ class TestTruncateProjection:
     @pytest.mark.parametrize("frac", [0.1, 0.5, 0.9])
     def test_tail_norm_bounded_by_eps(self, s, frac, random_12, bank8):
         coeffs = analyze(random_12, bank8)
-        field = scale_ratio_field(coeffs, s)
-        eps = frac * max(float(v.max()) for v in field.values())
+        eps = frac * scale_ratio_field(coeffs, s).max_value
         g = truncate_projection(coeffs, s, eps)
         assert lip_wavelet_norm(coeffs.minus(g), s) <= eps
 
@@ -287,8 +289,8 @@ class TestTruncateProjection:
         coeffs = analyze(weier1_12, bank8)
         s, eps = 1.0, 0.45
         g = truncate_projection(coeffs, s, eps)
-        kept = build_T(coeffs, s, eps)
-        recovered = build_T(g, s, 1e-12 * lip_wavelet_norm(coeffs, s))
+        kept = scale_ratio_field(coeffs, s).threshold(eps)
+        recovered = scale_ratio_field(g, s).threshold(1e-12 * lip_wavelet_norm(coeffs, s))
         assert recovered == kept
 
 
