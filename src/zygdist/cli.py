@@ -25,7 +25,7 @@ from . import poisson as _poisson
 from . import secdiff as _secdiff
 from . import wavelet as _wavelet
 from .dyadic import carleson_sup
-from .gridfn import SpecError, parse_function_spec, sup_norm, synthesize
+from .gridfn import GridFunction, SpecError, parse_function_spec, sup_norm, synthesize
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -94,8 +94,13 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _content_hash(cfg: RunConfig, spec_text: str | None) -> str:
-    payload = json.dumps({"config": cfg.as_dict(), "spec": spec_text}, sort_keys=True)
+def _content_hash(cfg: RunConfig, spec_text: str | None, f: GridFunction | None) -> str:
+    ident = {"config": cfg.as_dict(), "spec": spec_text}
+    if f is not None:
+        # the spec may name a file, so the samples themselves identify the input;
+        # hashed in place, without a copy of the grid
+        ident["samples"] = hashlib.sha256(f.samples.data).hexdigest()
+    payload = json.dumps(ident, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -113,10 +118,11 @@ def _atomic_write(path: str, text: str):
         raise
 
 
-def _emit_json(cfg: RunConfig, name: str, body: dict, spec_text: str | None) -> str:
+def _emit_json(cfg: RunConfig, name: str, body: dict, spec_text: str | None,
+               f: GridFunction | None = None) -> str:
     report = {
         "config": cfg.as_dict(),
-        "content_hash": _content_hash(cfg, spec_text),
+        "content_hash": _content_hash(cfg, spec_text, f),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         **body,
     }
@@ -127,6 +133,12 @@ def _emit_json(cfg: RunConfig, name: str, body: dict, spec_text: str | None) -> 
 
 def _k_or_none(cfg: RunConfig):
     return cfg.K if cfg.K > 0 else None
+
+
+def _print_warnings(estimates):
+    for est in estimates:
+        for text in est.warnings:
+            print(f"warning: {est.method}: {text}", file=sys.stderr)
 
 
 def cmd_seminorms(args) -> int:
@@ -150,7 +162,7 @@ def cmd_seminorms(args) -> int:
                  ("wavelet_lip", "poisson"), ("wavelet_jbmo", "jbmo_direct")):
         ratios[f"{a}/{b}"] = norms[a] / norms[b] if norms[b] else None
     path = _emit_json(cfg, "seminorms", {"function": f.label, "n": cfg.n, "s": s,
-                                         "norms": norms, "ratios": ratios}, args.spec)
+                                         "norms": norms, "ratios": ratios}, args.spec, f)
     csv_path = path[:-5] + ".csv"
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -176,7 +188,7 @@ def cmd_sets(args) -> int:
         "carleson": {"J": report.j_values, "M_J": report.m_values,
                      "slope": report.slope, "diverging": report.diverging},
     }
-    path = _emit_json(cfg, "sets", body, args.spec)
+    path = _emit_json(cfg, "sets", body, args.spec, f)
     A.to_csv(path[:-5] + ".csv")
     print(path)
     return EXIT_OK
@@ -189,9 +201,10 @@ def cmd_distance(args) -> int:
     comp = _distance.compare_methods(
         f, cfg.s, (cfg.J_lo, cfg.J_hi), cfg.theta,
         bank=_wavelet.filter_bank(cfg.wavelet_p), K=_k_or_none(cfg))
+    _print_warnings(comp.estimates.values())
     body = {"function": f.label, "n": cfg.n, "s": cfg.s,
             "comparisons": comp.as_dict()}
-    path = _emit_json(cfg, "distance", body, args.spec)
+    path = _emit_json(cfg, "distance", body, args.spec, f)
     print(path)
     return EXIT_OK
 
@@ -205,6 +218,7 @@ def cmd_inclusion(args) -> int:
     if args.eps is None:
         est = _distance.epsilon_star(f, cfg.s, args.source, (cfg.J_lo, cfg.J_hi),
                                      cfg.theta, **kwargs)
+        _print_warnings([est])
         eps = 0.5 * est.epsilon_star
     else:
         eps = args.eps
@@ -212,7 +226,7 @@ def cmd_inclusion(args) -> int:
                                     eta=args.eta, **kwargs)
     body = {"function": f.label, "n": cfg.n, "s": cfg.s,
             "inclusions": rep.as_dict()}
-    path = _emit_json(cfg, "inclusion", body, args.spec)
+    path = _emit_json(cfg, "inclusion", body, args.spec, f)
     print(path)
     return EXIT_OK
 

@@ -350,26 +350,33 @@ def cell_diameter_bound(n: int) -> float:
     return float(np.arccosh(1.0 + 2.0 * (n + 0.25)))
 
 
-def _mark_intervals(mask: np.ndarray, lo_idx: np.ndarray, hi_idx: np.ndarray):
-    """OR index ranges [lo, hi] (mod len(mask)) into a 1-d boolean mask."""
-    size = mask.size
-    full = hi_idx - lo_idx + 1 >= size
-    if np.any(full):
-        mask[...] = True
-        return
-    a = np.mod(lo_idx, size)
-    b = np.mod(hi_idx, size)
-    diff = np.zeros(size + 1, dtype=np.int64)
-    wrap = a > b
-    aw, bw = a[wrap], b[wrap]
-    np.add.at(diff, np.zeros(aw.size, dtype=np.int64), 1)
-    np.add.at(diff, bw + 1, -1)
-    np.add.at(diff, aw, 1)
-    diff[size] -= aw.size
-    an, bn = a[~wrap], b[~wrap]
-    np.add.at(diff, an, 1)
-    np.add.at(diff, bn + 1, -1)
-    mask |= np.cumsum(diff[:size]) > 0
+def _nearest_seeds(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest seed rows below and above each row, per column, over three periods.
+
+    S is (L, C) with a seed in every column.  Row r + L of `below` holds the
+    largest k <= r with S[k mod L] set, row r + L of `above` the smallest
+    k >= r, for r in [-L, 2L); k may lie one period outside [0, L).
+    """
+    L = S.shape[0]
+    k = np.arange(-L, 2 * L)[:, None]
+    S3 = np.concatenate([S, S, S])
+    below = np.maximum.accumulate(np.where(S3, k, -3 * L), axis=0)
+    above = np.minimum.accumulate(np.where(S3, k, 3 * L)[::-1], axis=0)[::-1]
+    return below, above
+
+
+def _mark_windows(shape: tuple[int, int], row, lo, hi) -> np.ndarray:
+    """Boolean (rows, width) array, row[t] set on lo[t]..hi[t] taken mod width."""
+    rows, width = shape
+    full = hi - lo + 1 >= width
+    lo = np.where(full, 0, lo % width)
+    hi = np.where(full, width - 1, hi % width)
+    start = row * (width + 1)
+    wrap = lo > hi
+    size = rows * (width + 1)
+    diff = (np.bincount(np.concatenate([start + lo, start[wrap]]), minlength=size)
+            - np.bincount(np.concatenate([start + hi + 1, start[wrap] + width]), minlength=size))
+    return np.cumsum(diff.reshape(rows, width + 1), axis=1)[:, :width] > 0
 
 
 def enlarge(A: HalfSpaceSet, R: float) -> HalfSpaceSet:
@@ -379,86 +386,67 @@ def enlarge(A: HalfSpaceSet, R: float) -> HalfSpaceSet:
     distance R + delta_cell of some cell center of A, so the result always
     contains A and over-approximates the continuum neighborhood consistently
     across levels.
+
+    With t = R + delta_cell, a center (x, yc) is that close to a seed center
+    (xs, ys) iff d_T(x, xs)^2 < b = 2 yc ys (cosh t - 1) - (yc - ys)^2.  Every
+    cell center of every level lies on the grid of step u = 2^-(J_max+1), so
+    in steps of u the squared torus distance is an integer and, u^2 being a
+    power of two, B = b / u^2 is exact: the test d^2 < B is exact.  The
+    distance is separable.  For n = 2, the seed mask of each level gives,
+    per seed column, the distance g along the first axis from every target
+    row to the nearest seed of that column; for n = 1 there is one row and
+    g = 0.  A target center in that row is then in range of a column's seeds
+    iff its offset k along the last axis has k^2 < B - g^2: a window of
+    integer half-width around the column, marked with a difference array.
+    Memory is O(2^j 2^js) per pair of target and seed levels, whatever the
+    number of cells.
     """
     if R < 0:
         raise ValueError("R must be >= 0")
-    thresh = R + cell_diameter_bound(A.n)
-    cosh_m1 = math.cosh(thresh) - 1.0
+    cosh_m1 = math.cosh(R + cell_diameter_bound(A.n)) - 1.0
     out = HalfSpaceSet(A.n, A.J_max)
+    inv_u_sq = 4.0 ** (A.J_max + 1)
+    farthest = A.n * 4**A.J_max  # largest squared torus distance, in steps of u
 
-    seeds = [(j, np.argwhere(A._masks[j])) for j in range(A.J_max + 1) if A._masks[j].any()]
-    if not seeds:
-        return out
-
-    if A.n == 1:
-        for j in range(A.J_max + 1):
-            yc = 0.75 * 2.0**-j
-            m = out._masks[j]
-            for js, idx in seeds:
-                if m.all():
-                    break
-                ys = 0.75 * 2.0**-js
-                b = 2.0 * yc * ys * cosh_m1 - (yc - ys) ** 2
-                if b <= 0:
-                    continue
-                w = math.sqrt(b)
-                xs = (idx[:, 0].astype(float) + 0.5) * 2.0**-js
-                lo = np.floor((xs - w) * 2**j - 0.5).astype(np.int64) + 1
-                hi = np.ceil((xs + w) * 2**j - 0.5).astype(np.int64) - 1
-                keep = hi >= lo
-                if keep.any():
-                    _mark_intervals(m, lo[keep], hi[keep])
-        return out
-
-    # n=2: KD-tree over seed centers replicated to the 8 torus images.
-    from scipy.spatial import cKDTree
-
-    seed_xy = []
-    for js, idx in seeds:
-        side = 2.0**-js
-        xy = (idx.astype(float) + 0.5) * side
-        seed_xy.append(np.column_stack([xy, np.full(len(xy), 0.75 * side)]))
-    pts = np.vstack(seed_xy)
-    images = []
-    for dx in (-1.0, 0.0, 1.0):
-        for dy in (-1.0, 0.0, 1.0):
-            shifted = pts.copy()
-            shifted[:, 0] += dx
-            shifted[:, 1] += dy
-            images.append(shifted)
-    all_pts = np.vstack(images)
+    seeds = []
+    for js in range(A.J_max + 1):
+        S = A._masks[js].reshape(-1, 2**js)  # one row when n = 1
+        cols = np.flatnonzero(S.any(axis=0))
+        if cols.size:
+            seeds.append((js, cols, _nearest_seeds(S[:, cols]) if A.n == 2 else None))
 
     for j in range(A.J_max + 1):
-        yc = 0.75 * 2.0**-j
-        # centers must satisfy d^2 < 2 yc ys cosh_m1 - (yc-ys)^2 for some seed;
-        # bound the search radius by the largest admissible b over seed levels.
-        b_max = 0.0
-        for js, _ in seeds:
-            ys = 0.75 * 2.0**-js
-            b = 2.0 * yc * ys * cosh_m1 - (yc - ys) ** 2
-            b_max = max(b_max, b)
-        if b_max <= 0:
-            continue
-        tree = cKDTree(all_pts[:, :2])
-        side = 2.0**-j
-        g = (np.arange(2**j) + 0.5) * side
-        cx, cy = np.meshgrid(g, g, indexing="ij")
-        centers = np.column_stack([cx.ravel(), cy.ravel()])
-        cand = tree.query_ball_point(centers, math.sqrt(b_max), return_sorted=False)
         m = out._masks[j]
-        flat = m.ravel()
-        for pos, neighbors in enumerate(cand):
-            if not neighbors:
+        h = 2 ** (A.J_max - j)  # level-j centers sit at (2i + 1) h
+        yc = 0.75 * 2.0**-j
+        for js, cols, near in seeds:
+            ys = 0.75 * 2.0**-js
+            B = (2.0 * yc * ys * cosh_m1 - (yc - ys) ** 2) * inv_u_sq
+            if B <= 0:
                 continue
-            pc = centers[pos]
-            for t in neighbors:
-                ys = all_pts[t, 2]
-                b = 2.0 * yc * ys * cosh_m1 - (yc - ys) ** 2
-                if b <= 0:
-                    continue
-                dx = pc[0] - all_pts[t, 0]
-                dy = pc[1] - all_pts[t, 1]
-                if dx * dx + dy * dy < b:
-                    flat[pos] = True
-                    break
+            if B > farthest:
+                m[...] = True
+                break
+            hs = 2 ** (A.J_max - js)
+            if near is None:
+                g_sq = np.zeros((1, cols.size), dtype=np.int64)
+            else:
+                below, above = near
+                r = (2 * np.arange(2**j) + 1) * h
+                q = (r - hs) // (2 * hs) + 2**js  # seed-lattice row at or below r, + L
+                r = r[:, None]
+                g = np.minimum(r - (2 * below[q] + 1) * hs, (2 * above[q + 1] + 1) * hs - r)
+                g_sq = g * g
+            # largest integer k with k^2 + g^2 < B (k = -1 when there is none)
+            k = np.floor(np.sqrt(np.maximum(B - g_sq, 0.0))).astype(np.int64)
+            k -= k * k + g_sq >= B
+            k += (k + 1) * (k + 1) + g_sq < B
+            xs = (2 * cols + 1) * hs
+            lo = -((k - xs + h) // (2 * h))  # level-j centers in [xs - k, xs + k]
+            hi = (xs + k - h) // (2 * h)
+            row, col = np.nonzero(hi >= lo)
+            m |= _mark_windows((g_sq.shape[0], 2**j), row,
+                               lo[row, col], hi[row, col]).reshape(m.shape)
+            if m.all():
+                break
     return out

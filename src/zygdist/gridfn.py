@@ -330,20 +330,12 @@ def _xlogx_axis(x: np.ndarray, eps: float) -> np.ndarray:
 
 def to_spectral(f: GridFunction) -> SpectralFunction:
     """Forward Fourier series: coeff(k) = mean of f(x) exp(-2*pi*i*k.x)."""
-    N = f.grid_size
-    if f.n == 1:
-        c = np.fft.fft(f.samples) / N
-    else:
-        c = np.fft.fft2(f.samples) / N**2
+    c = np.fft.fftn(f.samples) / f.grid_size**f.n
     return SpectralFunction(f.n, f.J_grid, c)
 
 
 def from_spectral(F: SpectralFunction, label: str = "") -> GridFunction:
-    N = 2**F.J_grid
-    if F.n == 1:
-        samples = np.fft.ifft(F.coefficients * N).real
-    else:
-        samples = np.fft.ifft2(F.coefficients * N**2).real
+    samples = np.fft.ifftn(F.coefficients * 2 ** (F.n * F.J_grid)).real
     return GridFunction(F.n, F.J_grid, samples, label=label)
 
 
@@ -368,10 +360,7 @@ def bessel_lift(f: GridFunction, r: float) -> GridFunction:
     x = f.samples.astype(np.longdouble)
     ksq = _freq_sq(f.n, f.J_grid).astype(np.longdouble)
     mult = (1.0 + 4.0 * np.longdouble(np.pi) ** 2 * ksq) ** np.longdouble(-r / 2.0)
-    if f.n == 1:
-        out = sfft.ifft(sfft.fft(x) * mult)
-    else:
-        out = sfft.ifft2(sfft.fft2(x) * mult)
+    out = sfft.ifftn(sfft.fftn(x) * mult)
     samples = np.ascontiguousarray(out.real, dtype=float)
     return GridFunction(f.n, f.J_grid, samples, label=f"{f.label}|bessel{r:+g}")
 

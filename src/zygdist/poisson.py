@@ -27,10 +27,7 @@ def _abs_freq(n: int, J: int) -> np.ndarray:
 
 
 def _apply_multiplier(f: GridFunction, mult: np.ndarray, label: str) -> GridFunction:
-    if f.n == 1:
-        out = np.fft.ifft(np.fft.fft(f.samples) * mult).real
-    else:
-        out = np.fft.ifft2(np.fft.fft2(f.samples) * mult).real
+    out = np.fft.ifftn(np.fft.fftn(f.samples) * mult).real
     return GridFunction(f.n, f.J_grid, out, label=label)
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 from zygdist.cli import EXIT_OK, EXIT_VALIDATION, main
@@ -53,6 +54,17 @@ class TestSeminorms:
         scrub = lambda text: re.sub(r'"timestamp": "[^"]*"', '"timestamp": null', text)
         assert scrub(first) == scrub(second)
 
+    def test_file_contents_enter_content_hash(self, tmp_path):
+        # one spec text, two file contents: two reports, neither overwritten
+        data = tmp_path / "samples.txt"
+        for amp in (1.0, 2.0):
+            data.write_text("\n".join(repr(amp * math.sin(2 * math.pi * k / 256))
+                                      for k in range(256)))
+            assert run(["seminorms", "--spec", f"file path={data}", "--jgrid", "8",
+                        "--out", str(tmp_path)]) == EXIT_OK
+        reports = [json.loads(p.read_text()) for p in tmp_path.glob("seminorms_*.json")]
+        assert len({rep["content_hash"] for rep in reports}) == 2
+
 
 class TestSets:
     def test_huge_eps_empty(self, tmp_path):
@@ -77,7 +89,7 @@ class TestSets:
 
 
 class TestDistance:
-    def test_atom_runs(self, tmp_path):
+    def test_atom_runs(self, tmp_path, capsys):
         code = run(["distance", "--spec", "wavelet-atom l=1 j=2 k=1",
                     "--jgrid", "10", "--jrange", "4:8", "--out", str(tmp_path)])
         assert code == EXIT_OK
@@ -87,6 +99,11 @@ class TestDistance:
         assert methods["wavelet"]["collapsed"]
         for entry in methods.values():
             assert entry["slope_trace"]
+        # every report warning is also printed; the secdiff field is certified here
+        printed = capsys.readouterr().err.splitlines()
+        expected = [f"warning: {m}: {w}" for m, e in methods.items() for w in e["warnings"]]
+        assert sorted(printed) == sorted(expected)
+        assert any(line.startswith("warning: secdiff: C2-decay certificate") for line in printed)
 
 
 class TestInclusion:

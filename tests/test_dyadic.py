@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -284,14 +285,41 @@ class TestEnlarge:
         A = HalfSpaceSet.from_cells(2, 3, [(1, (0, 1)), (3, (5, 2))])
         assert enlarge(A, R) == brute_enlarge(A, R)
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_matches_brute_force_random_sets(self, seed):
+    @pytest.mark.parametrize(
+        "seed, n, J_max", [(s, 1, 4) for s in range(5)] + [(s, 2, 3) for s in range(5)],
+        ids=[str(s) for s in range(5)] + [f"n2-{s}" for s in range(5)])
+    def test_matches_brute_force_random_sets(self, seed, n, J_max):
         rng = np.random.default_rng(seed)
-        cells = list({(int(j), (int(rng.integers(0, 2**j)),))
-                      for j in rng.integers(0, 5, size=6)})
-        A = HalfSpaceSet.from_cells(1, 4, cells)
+        cells = list({(int(j), tuple(int(rng.integers(0, 2**j)) for _ in range(n)))
+                      for j in rng.integers(0, J_max + 1, size=6)})
+        A = HalfSpaceSet.from_cells(n, J_max, cells)
         for R in (0.3, 1.1):
             assert enlarge(A, R) == brute_enlarge(A, R)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("R", [0.5, 2.0, 3.0])
+    def test_matches_brute_force_across_seam(self, n, R):
+        # seeds in the first and the last cube of their level, so windows wrap
+        # the torus; at R=3 the shallow pairs reach every center
+        J_max = 4 if n == 1 else 3
+        A = HalfSpaceSet.from_cells(n, J_max, [(J_max, (0,) * n),
+                                               (J_max - 1, (2 ** (J_max - 1) - 1,) * n)])
+        assert enlarge(A, R) == brute_enlarge(A, R)
+
+    def test_memory_grows_with_grid_not_pairs(self):
+        # the full n=2 stack at J_max=5 has 1365 cells, and at R=4 nearly every
+        # (center, seed) pair is within reach; the working memory must stay
+        # that of a few grids of (2^(J_max+2))^2 points
+        enlarge(HalfSpaceSet.from_cells(2, 1, [(0, (0, 0))]), 0.0)  # imports done
+        A = HalfSpaceSet.full_stack(2, 5)
+        tracemalloc.start()
+        try:
+            out = enlarge(A, 4.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out == A
+        assert peak < 64 * 2**20
 
     def test_composition_upper_bound(self):
         # two-step enlargement covers the one-step with radii summed minus
