@@ -3,6 +3,8 @@ the torus to the bmo-Sobolev subspace, measured three equivalent ways:
 maximal second differences, wavelet coefficient thresholds, and hyperbolic
 derivatives of the Poisson extension."""
 
+__version__ = "0.2.0"  # part of every report's content hash
+
 from .dyadic import (CarlesonReport, DyadicCube, HalfSpacePoint, HalfSpaceSet,
                      LevelField, WhitneyCell, carleson_box_value, carleson_sup,
                      cube_contains, enlarge, hyperbolic_distance)
@@ -20,5 +22,3 @@ from .secdiff import (continuity_check, holder_seminorm, second_diff_field,
 from .wavelet import (FilterBank, WaveletCoefficients, analyze, filter_bank,
                       jbmo_wavelet_norm, lip_wavelet_norm, reconstruct,
                       truncate_projection)
-
-__version__ = "0.1.0"

@@ -19,6 +19,8 @@ import os
 import sys
 import tempfile
 
+import zygdist
+
 from . import acceptance as _acceptance
 from . import distance as _distance
 from . import poisson as _poisson
@@ -95,7 +97,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _content_hash(cfg: RunConfig, spec_text: str | None, f: GridFunction | None) -> str:
-    ident = {"config": cfg.as_dict(), "spec": spec_text}
+    # the version names the code: a change to the numbers gets new report names
+    ident = {"config": cfg.as_dict(), "spec": spec_text, "version": zygdist.__version__}
     if f is not None:
         # the spec may name a file, so the samples themselves identify the input;
         # hashed in place, without a copy of the grid
@@ -215,15 +218,18 @@ def cmd_inclusion(args) -> int:
     f = synthesize(spec, cfg.n, cfg.J_grid)
     bank = _wavelet.filter_bank(cfg.wavelet_p)
     kwargs = {"bank": bank, "K": _k_or_none(cfg)}
+    # one source field serves the bisection and the probe
+    src = _distance.method_context(f, cfg.s, args.source, **kwargs)
     if args.eps is None:
         est = _distance.epsilon_star(f, cfg.s, args.source, (cfg.J_lo, cfg.J_hi),
-                                     cfg.theta, **kwargs)
+                                     cfg.theta, context=src)
         _print_warnings([est])
         eps = 0.5 * est.epsilon_star
     else:
         eps = args.eps
-    rep = _distance.inclusion_probe(f, cfg.s, eps, args.source, args.target,
-                                    eta=args.eta, **kwargs)
+    rep = _distance.inclusion_probe(
+        f, cfg.s, eps, args.source, args.target, eta=args.eta, source_context=src,
+        target_context=src if args.target == args.source else None, **kwargs)
     body = {"function": f.label, "n": cfg.n, "s": cfg.s,
             "inclusions": rep.as_dict()}
     path = _emit_json(cfg, "inclusion", body, args.spec, f)

@@ -339,13 +339,15 @@ def from_spectral(F: SpectralFunction, label: str = "") -> GridFunction:
     return GridFunction(F.n, F.J_grid, samples, label=label)
 
 
-def _freq_sq(n: int, J: int) -> np.ndarray:
+def _half_freq_sq(n: int, J: int) -> np.ndarray:
+    """|k|^2 on the half spectrum of a real transform (rfftn layout: the last
+    axis holds k = 0..N/2), the table every spectral multiplier is built on."""
     N = 2**J
-    k = np.fft.fftfreq(N, d=1.0 / N)
+    k_half = np.fft.rfftfreq(N, d=1.0 / N)
     if n == 1:
-        return k * k
-    kx, ky = np.meshgrid(k, k, indexing="ij")
-    return kx * kx + ky * ky
+        return k_half * k_half
+    k = np.fft.fftfreq(N, d=1.0 / N)
+    return (k * k)[:, None] + (k_half * k_half)[None, :]
 
 
 def bessel_lift(f: GridFunction, r: float) -> GridFunction:
@@ -358,10 +360,10 @@ def bessel_lift(f: GridFunction, r: float) -> GridFunction:
     import scipy.fft as sfft
 
     x = f.samples.astype(np.longdouble)
-    ksq = _freq_sq(f.n, f.J_grid).astype(np.longdouble)
+    ksq = _half_freq_sq(f.n, f.J_grid).astype(np.longdouble)
     mult = (1.0 + 4.0 * np.longdouble(np.pi) ** 2 * ksq) ** np.longdouble(-r / 2.0)
-    out = sfft.ifftn(sfft.fftn(x) * mult)
-    samples = np.ascontiguousarray(out.real, dtype=float)
+    out = sfft.irfftn(sfft.rfftn(x) * mult, s=x.shape)
+    samples = np.ascontiguousarray(out, dtype=float)
     return GridFunction(f.n, f.J_grid, samples, label=f"{f.label}|bessel{r:+g}")
 
 

@@ -3,9 +3,10 @@ y-derivative, the large-hyperbolic-derivative cell sets, and the bmo norms.
 
 On the torus the Poisson kernel is a pure Fourier multiplier exp(-2 pi |k| y)
 and the derivative multiplier is (2 pi |k|)^2 exp(-2 pi |k| y), so heights
-need not be grid aligned and there is no kernel truncation error.  Fields are
-restricted to y <= 1; the lowest frequencies dominate above that and carry no
-scale information.
+need not be grid aligned and there is no kernel truncation error.  Every
+field takes one forward real (half-spectrum) transform of the function and
+one inverse real transform per height.  Fields are restricted to y <= 1; the
+lowest frequencies dominate above that and carry no scale information.
 """
 
 from __future__ import annotations
@@ -16,36 +17,47 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import LevelField, pool_children
-from .gridfn import GridFunction, bessel_lift, sup_norm, _freq_sq
+from .gridfn import GridFunction, bessel_lift, sup_norm, _half_freq_sq
 from .secdiff import CELL_FRACS
 
 _DEFAULT_FIELD_MARGIN = 2  # deepest field level is J_grid - margin, as for second differences
 
 
-def _abs_freq(n: int, J: int) -> np.ndarray:
-    return np.sqrt(_freq_sq(n, J))
+def _extension_slices(f: GridFunction, heights, d2y: bool = True):
+    """Yield d^2/dy^2 u(., y) (u(., y) itself if not d2y) for each height y.
+
+    One forward half-spectrum transform of f and one table w = 2 pi |k| serve
+    every height; each height costs one multiply by exp(-w y) and one inverse.
+    """
+    shape, axes = f.samples.shape, tuple(range(f.n))
+    spec = np.fft.rfftn(f.samples)
+    w = 2.0 * np.pi * np.sqrt(_half_freq_sq(f.n, f.J_grid))
+    if d2y:
+        spec *= w * w
+    decay = np.empty_like(w)  # per-height buffers, reused
+    product = np.empty_like(spec)
+    for y in heights:
+        np.exp(np.multiply(w, -y, out=decay), out=decay)
+        yield np.fft.irfftn(np.multiply(spec, decay, out=product), s=shape, axes=axes)
 
 
-def _apply_multiplier(f: GridFunction, mult: np.ndarray, label: str) -> GridFunction:
-    out = np.fft.ifftn(np.fft.fftn(f.samples) * mult).real
-    return GridFunction(f.n, f.J_grid, out, label=label)
+def _single_height(f: GridFunction, y: float, d2y: bool) -> np.ndarray:
+    if y <= 0:
+        raise ValueError("height must be > 0")
+    (out,) = _extension_slices(f, (y,), d2y)
+    return out
 
 
 def poisson_extend(f: GridFunction, y: float) -> GridFunction:
     """Harmonic extension u(., y), one exact multiplier per height."""
-    if y <= 0:
-        raise ValueError("height must be > 0")
-    mult = np.exp(-2.0 * np.pi * _abs_freq(f.n, f.J_grid) * y)
-    return _apply_multiplier(f, mult, label=f"{f.label}|P[{y:g}]")
+    return GridFunction(f.n, f.J_grid, _single_height(f, y, d2y=False),
+                        label=f"{f.label}|P[{y:g}]")
 
 
 def d2y_extension(f: GridFunction, y: float) -> GridFunction:
     """d^2/dy^2 of the harmonic extension at height y."""
-    if y <= 0:
-        raise ValueError("height must be > 0")
-    ak = _abs_freq(f.n, f.J_grid)
-    mult = (2.0 * np.pi * ak) ** 2 * np.exp(-2.0 * np.pi * ak * y)
-    return _apply_multiplier(f, mult, label=f"{f.label}|d2yP[{y:g}]")
+    return GridFunction(f.n, f.J_grid, _single_height(f, y, d2y=True),
+                        label=f"{f.label}|d2yP[{y:g}]")
 
 
 def derivative_field(f: GridFunction, s: float, J_max: int) -> LevelField:
@@ -55,20 +67,18 @@ def derivative_field(f: GridFunction, s: float, J_max: int) -> LevelField:
         raise ValueError("s must lie in (0, 1]")
     if J_max > f.J_grid:
         raise ValueError(f"J_max={J_max} exceeds grid depth {f.J_grid}")
-    values: dict[int, np.ndarray] = {}
-    for j in range(J_max + 1):
+    probes = [(j, frac * 2.0**-j) for j in range(J_max + 1) for frac in CELL_FRACS]
+    values = {j: np.zeros((2**j,) * f.n) for j in range(J_max + 1)}
+    for (j, y), d2 in zip(probes, _extension_slices(f, [y for _, y in probes])):
         cells = 2**j
         pts = 2 ** (f.J_grid - j)
-        level_max = np.zeros((cells,) * f.n)
-        for frac in CELL_FRACS:
-            y = frac * 2.0**-j
-            g = np.abs(d2y_extension(f, y).samples) * y ** (2.0 - s)
-            if f.n == 1:
-                per_cell = g.reshape(cells, pts).max(axis=1)
-            else:
-                per_cell = g.reshape(cells, pts, cells, pts).max(axis=(1, 3))
-            np.maximum(level_max, per_cell, out=level_max)
-        values[j] = level_max
+        g = np.abs(d2)
+        if f.n == 1:
+            per_cell = g.reshape(cells, pts).max(axis=1)
+        else:
+            per_cell = g.reshape(cells, pts, cells, pts).max(axis=(1, 3))
+        # scaling by y^(2-s) > 0 after the max rounds exactly as before it
+        np.maximum(values[j], per_cell * y ** (2.0 - s), out=values[j])
     return LevelField("poisson", f.n, J_max, values)
 
 
@@ -114,23 +124,13 @@ def lipschitz_check(f: GridFunction, s: float, sample_count: int, seed: int) -> 
     y1 = fracs[fr1] * 2.0 ** (-lev1.astype(float))
     y2 = fracs[fr2] * 2.0 ** (-lev2.astype(float))
 
-    # one derivative slice per quantized height, gathered by fancy indexing
-    slices = np.empty(((J_top + 1) * fracs.size,) + (N,) * f.n)
-    for lev in range(J_top + 1):
-        for fr in range(fracs.size):
-            y = float(fracs[fr] * 2.0**-lev)
-            slices[lev * fracs.size + fr] = d2y_extension(f, y).samples * y ** (2.0 - s)
-    hid1 = lev1 * fracs.size + fr1
-    hid2 = lev2 * fracs.size + fr2
-
     x1 = np.floor(u[:, 4] * N).astype(int)
     dx = np.round((2.0 * u[:, 5] - 1.0) * y1 * N).astype(int)
     x2 = (x1 + dx) % N
     tx = np.abs(x1 - x2) / N
     tx = np.minimum(tx, 1.0 - tx)
     if f.n == 1:
-        g1 = slices[hid1, x1]
-        g2 = slices[hid2, x2]
+        at1, at2 = (x1,), (x2,)
         dist_sq = tx**2
     else:
         rng2 = np.random.default_rng(seed + 1)
@@ -141,11 +141,23 @@ def lipschitz_check(f: GridFunction, s: float, sample_count: int, seed: int) -> 
         dxb = np.round(dx * np.sin(ang)).astype(int)
         x2 = (x1 + dxa) % N
         x2b = (x1b + dxb) % N
-        g1 = slices[hid1, x1, x1b]
-        g2 = slices[hid2, x2, x2b]
+        at1, at2 = (x1, x1b), (x2, x2b)
         ta = np.minimum(np.abs(dxa) % N, N - np.abs(dxa) % N) / N
         tb = np.minimum(np.abs(dxb) % N, N - np.abs(dxb) % N) / N
         dist_sq = ta**2 + tb**2
+
+    # one derivative slice per quantized height in use, streamed: each slice
+    # is read at the samples whose height id matches, then dropped
+    hid1 = lev1 * fracs.size + fr1
+    hid2 = lev2 * fracs.size + fr2
+    g1 = np.empty(sample_count)
+    g2 = np.empty(sample_count)
+    used = np.union1d(hid1, hid2).tolist()
+    heights = [float(fracs[h % fracs.size] * 2.0 ** -(h // fracs.size)) for h in used]
+    for h, y, d2 in zip(used, heights, _extension_slices(f, heights)):
+        for g, hid, at in ((g1, hid1, at1), (g2, hid2, at2)):
+            rows = hid == h
+            g[rows] = d2[tuple(a[rows] for a in at)] * y ** (2.0 - s)
 
     rho = np.arccosh(1.0 + (dist_sq + (y1 - y2) ** 2) / (2.0 * y1 * y2))
     ok = (rho > 0) & (rho <= 2.0)

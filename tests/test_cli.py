@@ -2,7 +2,9 @@ import json
 import math
 import re
 
-from zygdist.cli import EXIT_OK, EXIT_VALIDATION, main
+import zygdist
+import zygdist.poisson
+from zygdist.cli import EXIT_OK, EXIT_VALIDATION, RunConfig, _content_hash, main
 
 
 def run(argv):
@@ -65,6 +67,12 @@ class TestSeminorms:
         reports = [json.loads(p.read_text()) for p in tmp_path.glob("seminorms_*.json")]
         assert len({rep["content_hash"] for rep in reports}) == 2
 
+    def test_version_enters_content_hash(self, monkeypatch):
+        cfg = RunConfig()
+        before = _content_hash(cfg, "trig k=1 a=1", None)
+        monkeypatch.setattr(zygdist, "__version__", "0.0.0+other")
+        assert _content_hash(cfg, "trig k=1 a=1", None) != before
+
 
 class TestSets:
     def test_huge_eps_empty(self, tmp_path):
@@ -117,6 +125,23 @@ class TestInclusion:
         inc = rep["inclusions"]
         assert inc["source"] == "wavelet"
         assert inc["achieved"] is not None
+
+    def test_source_field_built_once(self, tmp_path, monkeypatch):
+        # the bisection for eps and the probe share one Poisson field
+        calls = []
+        build = zygdist.poisson.derivative_field
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(zygdist.poisson, "derivative_field", counted)
+        code = run(["inclusion", "--spec", "weierstrass s=1 levels=6 signs=plus",
+                    "--jgrid", "9", "--jrange", "4:7",
+                    "--source", "poisson", "--target", "secdiff",
+                    "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        assert len(calls) == 1
 
 
 class TestValidate:

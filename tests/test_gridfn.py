@@ -200,6 +200,24 @@ class TestBessel:
         expect = math.sqrt(1.0 + 4.0 * math.pi**2 * 5.0) * f.samples
         assert np.max(np.abs(g.samples - expect)) < 1e-10
 
+    @pytest.mark.parametrize("n,Jg,text", [
+        (1, 12, "weierstrass s=1 levels=9 signs=plus"),
+        (2, 8, "sum weierstrass s=1 levels=5 signs=plus + wavelet-atom l=3 j=3 k=2,5"),
+    ])
+    def test_matches_complex_oracle(self, n, Jg, text):
+        # the half-spectrum lift against one full complex pair in extended precision
+        import scipy.fft as sfft
+
+        f = synthesize(parse_function_spec(text), n, Jg)
+        k = np.fft.fftfreq(f.grid_size, d=1.0 / f.grid_size).astype(np.longdouble)
+        ksq = k * k if n == 1 else (k * k)[:, None] + (k * k)[None, :]
+        x = f.samples.astype(np.longdouble)
+        for r in (-1.0, -0.5, 2.0):
+            mult = (1.0 + 4.0 * np.longdouble(np.pi) ** 2 * ksq) ** np.longdouble(-r / 2.0)
+            want = sfft.ifftn(sfft.fftn(x) * mult).real.astype(float)
+            got = bessel_lift(f, r).samples
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
 
 class TestSupNorm:
     def test_constant(self):
