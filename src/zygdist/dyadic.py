@@ -232,6 +232,15 @@ def pool_children(arr: np.ndarray, n: int) -> np.ndarray:
     return arr.reshape(h // 2, 2, w // 2, 2).sum(axis=(1, 3))
 
 
+def pool_max(arr: np.ndarray, cells: int) -> np.ndarray:
+    """Max over each of the cells^n equal dyadic blocks of arr, halving each axis pairwise."""
+    for axis in reversed(range(arr.ndim)):
+        lead = (slice(None),) * axis
+        while arr.shape[axis] > cells:
+            arr = np.maximum(arr[lead + (slice(0, None, 2),)], arr[lead + (slice(1, None, 2),)])
+    return arr
+
+
 def carleson_box_value(A: HalfSpaceSet, Q: DyadicCube, max_level: int | None = None) -> float:
     """(1/|Q|) * integral over Q x (0, l(Q)] of chi_A dy dx / y, exactly.
 

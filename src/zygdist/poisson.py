@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import LevelField, pool_children
+from .dyadic import LevelField, pool_children, pool_max
 from .gridfn import GridFunction, bessel_lift, sup_norm, _half_freq_sq
 from .secdiff import CELL_FRACS
 
@@ -70,15 +70,8 @@ def derivative_field(f: GridFunction, s: float, J_max: int) -> LevelField:
     probes = [(j, frac * 2.0**-j) for j in range(J_max + 1) for frac in CELL_FRACS]
     values = {j: np.zeros((2**j,) * f.n) for j in range(J_max + 1)}
     for (j, y), d2 in zip(probes, _extension_slices(f, [y for _, y in probes])):
-        cells = 2**j
-        pts = 2 ** (f.J_grid - j)
-        g = np.abs(d2)
-        if f.n == 1:
-            per_cell = g.reshape(cells, pts).max(axis=1)
-        else:
-            per_cell = g.reshape(cells, pts, cells, pts).max(axis=(1, 3))
         # scaling by y^(2-s) > 0 after the max rounds exactly as before it
-        np.maximum(values[j], per_cell * y ** (2.0 - s), out=values[j])
+        np.maximum(values[j], pool_max(np.abs(d2), 2**j) * y ** (2.0 - s), out=values[j])
     return LevelField("poisson", f.n, J_max, values)
 
 
@@ -97,6 +90,7 @@ class LipschitzReport:
     sample_count: int
     norm: float
     s: float
+    ratios: np.ndarray  # per sample, 0 where the pair is not used
 
 
 def lipschitz_check(f: GridFunction, s: float, sample_count: int, seed: int) -> LipschitzReport:
@@ -105,7 +99,8 @@ def lipschitz_check(f: GridFunction, s: float, sample_count: int, seed: int) -> 
     Samples point pairs at hyperbolic distance <= 2 (heights quantized to a
     per-octave ladder so derivative slices are computed once per height) and
     returns max |g(p) - g(q)| / (norm * rho(p, q)).  Same-seed runs with a
-    larger sample count extend the same sequence.
+    larger sample count extend the same sequence, so ratios[:k].max() is the
+    max_ratio of the same-seed check at k samples.
     """
     norm = holder_poisson_norm(f, s)
     if norm == 0.0:
@@ -161,13 +156,15 @@ def lipschitz_check(f: GridFunction, s: float, sample_count: int, seed: int) -> 
 
     rho = np.arccosh(1.0 + (dist_sq + (y1 - y2) ** 2) / (2.0 * y1 * y2))
     ok = (rho > 0) & (rho <= 2.0)
-    ratios = np.abs(g1 - g2)[ok] / (norm * rho[ok])
+    ratios = np.zeros(sample_count)
+    ratios[ok] = np.abs(g1 - g2)[ok] / (norm * rho[ok])
     return LipschitzReport(
         max_ratio=float(ratios.max()) if ratios.size else 0.0,
         pairs_used=int(ok.sum()),
         sample_count=sample_count,
         norm=norm,
         s=s,
+        ratios=ratios,
     )
 
 

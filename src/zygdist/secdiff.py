@@ -3,8 +3,10 @@ the large-second-difference cell sets, and empirical continuity checks.
 
 The maximal second difference at (x, y) is the sup over directions |h| = y of
 |f(x+h) - 2 f(x) + f(x-h)|.  On the grid, h is a lattice vector (exact for
-n=1; rounded to within 2 percent of |h| = y for n=2), so every evaluation is
-pure index arithmetic with periodic wraparound.
+n=1; rounded to within 2 percent of |h| = y for n=2).  On a probe lattice
+x = k * stride, f(x + h) is a strided slice of the samples rolled by whole
+lattice steps (periodic wraparound), so a field reads two shifted copies of
+the probe lattice per direction; sampled positions gather by index.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import LevelField
+from .dyadic import LevelField, pool_max
 from .gridfn import GridFunction
 
 # probe heights inside a Whitney cell, as fractions of the cube side
@@ -51,21 +53,22 @@ def _directions(n: int, m: int, K: int) -> list[tuple[int, ...]]:
     return dirs
 
 
-def _d2_at_indices(samples: np.ndarray, idx, h: tuple[int, ...]) -> np.ndarray:
-    """|f(x+h) - 2 f(x) + f(x-h)| at the given grid indices, periodic.
+def _d2_lattice(samples: np.ndarray, h: tuple[int, ...], stride: int = 1) -> np.ndarray:
+    """|f(p+h) - 2 f(p) + f(p-h)| on the probe lattice p = k * stride, periodic.
 
-    Summed as (f(x+h) + f(x-h)) - 2 f(x) so the value is exactly even in h.
+    On each axis samples[(p + h) % N] is samples[h % stride :: stride] rolled
+    back by h // stride (floor division, so h may be negative).  Summed as
+    (f(p+h) + f(p-h)) - 2 f(p) so the value is exactly even in h.
     """
-    N = samples.shape[0]
-    if samples.ndim == 1:
-        i = idx[0]
-        return np.abs((samples[(i + h[0]) % N] + samples[(i - h[0]) % N]) - 2.0 * samples[i])
-    i, j = idx
-    return np.abs(
-        (samples[(i + h[0]) % N, (j + h[1]) % N]
-         + samples[(i - h[0]) % N, (j - h[1]) % N])
-        - 2.0 * samples[i, j]
-    )
+    axes = tuple(range(samples.ndim))
+
+    def shifted(sign: int) -> np.ndarray:
+        offsets = [sign * hk for hk in h]
+        view = samples[tuple(slice(o % stride, None, stride) for o in offsets)]
+        return np.roll(view, tuple(-(o // stride) for o in offsets), axis=axes)
+
+    center = samples[(slice(None, None, stride),) * samples.ndim]
+    return np.abs((shifted(1) + shifted(-1)) - 2.0 * center)
 
 
 def second_difference(f: GridFunction, x, y: float, K: int = 1) -> float:
@@ -74,13 +77,8 @@ def second_difference(f: GridFunction, x, y: float, K: int = 1) -> float:
     m = y * N
     if abs(m - round(m)) > 1e-9 or round(m) < 1:
         raise ValueError(f"y={y} is not a positive multiple of the grid step")
-    m = int(round(m))
-    idx = (np.asarray([x], dtype=int),) if f.n == 1 else (
-        np.asarray([x[0]], dtype=int), np.asarray([x[1]], dtype=int))
-    best = 0.0
-    for h in _directions(f.n, m, K):
-        best = max(best, float(_d2_at_indices(f.samples, idx, h)[0]))
-    return best
+    pos = tuple(np.asarray([v], dtype=int) for v in np.atleast_1d(x))
+    return float(_d2_vector(f.samples, pos, np.asarray([int(round(m))]), K)[0])
 
 
 def _default_K(n: int) -> int:
@@ -100,11 +98,6 @@ def holder_seminorm(f: GridFunction, s: float, K: int | None = None, refine: int
         raise ValueError("refine must be >= 1")
     K = _default_K(f.n) if K is None else K
     N = f.grid_size
-    if f.n == 1:
-        idx = (np.arange(N),)
-    else:
-        ii, jj = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
-        idx = (ii, jj)
     best = 0.0
     for j in range(1, f.J_grid):
         base = 2 ** (f.J_grid - j)
@@ -114,7 +107,7 @@ def holder_seminorm(f: GridFunction, s: float, K: int | None = None, refine: int
                 continue
             y = m / N
             for h in _directions(f.n, m, K):
-                val = float(_d2_at_indices(f.samples, idx, h).max())
+                val = float(_d2_lattice(f.samples, h).max())
                 best = max(best, val / y**s)
     return best
 
@@ -135,17 +128,9 @@ def second_diff_field(f: GridFunction, s: float, J_max: int, K: int | None = Non
     N = f.grid_size
     values: dict[int, np.ndarray] = {}
     for j in range(J_max + 1):
-        cells_per_axis = 2**j
-        pts_per_cell = min(2 ** (f.J_grid - j), PROBES_PER_CELL)
-        stride = 2 ** (f.J_grid - j) // pts_per_cell
-        probes = np.arange(0, N, stride)
-        if f.n == 1:
-            idx = (probes,)
-        else:
-            ii, jj = np.meshgrid(probes, probes, indexing="ij")
-            idx = (ii, jj)
-        level_max = np.zeros((cells_per_axis,) * f.n)
         base = 2 ** (f.J_grid - j)
+        stride = base // min(base, PROBES_PER_CELL)
+        probe_max = np.zeros((N // stride,) * f.n)
         for frac in CELL_FRACS:
             m_exact = base * frac
             m = int(round(m_exact))
@@ -153,15 +138,8 @@ def second_diff_field(f: GridFunction, s: float, J_max: int, K: int | None = Non
                 continue
             y = m / N
             for h in _directions(f.n, m, K):
-                vals = _d2_at_indices(f.samples, idx, h) / y**s
-                if f.n == 1:
-                    per_cell = vals.reshape(cells_per_axis, pts_per_cell).max(axis=1)
-                else:
-                    per_cell = vals.reshape(
-                        cells_per_axis, pts_per_cell, cells_per_axis, pts_per_cell
-                    ).max(axis=(1, 3))
-                np.maximum(level_max, per_cell, out=level_max)
-        values[j] = level_max
+                np.maximum(probe_max, _d2_lattice(f.samples, h, stride) / y**s, out=probe_max)
+        values[j] = pool_max(probe_max, 2**j)
     return LevelField("secdiff", f.n, J_max, values)
 
 
@@ -190,6 +168,7 @@ class ContinuityReport:
     sample_count: int
     seminorm: float
     s: float
+    ratios: np.ndarray  # per sample, 0 where the pair is not admissible
 
 
 def continuity_check(f: GridFunction, s: float, sample_count: int, seed: int) -> ContinuityReport:
@@ -199,7 +178,8 @@ def continuity_check(f: GridFunction, s: float, sample_count: int, seed: int) ->
     |x - x'| < y/2 when s = 1) and returns the max of
     |Delta2(x,y) - Delta2(x',y')| / (seminorm * modulus), where the modulus is
     |x-x'|^s + |y-y'|^s for s < 1 and the log-corrected variant at s = 1.
-    Drawing more samples with the same seed extends the same sequence.
+    Drawing more samples with the same seed extends the same sequence, so
+    ratios[:k].max() is the max_ratio of the same-seed check at k samples.
     """
     norm = holder_seminorm(f, s)
     if norm == 0.0:
@@ -250,11 +230,13 @@ def continuity_check(f: GridFunction, s: float, sample_count: int, seed: int) ->
         modulus = dist_x**s + dy**s
     ok &= modulus > 0
 
-    ratios = np.abs(d2_1 - d2_2)[ok] / (norm * modulus[ok])
+    ratios = np.zeros(sample_count)
+    ratios[ok] = np.abs(d2_1 - d2_2)[ok] / (norm * modulus[ok])
     return ContinuityReport(
         max_ratio=float(ratios.max()) if ratios.size else 0.0,
         pairs_used=int(ok.sum()),
         sample_count=sample_count,
         seminorm=norm,
         s=s,
+        ratios=ratios,
     )

@@ -7,7 +7,7 @@ import pytest
 from zygdist.dyadic import (LOG2, DyadicCube, HalfSpacePoint, HalfSpaceSet,
                             WhitneyCell, carleson_box_value, carleson_sup,
                             cell_diameter_bound, cube_contains, enlarge,
-                            hyperbolic_distance, threshold_set)
+                            hyperbolic_distance, pool_max, threshold_set)
 
 
 # ---------------------------------------------------------------- oracles
@@ -332,6 +332,16 @@ class TestEnlarge:
 
 
 # ---------------------------------------------------------- set plumbing
+
+@pytest.mark.parametrize("n,J", [(1, 10), (2, 6)])
+def test_pool_max_matches_block_reshape(n, J):
+    arr = np.random.default_rng(n).standard_normal((2**J,) * n)
+    for j in range(J + 1):
+        pts = 2 ** (J - j)
+        shape = (2**j, pts) * n
+        want = arr.reshape(shape).max(axis=tuple(range(1, 2 * n, 2)))
+        assert np.array_equal(pool_max(arr, 2**j), want)
+
 
 class TestHalfSpaceSet:
     def test_threshold_strict(self):

@@ -227,6 +227,15 @@ class TestLipschitzCheck:
         assert r2.max_ratio >= r1.max_ratio
         assert (r2.max_ratio - r1.max_ratio) <= 0.20 * r1.max_ratio
 
+    @pytest.mark.parametrize("n,Jg", [(1, J), (2, 7)])
+    def test_ratio_prefix_is_smaller_run(self, n, Jg):
+        # same-seed draws are prefixes: one call serves both sample counts
+        f = synthesize(parse_function_spec("weierstrass s=1 levels=5"), n, Jg)
+        big = lipschitz_check(f, 1.0, 3000, seed=42)
+        small = lipschitz_check(f, 1.0, 1200, seed=42)
+        assert float(big.ratios[:1200].max()) == small.max_ratio
+        assert float(big.ratios.max()) == big.max_ratio
+
     def test_n2_bounded(self):
         f = synthesize(parse_function_spec("weierstrass s=1 levels=4"), 2, 8)
         rep = lipschitz_check(f, 1.0, 3000, seed=2)

@@ -3,8 +3,9 @@ import pytest
 
 from zygdist import GridFunction, parse_function_spec, synthesize
 from zygdist.dyadic import carleson_sup
-from zygdist.secdiff import (continuity_check, holder_seminorm,
-                             second_diff_field, second_difference)
+from zygdist.secdiff import (_d2_lattice, _directions, continuity_check,
+                             holder_seminorm, second_diff_field,
+                             second_difference)
 
 J = 12
 N = 2**J
@@ -32,15 +33,14 @@ class TestSecondDifference:
 
     def test_even_in_h(self, weier1_12):
         # f(x+h) - 2f(x) + f(x-h) is invariant under h -> -h, bit for bit
-        from zygdist.secdiff import _d2_at_indices
         rng = np.random.default_rng(0)
         for _ in range(50):
-            x = np.array([int(rng.integers(0, N))])
+            x = int(rng.integers(0, N))
             m = int(rng.integers(1, N // 2))
-            fwd = _d2_at_indices(weier1_12.samples, (x,), (m,))[0]
-            bwd = _d2_at_indices(weier1_12.samples, (x,), (-m,))[0]
+            fwd = _d2_lattice(weier1_12.samples, (m,))[x]
+            bwd = _d2_lattice(weier1_12.samples, (-m,))[x]
             assert fwd == bwd
-            assert second_difference(weier1_12, int(x[0]), m / N) == fwd
+            assert second_difference(weier1_12, x, m / N) == fwd
 
     @pytest.mark.parametrize("s,levels", [(1.0, 9), (0.5, 6)])
     def test_weierstrass_term_oracle(self, s, levels):
@@ -64,6 +64,28 @@ class TestSecondDifference:
         # with K=8 directions the (m, 0) axis sees the full 1-d variation
         val = second_difference(f, (0, 0), 0.5, K=8)
         assert abs(val - 4.0) < 1e-12
+
+
+class TestLatticeStencil:
+    @pytest.mark.parametrize("n,Jg", [(1, 9), (2, 6)])
+    @pytest.mark.parametrize("K", [1, 8])
+    def test_matches_point_oracle(self, n, Jg, K):
+        # max over the directions and their negatives (negative lattice
+        # components on both axes) at every stride a field can use
+        rng = np.random.default_rng(4)
+        Ng = 2**Jg
+        f = GridFunction(n, Jg, rng.standard_normal((Ng,) * n))
+        for stride in (1, 2, 4, 8, 16):
+            for m in (1, stride + 1, 5 * stride - 3, Ng // 2 + 3):
+                dirs = _directions(n, m, K)
+                dirs += [tuple(-c for c in h) for h in dirs]
+                field = np.max([_d2_lattice(f.samples, h, stride) for h in dirs], axis=0)
+                assert field.shape == (Ng // stride,) * n
+                picks = [(0,) * n, (Ng // stride - 1,) * n]
+                picks += [tuple(rng.integers(0, Ng // stride, n)) for _ in range(30)]
+                for k in picks:
+                    x = tuple(stride * int(c) for c in k)
+                    assert field[k] == second_difference(f, x if n == 2 else x[0], m / Ng, K)
 
 
 class TestHolderSeminorm:
@@ -167,6 +189,15 @@ class TestContinuity:
         r2 = continuity_check(weier1_12, s, 20_000, seed=42)
         assert r2.max_ratio >= r1.max_ratio  # nested sampling
         assert (r2.max_ratio - r1.max_ratio) <= 0.20 * r1.max_ratio
+
+    @pytest.mark.parametrize("n,Jg", [(1, J), (2, 7)])
+    def test_ratio_prefix_is_smaller_run(self, n, Jg):
+        # same-seed draws are prefixes: one call serves both sample counts
+        f = synthesize(parse_function_spec("weierstrass s=1 levels=5"), n, Jg)
+        big = continuity_check(f, 1.0, 3000, seed=42)
+        small = continuity_check(f, 1.0, 1200, seed=42)
+        assert float(big.ratios[:1200].max()) == small.max_ratio
+        assert float(big.ratios.max()) == big.max_ratio
 
     def test_n2_runs(self):
         f = synthesize(parse_function_spec("weierstrass s=1 levels=4"), 2, 8)

@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from zygdist import GridFunction, parse_function_spec, sup_norm, synthesize
-from zygdist.wavelet import (WaveletCoefficients, analyze, coeffs_from_json,
+from zygdist import wavelet
+from zygdist.wavelet import (WaveletCoefficients, _istep_axis, _step_axis,
+                             analyze, coeffs_from_json,
                              coeffs_to_json, filter_bank,
                              jbmo_box_sup, jbmo_wavelet_norm, lip_wavelet_norm,
                              moment_residuals, orthonormality_residual,
@@ -135,6 +138,82 @@ class TestAnalyzeReconstruct:
         peak = np.argmax(np.abs(f.samples)) / 4096
         center = (5 + 0.5) / 16
         assert abs(peak - center) < 1.5 / 16
+
+
+def gather_step(a, taps_lo, taps_hi, axis):
+    """Oracle analysis step: an explicit (N/2, L) window table and a matmul."""
+    a = np.moveaxis(a, axis, -1)
+    N, L = a.shape[-1], taps_lo.size
+    win = a[..., (2 * np.arange(N // 2)[:, None] + np.arange(L)) % N]
+    return np.moveaxis(win @ taps_lo, -1, axis), np.moveaxis(win @ taps_hi, -1, axis)
+
+
+def add_at_istep(lo_part, hi_part, taps_lo, taps_hi, axis):
+    """Oracle synthesis step: np.add.at of an (N/2, L) contribution table."""
+    lo_part, hi_part = np.moveaxis(lo_part, axis, -1), np.moveaxis(hi_part, axis, -1)
+    half, L = lo_part.shape[-1], taps_lo.size
+    out = np.zeros(lo_part.shape[:-1] + (2 * half,))
+    idx = (2 * np.arange(half)[:, None] + np.arange(L)) % (2 * half)
+    np.add.at(out, (..., idx), lo_part[..., :, None] * taps_lo + hi_part[..., :, None] * taps_hi)
+    return np.moveaxis(out, -1, axis)
+
+
+def _level_shapes(n, top):
+    """(N, axis, shape of the axis-halved table) for every level from 2 points up."""
+    for N in (2**k for k in range(1, top + 1)):
+        for axis in range(n):
+            shape = [N] * n
+            shape[axis] = N // 2
+            yield N, axis, tuple(shape)
+
+
+class TestPolyphaseSteps:
+    @pytest.mark.parametrize("p", [2, 5, 8, 10])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_istep_bitwise_equal_to_add_at(self, p, n):
+        bank = filter_bank(p)
+        rng = np.random.default_rng(p)
+        for N, axis, shape in _level_shapes(n, 9 if n == 1 else 7):
+            lo, hi = rng.standard_normal(shape), rng.standard_normal(shape)
+            got = _istep_axis(lo, hi, bank.lo, bank.hi, axis)
+            assert np.array_equal(got, add_at_istep(lo, hi, bank.lo, bank.hi, axis))
+
+    @pytest.mark.parametrize("p", [2, 5, 8, 10])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_step_within_tolerance_of_gather(self, p, n):
+        # stated tolerance 1e-13 * max|a|: only the order of the L products
+        # in each sum may differ from the oracle's matmul
+        bank = filter_bank(p)
+        rng = np.random.default_rng(p)
+        for N, axis, _ in _level_shapes(n, 9 if n == 1 else 7):
+            a = rng.standard_normal((N,) * n)
+            for got, want in zip(_step_axis(a, bank.lo, bank.hi, axis),
+                                 gather_step(a, bank.lo, bank.hi, axis)):
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(a))
+
+    @pytest.mark.parametrize("n,Jg", [(1, 12), (2, 7)])
+    def test_analyze_within_tolerance_of_gather(self, monkeypatch, bank8, n, Jg):
+        rng = np.random.default_rng(3)
+        f = GridFunction(n, Jg, rng.standard_normal((2**Jg,) * n))
+        got = analyze(f, bank8)
+        monkeypatch.setattr(wavelet, "_step_axis", gather_step)
+        want = analyze(f, bank8)
+        tol = 1e-12 * sup_norm(f)
+        assert abs(got.d - want.d) <= tol
+        assert all(np.max(np.abs(got.c[j] - want.c[j])) <= tol for j in range(Jg))
+
+    def test_memory_grows_with_grid_not_taps(self, bank8):
+        # (N/2, L) window, index and contribution tables would peak near 40 MiB
+        rng = np.random.default_rng(5)
+        f = GridFunction(2, 9, rng.standard_normal((512, 512)))
+        reconstruct(analyze(GridFunction(2, 4, f.samples[:16, :16]), bank8), bank8)
+        tracemalloc.start()
+        try:
+            reconstruct(analyze(f, bank8), bank8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestLipNorm:
