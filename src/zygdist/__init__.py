@@ -7,13 +7,13 @@ __version__ = "0.2.0"  # part of every report's content hash
 
 from .dyadic import (CarlesonReport, DyadicCube, HalfSpacePoint, HalfSpaceSet,
                      LevelField, WhitneyCell, carleson_box_value, carleson_sup,
-                     cube_contains, enlarge, hyperbolic_distance)
+                     enlarge, hyperbolic_distance)
 from .distance import (DistanceEstimate, InclusionReport, MethodComparison,
                        compare_methods, epsilon_star, inclusion_probe,
                        projection_distance_witness)
 from .gridfn import (CORPUS_SPECS, FunctionSpec, GridFunction, SpecError,
-                     SpectralFunction, bessel_lift, corpus, from_spectral,
-                     parse_function_spec, sup_norm, synthesize, to_spectral)
+                     bessel_lift, corpus, parse_function_spec, sup_norm,
+                     synthesize)
 from .poisson import (bmo_norm, d2y_extension, derivative_field,
                       holder_poisson_norm, jbmo_direct_norm, lipschitz_check,
                       poisson_extend)

@@ -64,6 +64,7 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
+_CONFIG_KEYS = {fld.name for fld in dataclasses.fields(RunConfig)}
 _INT_FIELDS = {"n", "J_grid", "wavelet_p", "J_lo", "J_hi", "K"}
 _FLOAT_FIELDS = {"s", "theta"}
 
@@ -72,7 +73,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if args.config:
         for key, val in _load_config_file(args.config).items():
-            if not hasattr(cfg, key):
+            if key not in _CONFIG_KEYS:
                 raise SpecError(f"unknown config key {key!r}")
             if key in _INT_FIELDS:
                 setattr(cfg, key, int(val))
@@ -187,7 +188,7 @@ def cmd_sets(args) -> int:
     report = carleson_sup(A, (cfg.J_lo, min(cfg.J_hi, fld.J_max)), cfg.theta)
     body = {
         "function": f.label, "n": cfg.n, "s": cfg.s, "method": args.method,
-        "eps": args.eps, "cells": A.cell_count, "set": json.loads(A.to_json()),
+        "eps": args.eps, "cells": A.cell_count, "set": A.as_dict(),
         "carleson": {"J": report.j_values, "M_J": report.m_values,
                      "slope": report.slope, "diverging": report.diverging},
     }

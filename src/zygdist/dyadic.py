@@ -10,9 +10,8 @@ exact finite sum.
 from __future__ import annotations
 
 import csv
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,10 +46,6 @@ class DyadicCube:
             return False
         shift = other.level - self.level
         return all(o >> shift == s for o, s in zip(other.index, self.index))
-
-
-def cube_contains(Q: DyadicCube, P: DyadicCube) -> bool:
-    return Q.contains(P)
 
 
 @dataclass(frozen=True)
@@ -164,19 +159,11 @@ class HalfSpaceSet:
                 return False
         return True
 
-    def to_json(self) -> str:
+    def as_dict(self) -> dict:
         cells = [[j] + [int(v) for v in idx]
                  for j in range(self.J_max + 1)
                  for idx in np.argwhere(self._masks[j])]
-        return json.dumps({"n": self.n, "J_max": self.J_max, "cells": cells})
-
-    @classmethod
-    def from_json(cls, text: str) -> "HalfSpaceSet":
-        obj = json.loads(text)
-        out = cls(obj["n"], obj["J_max"])
-        for cell in obj["cells"]:
-            out._masks[cell[0]][tuple(cell[1:])] = True
-        return out
+        return {"n": self.n, "J_max": self.J_max, "cells": cells}
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -232,6 +219,22 @@ def pool_children(arr: np.ndarray, n: int) -> np.ndarray:
     return arr.reshape(h // 2, 2, w // 2, 2).sum(axis=(1, 3))
 
 
+def box_sup(levels, n: int) -> float:
+    """sup over dyadic boxes Q of (1/|Q|) * (mass on the cubes under Q), in one
+    bottom-up pass.
+
+    levels yields (j, own) from the deepest level up, own holding the mass each
+    level-j cube carries itself; each level adds its children's pooled sums.
+    Given a generator, only two levels' tables are alive at a time.
+    """
+    best = 0.0
+    acc = None
+    for j, own in levels:
+        acc = own if acc is None else own + pool_children(acc, n)
+        best = max(best, float(acc.max()) * 2.0 ** (n * j))
+    return best
+
+
 def pool_max(arr: np.ndarray, cells: int) -> np.ndarray:
     """Max over each of the cells^n equal dyadic blocks of arr, halving each axis pairwise."""
     for axis in reversed(range(arr.ndim)):
@@ -270,19 +273,9 @@ class CarlesonReport:
 
     j_values: list[int]
     m_values: list[float]
-    argmax: list[tuple[int, tuple[int, ...]] | None]
     slope: float
     theta: float
     diverging: bool
-    fit_j: list[int] = field(default_factory=list)
-
-    @property
-    def m_final(self) -> float:
-        return self.m_values[-1]
-
-    @property
-    def slope_over_log2(self) -> float:
-        return self.slope / LOG2
 
 
 def carleson_sup(A: HalfSpaceSet, J_range: tuple[int, int], theta: float) -> CarlesonReport:
@@ -296,24 +289,11 @@ def carleson_sup(A: HalfSpaceSet, J_range: tuple[int, int], theta: float) -> Car
         raise ValueError(f"empty or invalid depth range {J_range}")
     js = list(range(j_lo, j_hi + 1))
 
-    m_values: list[float] = []
-    argmax: list[tuple[int, tuple[int, ...]] | None] = []
-    for J in js:
-        best = 0.0
-        best_cube = None
-        top = min(J, A.J_max)
-        acc = None  # volume of A-cells of level <= top inside each cube, per level
-        for j in range(top, -1, -1):
-            own = A._masks[j].astype(float) * 2.0 ** (-A.n * j)
-            acc = own if acc is None else own + pool_children(acc, A.n)
-            values = acc * 2.0 ** (A.n * j)
-            pos = int(np.argmax(values))
-            val = float(values.flat[pos])
-            if val > best:
-                best = val
-                best_cube = (j, tuple(int(v) for v in np.unravel_index(pos, values.shape)))
-        m_values.append(best * LOG2)
-        argmax.append(best_cube)
+    def levels(top):
+        for j in range(top, -1, -1):  # a level-j cell's mass is its volume
+            yield j, A._masks[j].astype(float) * 2.0 ** (-A.n * j)
+
+    m_values = [box_sup(levels(min(J, A.J_max)), A.n) * LOG2 for J in js]
 
     fit_j = js[len(js) // 2:]
     if len(fit_j) < 2:
@@ -326,11 +306,9 @@ def carleson_sup(A: HalfSpaceSet, J_range: tuple[int, int], theta: float) -> Car
     return CarlesonReport(
         j_values=js,
         m_values=m_values,
-        argmax=argmax,
         slope=slope,
         theta=theta,
         diverging=bool(slope > theta * LOG2),
-        fit_j=fit_j,
     )
 
 

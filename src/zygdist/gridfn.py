@@ -1,5 +1,5 @@
-"""Sampled periodic functions on the n-torus (n in {1,2}), their Fourier
-series, the Bessel lift, and a one-line DSL for generating a test corpus.
+"""Sampled periodic functions on the n-torus (n in {1,2}), the Bessel lift,
+and a one-line DSL for generating a test corpus.
 
 All analysis in this package lives on [0,1)^n with a uniform dyadic grid of
 2^J_grid points per axis.  Frequencies are integers k, with the multiplier
@@ -69,39 +69,6 @@ class GridFunction:
 
     def scaled(self, lam: float) -> "GridFunction":
         return replace(self, samples=lam * self.samples, label=f"{lam:g}*({self.label})")
-
-
-@dataclass(frozen=True)
-class SpectralFunction:
-    """Fourier series coefficients, stored in FFT order.
-
-    coefficients[k] (k taken mod 2^J_grid per axis) is the coefficient of
-    exp(2*pi*i*k.x); real input gives coeff(-k) == conj(coeff(k)).
-    """
-
-    n: int
-    J_grid: int
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.coefficients, dtype=complex)
-        expected = (2**self.J_grid,) * self.n
-        if arr.shape != expected:
-            raise ValueError(f"coefficients shape {arr.shape}, expected {expected}")
-        object.__setattr__(self, "coefficients", arr)
-
-    def coeff(self, k) -> complex:
-        N = 2**self.J_grid
-        if self.n == 1:
-            return complex(self.coefficients[int(k) % N])
-        k1, k2 = k
-        return complex(self.coefficients[int(k1) % N, int(k2) % N])
-
-    def symmetry_defect(self) -> float:
-        """Max |coeff(-k) - conj(coeff(k))| over all k."""
-        c = self.coefficients
-        flipped = np.conj(c[tuple(slice(None, None, -1) for _ in range(self.n))])
-        return float(np.max(np.abs(np.roll(flipped, 1, axis=tuple(range(self.n))) - c)))
 
 
 @dataclass(frozen=True)
@@ -328,17 +295,6 @@ def _xlogx_axis(x: np.ndarray, eps: float) -> np.ndarray:
     return out
 
 
-def to_spectral(f: GridFunction) -> SpectralFunction:
-    """Forward Fourier series: coeff(k) = mean of f(x) exp(-2*pi*i*k.x)."""
-    c = np.fft.fftn(f.samples) / f.grid_size**f.n
-    return SpectralFunction(f.n, f.J_grid, c)
-
-
-def from_spectral(F: SpectralFunction, label: str = "") -> GridFunction:
-    samples = np.fft.ifftn(F.coefficients * 2 ** (F.n * F.J_grid)).real
-    return GridFunction(F.n, F.J_grid, samples, label=label)
-
-
 def _half_freq_sq(n: int, J: int) -> np.ndarray:
     """|k|^2 on the half spectrum of a real transform (rfftn layout: the last
     axis holds k = 0..N/2), the table every spectral multiplier is built on."""
@@ -355,14 +311,13 @@ def bessel_lift(f: GridFunction, r: float) -> GridFunction:
 
     Runs in extended precision: the multiplier spans ~8 decades at deep
     grids, and composing orders r and -r through float64 sample space would
-    re-amplify FFT roundoff on the attenuated modes.
+    re-amplify FFT roundoff on the attenuated modes.  numpy >= 2.0 transforms
+    longdouble input in longdouble (numpy 1.x dropped to float64).
     """
-    import scipy.fft as sfft
-
     x = f.samples.astype(np.longdouble)
     ksq = _half_freq_sq(f.n, f.J_grid).astype(np.longdouble)
     mult = (1.0 + 4.0 * np.longdouble(np.pi) ** 2 * ksq) ** np.longdouble(-r / 2.0)
-    out = sfft.irfftn(sfft.rfftn(x) * mult, s=x.shape)
+    out = np.fft.irfftn(np.fft.rfftn(x) * mult, s=x.shape, axes=tuple(range(f.n)))
     samples = np.ascontiguousarray(out, dtype=float)
     return GridFunction(f.n, f.J_grid, samples, label=f"{f.label}|bessel{r:+g}")
 

@@ -12,14 +12,13 @@ level-j coefficients about p cubes away from the features they measure.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dyadic import LevelField, pool_children
+from .dyadic import LevelField, box_sup
 from .gridfn import GridFunction
 
 # Daubechies extremal-phase scaling filters (orthonormal, sum = sqrt 2),
@@ -307,16 +306,15 @@ def jbmo_box_sup(coeffs: WaveletCoefficients, s: float, max_level: int | None = 
     """sup over dyadic boxes Q of (1/|Q|) sum_{omega under Q} 4^(js) |c|^2,
     restricted to coefficient levels <= max_level; one bottom-up pass."""
     top = coeffs.J_grid - 1 if max_level is None else min(max_level, coeffs.J_grid - 1)
-    best = 0.0
-    acc = None
-    for j in range(top, -1, -1):
-        sq = coeffs.c[j] ** 2
-        if coeffs.n == 2:
-            sq = sq.sum(axis=0)
-        own = 4.0 ** (j * s) * sq
-        acc = own if acc is None else own + pool_children(acc, coeffs.n)
-        best = max(best, float(acc.max()) * 2.0 ** (coeffs.n * j))
-    return best
+
+    def levels():
+        for j in range(top, -1, -1):
+            sq = coeffs.c[j] ** 2
+            if coeffs.n == 2:
+                sq = sq.sum(axis=0)
+            yield j, 4.0 ** (j * s) * sq
+
+    return box_sup(levels(), coeffs.n)
 
 
 def jbmo_wavelet_norm(coeffs: WaveletCoefficients, s: float) -> float:
@@ -342,29 +340,3 @@ def truncate_projection(coeffs: WaveletCoefficients, s: float, eps: float) -> Wa
             out.c[j] = np.where(keep[None, :, :], coeffs.c[j], 0.0)
     return out
 
-
-def coeffs_to_json(coeffs: WaveletCoefficients, tol: float = 1e-14) -> str:
-    entries = []
-    for j in range(coeffs.J_grid):
-        arr = coeffs.c[j]
-        if coeffs.n == 1:
-            for k in np.nonzero(np.abs(arr) >= tol)[0]:
-                entries.append({"l": 1, "j": j, "k": int(k), "value": float(arr[k])})
-        else:
-            for l, k1, k2 in np.argwhere(np.abs(arr) >= tol):
-                entries.append({"l": int(l) + 1, "j": j, "k": [int(k1), int(k2)],
-                                "value": float(arr[l, k1, k2])})
-    return json.dumps({"n": coeffs.n, "J_grid": coeffs.J_grid,
-                       "d": [coeffs.d], "c": entries})
-
-
-def coeffs_from_json(text: str) -> WaveletCoefficients:
-    obj = json.loads(text)
-    out = WaveletCoefficients.zeros(obj["n"], obj["J_grid"])
-    out.d = float(obj["d"][0])
-    for e in obj["c"]:
-        if obj["n"] == 1:
-            out.c[e["j"]][e["k"]] = e["value"]
-        else:
-            out.c[e["j"]][e["l"] - 1, e["k"][0], e["k"][1]] = e["value"]
-    return out

@@ -2,6 +2,8 @@ import json
 import math
 import re
 
+import pytest
+
 import zygdist
 import zygdist.poisson
 from zygdist.cli import EXIT_OK, EXIT_VALIDATION, RunConfig, _content_hash, main
@@ -172,6 +174,15 @@ class TestConfigFile:
         assert rep["config"]["J_grid"] == 8     # from file
         assert rep["config"]["s"] == 1.0        # flag wins
         assert rep["s"] == 1.0
+
+    @pytest.mark.parametrize("key", ["as_dict", "__init__"])
+    def test_attribute_names_are_not_config_keys(self, tmp_path, capsys, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 1\n")
+        code = run(["seminorms", "--spec", "trig k=1 a=1", "--config", str(cfg),
+                    "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert "unknown config key" in capsys.readouterr().err
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"

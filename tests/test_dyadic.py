@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -6,7 +7,7 @@ import pytest
 
 from zygdist.dyadic import (LOG2, DyadicCube, HalfSpacePoint, HalfSpaceSet,
                             WhitneyCell, carleson_box_value, carleson_sup,
-                            cell_diameter_bound, cube_contains, enlarge,
+                            cell_diameter_bound, enlarge,
                             hyperbolic_distance, pool_max, threshold_set)
 
 
@@ -54,22 +55,22 @@ def geodesic_length(dx, y1, y2, steps=400_000):
 class TestCubes:
     def test_contains_itself(self):
         Q = DyadicCube(1, 3, (5,))
-        assert cube_contains(Q, Q)
+        assert Q.contains(Q)
 
     def test_contains_child(self):
         Q = DyadicCube(1, 2, (1,))
         child = DyadicCube(1, 3, (2,))
-        assert cube_contains(Q, child)
+        assert Q.contains(child)
 
     def test_sibling_not_contained(self):
         Q = DyadicCube(1, 2, (1,))
-        assert not cube_contains(Q, DyadicCube(1, 2, (2,)))
-        assert not cube_contains(DyadicCube(1, 3, (2,)), Q)
+        assert not Q.contains(DyadicCube(1, 2, (2,)))
+        assert not DyadicCube(1, 3, (2,)).contains(Q)
 
     def test_n2_containment(self):
         Q = DyadicCube(2, 1, (0, 1))
-        assert cube_contains(Q, DyadicCube(2, 3, (3, 7)))
-        assert not cube_contains(Q, DyadicCube(2, 3, (4, 7)))
+        assert Q.contains(DyadicCube(2, 3, (3, 7)))
+        assert not Q.contains(DyadicCube(2, 3, (4, 7)))
 
     def test_geometry(self):
         Q = DyadicCube(2, 3, (1, 2))
@@ -353,7 +354,10 @@ class TestHalfSpaceSet:
 
     def test_json_roundtrip(self):
         A = HalfSpaceSet.from_cells(2, 3, [(2, (1, 3)), (0, (0, 0))])
-        B = HalfSpaceSet.from_json(A.to_json())
+        obj = json.loads(json.dumps(A.as_dict()))
+        assert obj == {"n": 2, "J_max": 3, "cells": [[0, 0, 0], [2, 1, 3]]}
+        B = HalfSpaceSet.from_cells(obj["n"], obj["J_max"],
+                                    [(c[0], tuple(c[1:])) for c in obj["cells"]])
         assert A == B
 
     def test_csv_dump(self, tmp_path):

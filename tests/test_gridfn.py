@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from zygdist import (GridFunction, SpecError, bessel_lift, from_spectral,
-                     parse_function_spec, sup_norm, synthesize, to_spectral)
+import zygdist
+from zygdist import (GridFunction, SpecError, bessel_lift, parse_function_spec,
+                     poisson_extend, sup_norm, synthesize)
+from zygdist.gridfn import _half_freq_sq
 
 
 class TestParse:
@@ -131,48 +136,85 @@ class TestGridFunctionInvariants:
             GridFunction(1, 8, samples)
 
 
+def _full_energy(f: GridFunction, r: float) -> float:
+    # Parseval on the full complex spectrum: sum |F(k)|^2 (1 + |2 pi k|^2)^(-r)
+    k = np.fft.fftfreq(f.grid_size, d=1.0 / f.grid_size)
+    ksq = k * k if f.n == 1 else (k * k)[:, None] + (k * k)[None, :]
+    F = np.fft.fftn(f.samples) / f.samples.size
+    return float(np.sum(np.abs(F) ** 2 * (1.0 + 4.0 * np.pi**2 * ksq) ** -r))
+
+
+def _half_energy(f: GridFunction, r: float) -> float:
+    # the same sum on the half spectrum: interior columns of the last axis
+    # stand for a conjugate pair, the k = 0 and k = N/2 columns for one mode
+    F = np.fft.rfftn(f.samples) / f.samples.size
+    weight = np.full(F.shape[-1], 2.0)
+    weight[0] = weight[-1] = 1.0
+    ksq = _half_freq_sq(f.n, f.J_grid)
+    return float(np.sum(weight * np.abs(F) ** 2 * (1.0 + 4.0 * np.pi**2 * ksq) ** -r))
+
+
 class TestSpectral:
+    """The half-spectrum table every multiplier is built on, and the lift and
+    Poisson extension as transforms: DC, mode placement, Parseval, symmetry."""
+
     def test_constant_dc(self):
         f = GridFunction(1, 8, np.ones(256), label="one")
-        F = to_spectral(f)
-        assert abs(F.coeff(0) - 1.0) < 1e-14
-        assert max(abs(F.coeff(k)) for k in range(1, 128)) < 1e-14
+        F = np.fft.rfftn(f.samples) / 256
+        assert abs(F[0] - 1.0) < 1e-14
+        assert np.max(np.abs(F[1:])) < 1e-14
+        ksq = _half_freq_sq(1, 8)
+        assert ksq[0] == 0.0 and np.all(ksq[1:] > 0)
+        for y in (0.01, 0.5, 1.0):
+            assert np.max(np.abs(poisson_extend(f, y).samples - 1.0)) < 1e-14
 
     def test_cos_modes(self):
-        f = synthesize(parse_function_spec("trig k=1 a=1"), 1, 8)
-        F = to_spectral(f)
-        assert abs(F.coeff(1) - 0.5) < 1e-14
-        assert abs(F.coeff(-1) - 0.5) < 1e-14
+        # the table puts |k|^2 where the transform puts the mode
+        for n, text, want in [(1, "trig k=3 a=1", 9.0), (2, "trig k=1,2 a=1", 5.0)]:
+            f = synthesize(parse_function_spec(text), n, 6)
+            F = np.abs(np.fft.rfftn(f.samples))
+            ksq = _half_freq_sq(n, 6)
+            assert ksq.shape == F.shape
+            assert np.all(ksq[F > 1e-9 * F.max()] == want)
 
     def test_roundtrip(self, random_12):
-        F = to_spectral(random_12)
-        g = from_spectral(F)
+        g = bessel_lift(random_12, 0.0)
         rel = np.max(np.abs(g.samples - random_12.samples)) / sup_norm(random_12)
         assert rel < 1e-12
 
     def test_parseval(self, random_12):
-        F = to_spectral(random_12)
-        lhs = float((random_12.samples**2).mean())
-        rhs = float(np.sum(np.abs(F.coefficients) ** 2))
-        assert abs(lhs - rhs) / lhs < 1e-10
+        for r in (-1.0, 0.5, 2.0):
+            lhs = float((bessel_lift(random_12, r).samples ** 2).mean())
+            rhs = _full_energy(random_12, r)
+            assert abs(lhs - rhs) / rhs < 1e-10
 
     def test_conjugate_symmetry(self, random_12):
-        assert to_spectral(random_12).symmetry_defect() < 1e-12
+        # real input has a conjugate-symmetric spectrum and the multipliers are
+        # even in k, so the lift and the extension commute with x -> -x
+        def reflect(x):
+            return np.roll(x[::-1], 1)
+        mirrored = GridFunction(1, random_12.J_grid, reflect(random_12.samples))
+        scale = sup_norm(random_12)
+        for g, h in [(bessel_lift(random_12, 0.5), bessel_lift(mirrored, 0.5)),
+                     (poisson_extend(random_12, 0.01), poisson_extend(mirrored, 0.01))]:
+            assert np.max(np.abs(reflect(g.samples) - h.samples)) < 1e-12 * scale
 
     def test_n2_roundtrip(self):
         rng = np.random.default_rng(5)
         f = GridFunction(2, 6, rng.standard_normal((64, 64)), label="r2")
-        g = from_spectral(to_spectral(f))
+        g = bessel_lift(f, 0.0)
         assert np.max(np.abs(g.samples - f.samples)) < 1e-12
+        assert abs(_half_energy(f, 1.0) - _full_energy(f, 1.0)) / _full_energy(f, 1.0) < 1e-12
 
     def test_corpus_parseval_and_roundtrip(self):
         from zygdist import corpus
         for f in corpus(1, 12):
-            F = to_spectral(f)
             lhs = float((f.samples**2).mean())
-            rhs = float(np.sum(np.abs(F.coefficients) ** 2))
-            assert abs(lhs - rhs) / lhs < 1e-10
-            g = from_spectral(F)
+            for r in (0.0, 1.0):
+                rhs = _half_energy(f, r)
+                assert abs(rhs - _full_energy(f, r)) / rhs < 1e-10
+            assert abs(lhs - _half_energy(f, 0.0)) / lhs < 1e-10
+            g = bessel_lift(f, 0.0)
             assert np.max(np.abs(g.samples - f.samples)) / sup_norm(f) < 1e-12
 
 
@@ -206,17 +248,35 @@ class TestBessel:
     ])
     def test_matches_complex_oracle(self, n, Jg, text):
         # the half-spectrum lift against one full complex pair in extended precision
-        import scipy.fft as sfft
-
         f = synthesize(parse_function_spec(text), n, Jg)
         k = np.fft.fftfreq(f.grid_size, d=1.0 / f.grid_size).astype(np.longdouble)
         ksq = k * k if n == 1 else (k * k)[:, None] + (k * k)[None, :]
         x = f.samples.astype(np.longdouble)
         for r in (-1.0, -0.5, 2.0):
             mult = (1.0 + 4.0 * np.longdouble(np.pi) ** 2 * ksq) ** np.longdouble(-r / 2.0)
-            want = sfft.ifftn(sfft.fftn(x) * mult).real.astype(float)
+            want = np.fft.ifftn(np.fft.fftn(x) * mult).real.astype(float)
             got = bessel_lift(f, r).samples
             assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("shape", [(64,), (16, 16)])
+    def test_transform_keeps_extended_precision(self, shape):
+        # bessel_lift relies on numpy transforming longdouble in longdouble
+        spec = np.fft.rfftn(np.ones(shape, dtype=np.longdouble))
+        assert spec.dtype == np.clongdouble
+        back = np.fft.irfftn(spec, s=shape, axes=tuple(range(len(shape))))
+        assert back.dtype == np.longdouble
+
+    def test_no_scipy_import(self):
+        # the package's one FFT library is numpy's; a fresh interpreter shows it
+        code = ("import sys, numpy as np, zygdist.cli\n"
+                "from zygdist import GridFunction, bessel_lift\n"
+                "bessel_lift(GridFunction(1, 8, np.ones(256)), 0.5)\n"
+                "print('scipy' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(zygdist.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": path}, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestSupNorm:

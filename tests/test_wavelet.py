@@ -7,8 +7,7 @@ import pytest
 from zygdist import GridFunction, parse_function_spec, sup_norm, synthesize
 from zygdist import wavelet
 from zygdist.wavelet import (WaveletCoefficients, _istep_axis, _step_axis,
-                             analyze, coeffs_from_json,
-                             coeffs_to_json, filter_bank,
+                             analyze, filter_bank,
                              jbmo_box_sup, jbmo_wavelet_norm, lip_wavelet_norm,
                              moment_residuals, orthonormality_residual,
                              reconstruct, scale_ratio_field,
@@ -372,15 +371,3 @@ class TestTruncateProjection:
         recovered = scale_ratio_field(g, s).threshold(1e-12 * lip_wavelet_norm(coeffs, s))
         assert recovered == kept
 
-
-class TestCoefficientDump:
-    def test_json_roundtrip_omits_dust(self, bank8):
-        coeffs = WaveletCoefficients.zeros(1, 6)
-        coeffs.d = 0.25
-        coeffs.c[3][4] = 0.5
-        coeffs.c[5][10] = 1e-16  # below dump tolerance
-        text = coeffs_to_json(coeffs)
-        back = coeffs_from_json(text)
-        assert back.d == 0.25
-        assert back.c[3][4] == 0.5
-        assert back.c[5][10] == 0.0
