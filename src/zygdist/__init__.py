@@ -3,7 +3,7 @@ the torus to the bmo-Sobolev subspace, measured three equivalent ways:
 maximal second differences, wavelet coefficient thresholds, and hyperbolic
 derivatives of the Poisson extension."""
 
-__version__ = "0.2.0"  # part of every report's content hash
+__version__ = "0.2.1"  # part of every report's content hash
 
 from .dyadic import (CarlesonReport, DyadicCube, HalfSpacePoint, HalfSpaceSet,
                      LevelField, WhitneyCell, carleson_box_value, carleson_sup,

@@ -98,8 +98,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _content_hash(cfg: RunConfig, spec_text: str | None, f: GridFunction | None) -> str:
-    # the version names the code: a change to the numbers gets new report names
-    ident = {"config": cfg.as_dict(), "spec": spec_text, "version": zygdist.__version__}
+    # the version names the code: a change to the numbers gets new report names;
+    # the output directory is where the report goes, not what it is about
+    config = {k: v for k, v in cfg.as_dict().items() if k != "out"}
+    ident = {"config": config, "spec": spec_text, "version": zygdist.__version__}
     if f is not None:
         # the spec may name a file, so the samples themselves identify the input;
         # hashed in place, without a copy of the grid

@@ -4,14 +4,19 @@ y-derivative, the large-hyperbolic-derivative cell sets, and the bmo norms.
 On the torus the Poisson kernel is a pure Fourier multiplier exp(-2 pi |k| y)
 and the derivative multiplier is (2 pi |k|)^2 exp(-2 pi |k| y), so heights
 need not be grid aligned and there is no kernel truncation error.  Every
-field takes one forward real (half-spectrum) transform of the function and
-one inverse real transform per height.  Fields are restricted to y <= 1; the
+field takes one forward real (half-spectrum) transform of the function and,
+per height, two half-length inverse real transforms: one for the even grid
+columns (last axis) and one for the odd.  On grids of at least 2^16 points
+the heights are shared between two threads, each with its own buffers; the
+results do not depend on the schedule.  Fields are restricted to y <= 1; the
 lowest frequencies dominate above that and carry no scale information.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,30 +26,111 @@ from .gridfn import GridFunction, bessel_lift, sup_norm, _half_freq_sq
 from .secdiff import CELL_FRACS
 
 _DEFAULT_FIELD_MARGIN = 2  # deepest field level is J_grid - margin, as for second differences
+_THREAD_MIN_POINTS = 2**16  # smaller grids run their heights on the calling thread alone
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_FOLD_CHUNK = 2**12  # spectrum entries folded per pass; measured lowest peak RSS at n=1 J=20
 
 
-def _extension_slices(f: GridFunction, heights, d2y: bool = True):
-    """Yield d^2/dy^2 u(., y) (u(., y) itself if not d2y) for each height y.
+def _extension_halves(f: GridFunction, heights, d2y: bool, consume):
+    """Call consume(i, parity, half) for each height y = heights[i] and column
+    parity 0 (even) and 1 (odd), where half[..., r] is d^2/dy^2 u(., y) (u
+    itself if not d2y) at last-axis column 2r + parity.
 
     One forward half-spectrum transform of f and one table w = 2 pi |k| serve
-    every height; each height costs one multiply by exp(-w y) and one inverse.
+    every height.  With P = spec * exp(-w y), each height folds the last axis
+    into the half spectra of its even and odd columns, for k <= N/4,
+
+        E_k = P_k + P_{k+N/2},   O_k = (P_k - P_{k+N/2}) exp(2 pi i k / N),
+
+    where P_{k+N/2} = conj P_{N/2-k} (for n=2 with the first axis negated),
+    and inverts each at length N/2.  half is a scratch buffer that the next
+    transform overwrites; consume may modify it.  On grids of at least
+    _THREAD_MIN_POINTS points the heights are dealt round-robin to the calling
+    thread and one worker thread, so consume must be safe to call from both.
     """
-    shape, axes = f.samples.shape, tuple(range(f.n))
-    spec = np.fft.rfftn(f.samples)
-    w = 2.0 * np.pi * np.sqrt(_half_freq_sq(f.n, f.J_grid))
-    if d2y:
-        spec *= w * w
-    decay = np.empty_like(w)  # per-height buffers, reused
-    product = np.empty_like(spec)
-    for y in heights:
-        np.exp(np.multiply(w, -y, out=decay), out=decay)
-        yield np.fft.irfftn(np.multiply(spec, decay, out=product), s=shape, axes=axes)
+    N = f.grid_size
+    rows, cols = (N if f.n == 2 else 1), N // 4 + 1
+    spec = np.fft.rfftn(f.samples).reshape(rows, -1)
+    w = 2.0 * np.pi * np.sqrt(_half_freq_sq(f.n, f.J_grid)).reshape(rows, -1)
+    # 1/2: a length-N/2 inverse divides by N/2 where the full one divides by N
+    spec *= 0.5 * w * w if d2y else 0.5
+    # [0, :, k] holds entry k and [1, :, k] entry k + N/2 as conj of row -k1, column
+    # N/2 - k; w is even in k1, and conjugation commutes with the real decay
+    mirror = slice(N // 2, N // 2 - cols, -1)
+    w_pairs = np.stack((w[:, :cols], w[:, mirror]))
+    spec_pairs = np.empty((2, rows, cols), dtype=complex)
+    spec_pairs[0] = spec[:, :cols]
+    np.conjugate(spec[:1, mirror], out=spec_pairs[1, :1])  # row 0 is its own negation
+    np.conjugate(spec[:0:-1, mirror], out=spec_pairs[1, 1:])
+    del spec, w
+    step_r, step_c = max(1, _FOLD_CHUNK // cols), min(cols, _FOLD_CHUNK)
+    # exp(2 pi i k / N) for k = c0 + t: one block-length table times exp(2 pi i c0 / N)
+    twiddle = np.exp(2j * np.pi / N * np.arange(step_c))
+    blocks = [(slice(r0, r0 + step_r), slice(c0, c0 + step_c))
+              for r0 in range(0, rows, step_r) for c0 in range(0, cols, step_c)]
+    fold_shape = f.samples.shape[:-1] + (cols,)
+    half_shape = f.samples.shape[:-1] + (N // 2,)
+
+    def run(share):
+        even = np.empty(fold_shape, dtype=complex)
+        odd = np.empty(fold_shape, dtype=complex)
+        half = np.empty(half_shape)
+        decay = np.empty((2, min(step_r, rows), step_c))
+        pairs = np.empty(decay.shape, dtype=complex)
+        views = []  # per block, height-independent: inputs, scratch, outputs
+        for rs, cs in blocks:
+            wv, sv = w_pairs[:, rs, cs], spec_pairs[:, rs, cs]
+            _, nr, nc = wv.shape
+            views.append((wv, sv, decay[:, :nr, :nc], pairs[:, :nr, :nc],
+                          even.reshape(rows, cols)[rs, cs], odd.reshape(rows, cols)[rs, cs],
+                          twiddle[:nc], np.exp(2j * np.pi / N * cs.start) if cs.start else None))
+        for i in share:
+            y = heights[i]
+            for wv, sv, d, p, e, o, tw, shift in views:
+                np.exp(np.multiply(wv, -y, out=d), out=d)
+                np.multiply(sv, d, out=p)  # P_k, P_{k+N/2}
+                np.add(p[0], p[1], out=e)
+                np.subtract(p[0], p[1], out=o)
+                np.multiply(o, tw, out=o)
+                if shift is not None:
+                    o *= shift
+            for parity, folded in ((0, even), (1, odd)):
+                for axis in range(f.n - 1):  # as irfftn: complex inverses first, in place
+                    np.fft.ifft(folded, axis=axis, out=folded)
+                np.fft.irfft(folded, n=N // 2, out=half)
+                consume(i, parity, half)
+
+    order = range(len(heights))
+    if len(heights) < 2 or f.samples.size < _THREAD_MIN_POINTS or _CPUS < 2:
+        run(order)
+        return
+    errors = []
+
+    def worker():
+        try:
+            run(order[1::2])
+        except BaseException as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    thread = threading.Thread(target=worker)
+    thread.start()
+    try:
+        run(order[0::2])
+    finally:
+        thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _single_height(f: GridFunction, y: float, d2y: bool) -> np.ndarray:
     if y <= 0:
         raise ValueError("height must be > 0")
-    (out,) = _extension_slices(f, (y,), d2y)
+    out = np.empty(f.samples.shape)
+
+    def interleave(i, parity, half):
+        out[..., parity::2] = half
+
+    _extension_halves(f, (y,), d2y, interleave)
     return out
 
 
@@ -69,9 +155,18 @@ def derivative_field(f: GridFunction, s: float, J_max: int) -> LevelField:
         raise ValueError(f"J_max={J_max} exceeds grid depth {f.J_grid}")
     probes = [(j, frac * 2.0**-j) for j in range(J_max + 1) for frac in CELL_FRACS]
     values = {j: np.zeros((2**j,) * f.n) for j in range(J_max + 1)}
-    for (j, y), d2 in zip(probes, _extension_slices(f, [y for _, y in probes])):
+    lock = threading.Lock()
+
+    def pool(i, parity, half):
+        j, y = probes[i]
+        # a cell two or more columns wide holds both parities, a one-column cell one
+        level = values[j] if 2**j < f.grid_size else values[j][..., parity::2]
         # scaling by y^(2-s) > 0 after the max rounds exactly as before it
-        np.maximum(values[j], pool_max(np.abs(d2), 2**j) * y ** (2.0 - s), out=values[j])
+        pooled = pool_max(np.abs(half, out=half), 2**j) * y ** (2.0 - s)
+        with lock:  # both threads pool into the same levels
+            np.maximum(level, pooled, out=level)
+
+    _extension_halves(f, [y for _, y in probes], True, pool)
     return LevelField("poisson", f.n, J_max, values)
 
 
@@ -141,18 +236,31 @@ def lipschitz_check(f: GridFunction, s: float, sample_count: int, seed: int) -> 
         tb = np.minimum(np.abs(dxb) % N, N - np.abs(dxb) % N) / N
         dist_sq = ta**2 + tb**2
 
-    # one derivative slice per quantized height in use, streamed: each slice
-    # is read at the samples whose height id matches, then dropped
+    # one derivative slice per quantized height in use, streamed in two column
+    # halves; each endpoint set is sorted once by the key 2 * height id + column
+    # parity, so every half reads its samples as one contiguous run of the sort
     hid1 = lev1 * fracs.size + fr1
     hid2 = lev2 * fracs.size + fr2
     g1 = np.empty(sample_count)
     g2 = np.empty(sample_count)
-    used = np.union1d(hid1, hid2).tolist()
-    heights = [float(fracs[h % fracs.size] * 2.0 ** -(h // fracs.size)) for h in used]
-    for h, y, d2 in zip(used, heights, _extension_slices(f, heights)):
-        for g, hid, at in ((g1, hid1, at1), (g2, hid2, at2)):
-            rows = hid == h
-            g[rows] = d2[tuple(a[rows] for a in at)] * y ** (2.0 - s)
+    used = np.union1d(hid1, hid2)
+    heights = [float(fracs[h % fracs.size] * 2.0 ** -(h // fracs.size)) for h in used.tolist()]
+    keys = (2 * used[:, None] + np.arange(2)).ravel()  # ascending, index 2 i + parity
+    ends = []
+    for g, hid, at in ((g1, hid1, at1), (g2, hid2, at2)):
+        key = (2 * hid + at[-1] % 2).astype(np.int32)
+        order = np.argsort(key).astype(np.int32)
+        key = key[order]
+        ends.append((g, at, order, np.searchsorted(key, keys), np.searchsorted(key, keys, "right")))
+    del key  # the slices stream with only the sort orders held
+
+    def gather(i, parity, half):
+        scale = heights[i] ** (2.0 - s)
+        for g, at, order, lo, hi in ends:
+            rows = order[lo[2 * i + parity]:hi[2 * i + parity]]
+            g[rows] = half[tuple(a[rows] for a in at[:-1]) + (at[-1][rows] // 2,)] * scale
+
+    _extension_halves(f, heights, True, gather)
 
     rho = np.arccosh(1.0 + (dist_sq + (y1 - y2) ** 2) / (2.0 * y1 * y2))
     ok = (rho > 0) & (rho <= 2.0)

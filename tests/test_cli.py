@@ -69,6 +69,18 @@ class TestSeminorms:
         reports = [json.loads(p.read_text()) for p in tmp_path.glob("seminorms_*.json")]
         assert len({rep["content_hash"] for rep in reports}) == 2
 
+    def test_output_directory_not_in_content_hash(self, tmp_path):
+        # one input written under two --out directories: one hash, one file name
+        reports = []
+        for sub in ("a", "b"):
+            assert run(["seminorms", "--spec", "trig k=1 a=1", "--jgrid", "8",
+                        "--out", str(tmp_path / sub)]) == EXIT_OK
+            reports.append(load_report(tmp_path / sub, "seminorms"))
+        (path_a, rep_a), (path_b, rep_b) = reports
+        assert rep_a["config"]["out"] != rep_b["config"]["out"]
+        assert rep_a["content_hash"] == rep_b["content_hash"]
+        assert path_a.name == path_b.name
+
     def test_version_enters_content_hash(self, monkeypatch):
         cfg = RunConfig()
         before = _content_hash(cfg, "trig k=1 a=1", None)

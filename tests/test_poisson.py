@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -6,7 +8,9 @@ import pytest
 
 from zygdist import (GridFunction, bessel_lift, parse_function_spec, sup_norm,
                      synthesize)
+import zygdist.poisson as poisson
 from zygdist.dyadic import LevelField, carleson_sup
+from zygdist.gridfn import _half_freq_sq
 from zygdist.poisson import (bmo_norm, d2y_extension, derivative_field,
                              holder_poisson_norm, jbmo_direct_norm,
                              lipschitz_check, poisson_extend)
@@ -23,8 +27,13 @@ SPECTRAL_RTOL = 1e-9
 ORACLE_CASES = [
     (1, 12, "weierstrass s=1 levels=9 signs=plus"),
     (1, 12, "lacunary-random s=0.5 levels=9 seed=3"),
+    # 2^16 points: the field's heights run on two threads
+    (1, 16, "weierstrass s=1 levels=13 signs=plus"),
     (2, 8, "sum weierstrass s=1 levels=5 signs=plus + wavelet-atom l=3 j=3 k=2,5"),
 ]
+# Stated tolerance of the even/odd half-length inverses against one full-length
+# inverse real transform per height, relative to each level's maximum
+HALF_LENGTH_RTOL = 1e-12
 
 
 def complex_oracle(f, y, d2y):
@@ -48,6 +57,25 @@ def oracle_field(f, s, J_max):
             level = np.maximum(level, g.reshape(shape).max(axis=(1,) if f.n == 1 else (1, 3)))
         values[j] = level
     return LevelField("poisson", f.n, J_max, values)
+
+
+def full_length_field(f, s, J_max):
+    """The field from one full-length irfftn per height, pooled by reshaping."""
+    axes = tuple(range(f.n))
+    w = 2.0 * np.pi * np.sqrt(_half_freq_sq(f.n, f.J_grid))
+    spec = np.fft.rfftn(f.samples) * w * w
+    values = {}
+    for j in range(J_max + 1):
+        cells, pts = 2**j, 2 ** (f.J_grid - j)
+        shape = (cells, pts) if f.n == 1 else (cells, pts, cells, pts)
+        level = np.zeros((cells,) * f.n)
+        for frac in CELL_FRACS:
+            y = frac * 2.0**-j
+            d2 = np.fft.irfftn(spec * np.exp(-w * y), s=f.samples.shape, axes=axes)
+            pooled = np.abs(d2).reshape(shape).max(axis=(1,) if f.n == 1 else (1, 3))
+            level = np.maximum(level, pooled * y ** (2.0 - s))
+        values[j] = level
+    return values
 
 
 def brute_interval_oscillation(samples):
@@ -163,6 +191,85 @@ class TestHalfSpectrumTolerance:
             assert field.threshold(eps) == want.threshold(eps)
 
 
+class TestHalfLengthTransforms:
+    @pytest.mark.parametrize("n,Jg,text", [
+        (1, 16, "weierstrass s=1 levels=13 signs=plus"),
+        (2, 9, "sum weierstrass s=1 levels=6 signs=plus + wavelet-atom l=3 j=3 k=2,5"),
+    ])
+    def test_levels_match_full_length_inverse(self, n, Jg, text):
+        f = synthesize(parse_function_spec(text), n, Jg)
+        field = derivative_field(f, 1.0, Jg - 2)
+        for j, level in full_length_field(f, 1.0, Jg - 2).items():
+            assert np.max(np.abs(field.values[j] - level)) <= HALF_LENGTH_RTOL * level.max()
+
+    @pytest.mark.parametrize("n,Jg", [(1, 10), (2, 6)])
+    def test_one_column_cells(self, n, Jg):
+        # levels J_grid - 1 and J_grid: cells two and one columns wide
+        f = synthesize(parse_function_spec("weierstrass s=1 levels=4 signs=plus"), n, Jg)
+        field = derivative_field(f, 1.0, Jg)
+        for j, level in full_length_field(f, 1.0, Jg).items():
+            assert np.max(np.abs(field.values[j] - level)) <= HALF_LENGTH_RTOL * level.max()
+
+    @pytest.mark.parametrize("n,Jg", [(1, 12), (2, 7)])
+    def test_threads_do_not_change_the_numbers(self, n, Jg, monkeypatch):
+        f = synthesize(parse_function_spec("weierstrass s=1 levels=5 signs=random seed=4"), n, Jg)
+        caller, off_caller = threading.get_ident(), []
+        pool_max = poisson.pool_max
+
+        def spy(arr, cells):
+            off_caller.append(threading.get_ident() != caller)
+            return pool_max(arr, cells)
+
+        monkeypatch.setattr(poisson, "pool_max", spy)
+        monkeypatch.setattr(poisson, "_CPUS", 2)
+        runs = []
+        for min_points in (2**62, 0):  # serial, then threaded
+            monkeypatch.setattr(poisson, "_THREAD_MIN_POINTS", min_points)
+            runs.append((derivative_field(f, 1.0, Jg - 2),
+                         lipschitz_check(f, 1.0, 2000, seed=5),
+                         poisson_extend(f, 0.01)))
+            assert any(off_caller) == (min_points == 0)
+            off_caller.clear()
+        (field_a, lip_a, ext_a), (field_b, lip_b, ext_b) = runs
+        for j in field_a.values:
+            assert np.array_equal(field_a.values[j], field_b.values[j])
+        assert np.array_equal(lip_a.ratios, lip_b.ratios)
+        assert np.array_equal(ext_a.samples, ext_b.samples)
+
+    def test_level_updates_survive_thread_switches(self, monkeypatch):
+        # both threads pool into the same levels; a lost update changes a maximum
+        f = synthesize(parse_function_spec("weierstrass s=1 levels=12 signs=random seed=6"), 1, 14)
+        monkeypatch.setattr(poisson, "_CPUS", 2)
+        monkeypatch.setattr(poisson, "_THREAD_MIN_POINTS", 2**62)
+        serial = derivative_field(f, 1.0, 14)
+        monkeypatch.setattr(poisson, "_THREAD_MIN_POINTS", 0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                threaded = derivative_field(f, 1.0, 14)
+                for j, level in serial.values.items():
+                    assert np.array_equal(threaded.values[j], level)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_worker_error_reaches_caller(self, monkeypatch):
+        f = synthesize(parse_function_spec("weierstrass s=1 levels=6"), 1, 10)
+        caller = threading.get_ident()
+        pool_max = poisson.pool_max
+
+        def fail_off_caller(arr, cells):
+            if threading.get_ident() != caller:
+                raise RuntimeError("worker failed")
+            return pool_max(arr, cells)
+
+        monkeypatch.setattr(poisson, "pool_max", fail_off_caller)
+        monkeypatch.setattr(poisson, "_CPUS", 2)
+        monkeypatch.setattr(poisson, "_THREAD_MIN_POINTS", 0)
+        with pytest.raises(RuntimeError, match="worker failed"):
+            derivative_field(f, 1.0, 8)
+
+
 class TestPoissonNorm:
     def test_constant(self):
         f = GridFunction(1, J, np.full(N, 2.0))
@@ -235,6 +342,18 @@ class TestLipschitzCheck:
         small = lipschitz_check(f, 1.0, 1200, seed=42)
         assert float(big.ratios[:1200].max()) == small.max_ratio
         assert float(big.ratios.max()) == big.max_ratio
+
+    @pytest.mark.parametrize("n,Jg,levels,max_ratio,ratio_sum", [
+        (1, J, 9, 0.5807698952512016, 506.914795405008),
+        (2, 7, 5, 0.5945834914129349, 368.0531144630453),
+    ])
+    def test_ratios_pinned(self, n, Jg, levels, max_ratio, ratio_sum):
+        # measured with one full-length inverse per height; reading a neighbor
+        # column's value instead moves max_ratio by tens of percent
+        f = synthesize(parse_function_spec(f"weierstrass s=1 levels={levels} signs=plus"), n, Jg)
+        rep = lipschitz_check(f, 1.0, 3000, seed=42)
+        assert rep.max_ratio == pytest.approx(max_ratio, rel=1e-9)
+        assert float(rep.ratios.sum()) == pytest.approx(ratio_sum, rel=1e-9)
 
     def test_n2_bounded(self):
         f = synthesize(parse_function_spec("weierstrass s=1 levels=4"), 2, 8)
