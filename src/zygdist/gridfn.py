@@ -4,6 +4,11 @@ and a one-line DSL for generating a test corpus.
 All analysis in this package lives on [0,1)^n with a uniform dyadic grid of
 2^J_grid points per axis.  Frequencies are integers k, with the multiplier
 convention xi = 2*pi*k.
+
+The lacunary and log-kink kinds of synthesis and the Bessel multiplier
+evaluate each transcendental once per distinct exact argument (x1 + x2 on
+the grid, one coordinate axis, |k|^2) and lay the values out on the grid;
+the samples are bitwise those of a pointwise evaluation.
 """
 
 from __future__ import annotations
@@ -12,9 +17,14 @@ import re
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 J_GRID_MIN = 4
 J_GRID_MAX = {1: 20, 2: 11}
+
+# points per block of the Weierstrass level sum: its one scratch buffer is
+# 512 KiB however large the grid
+_LEVEL_BLOCK = 2**16
 
 # n=1 reference corpus used by the validation suite and the comparability
 # bands.  Rough (Weierstrass/lacunary) entries sit outside the bmo-Sobolev
@@ -195,25 +205,20 @@ def _validate_params(kind: str, p: dict):
         _require("path" in p, "file requires path=<path>")
 
 
-def _grid(n: int, J: int):
-    N = 2**J
-    x = np.arange(N) / N
-    if n == 1:
-        return (x,)
-    return np.meshgrid(x, x, indexing="ij")
-
-
-def _dot_freq(coords, k):
-    if len(coords) == 1:
-        return k * coords[0] if np.isscalar(k) else k[0] * coords[0]
-    k1, k2 = (k, k) if np.isscalar(k) else (k[0], k[1])
-    return k1 * coords[0] + k2 * coords[1]
-
-
 def synthesize(spec: FunctionSpec, n: int, J_grid: int) -> GridFunction:
-    """Evaluate a FunctionSpec pointwise on the 2^J_grid dyadic grid."""
+    """Evaluate a FunctionSpec pointwise on the 2^J_grid dyadic grid.
+
+    The Weierstrass, lacunary and log-kink kinds evaluate each
+    transcendental once per distinct exact argument, and the result is
+    bitwise what a pointwise evaluation over the full grid gives.  The
+    Weierstrass and lacunary terms depend on x1 + x2 only, and on the grid
+    that sum is exactly m/N, m = 0..2N-2 (i1/N + i2/N and (i1+i2)/N are the
+    same double), so the level sum runs on that one axis and is laid out on
+    the grid as row i1 = profile[i1:i1+N].  The log-kink is a sum of one
+    function per coordinate, evaluated on one axis.
+    """
     N = 2**J_grid
-    coords = _grid(n, J_grid)
+    x = np.arange(N) / N
     kind, p = spec.kind, spec.params
 
     if kind == "sum":
@@ -223,12 +228,16 @@ def synthesize(spec: FunctionSpec, n: int, J_grid: int) -> GridFunction:
 
     if kind == "trig":
         k = p["k"]
-        kmax = abs(k) if np.isscalar(k) else max(abs(v) for v in k)
+        _check_arity(kind, k, n)
+        kmax = abs(k) if n == 1 else max(abs(v) for v in k)
         if kmax > N // 2:
             raise SpecError(f"trig frequency {k} not resolvable at J_grid={J_grid}")
-        if n == 2 and np.isscalar(k):
-            raise SpecError("trig with n=2 requires k=<int>,<int>")
-        samples = p["a"] * np.cos(2 * np.pi * _dot_freq(coords, k) + p["phase"])
+        if n == 1:
+            dot = k * x
+        else:
+            x1, x2 = np.meshgrid(x, x, indexing="ij")
+            dot = k[0] * x1 + k[1] * x2
+        samples = p["a"] * np.cos(2 * np.pi * dot + p["phase"])
     elif kind in ("weierstrass", "lacunary-random"):
         levels = p["levels"]
         if levels > J_grid - 2:
@@ -236,7 +245,8 @@ def synthesize(spec: FunctionSpec, n: int, J_grid: int) -> GridFunction:
                 f"{kind}: levels={levels} under-resolved at J_grid={J_grid} (need levels <= J_grid-2)"
             )
         s = p["s"]
-        base = sum(coords)  # direction (1,...,1); single coordinate for n=1
+        base = np.arange(n * (N - 1) + 1, dtype=float)  # x1 + ... + xn: the exact m/N
+        base /= N
         if kind == "weierstrass":
             if p.get("signs", "plus") == "random":
                 rng = np.random.default_rng(p["seed"])
@@ -249,10 +259,23 @@ def synthesize(spec: FunctionSpec, n: int, J_grid: int) -> GridFunction:
             signs = rng.choice((-1.0, 1.0), size=levels + 1)
             phases = rng.uniform(0.0, 2 * np.pi, size=levels + 1)
         samples = np.zeros_like(base)
-        for j in range(levels + 1):
-            samples += signs[j] * 2.0 ** (-j * s) * np.cos(2 * np.pi * 2**j * base + phases[j])
+        scratch = np.empty(min(base.size, _LEVEL_BLOCK))
+        for lo in range(0, base.size, scratch.size):
+            b, acc = base[lo:lo + scratch.size], samples[lo:lo + scratch.size]
+            arg = scratch[:b.size]
+            for j in range(levels + 1):
+                np.multiply(2 * np.pi * 2**j, b, out=arg)
+                if phases[j] != 0.0:  # b holds no -0.0, so adding 0.0 would change nothing
+                    arg += phases[j]
+                np.cos(arg, out=arg)
+                arg *= signs[j] * 2.0 ** (-j * s)
+                acc += arg
+        if n == 2:  # row i1 is profile[i1:i1+N]
+            samples = sliding_window_view(samples, N)
     elif kind == "xlogx":
-        samples = sum(_xlogx_axis(c, p["eps"]) for c in coords)
+        a = _xlogx_axis(x, p["eps"])
+        # a sum of per-axis terms from 0, so a -0.0 term reads 0.0
+        samples = 0 + a if n == 1 else (0 + a[:, None]) + a[None, :]
     elif kind == "wavelet-atom":
         from . import wavelet  # local import, avoids a module cycle
 
@@ -262,8 +285,9 @@ def synthesize(spec: FunctionSpec, n: int, J_grid: int) -> GridFunction:
             raise SpecError(f"wavelet-atom: l={l} exceeds 2^n-1={2**n - 1}")
         if j > J_grid - 1:
             raise SpecError(f"wavelet-atom: level j={j} too deep for J_grid={J_grid}")
+        _check_arity(kind, k, n)
         idx = (int(k),) if np.isscalar(k) else tuple(int(v) for v in k)
-        if len(idx) != n or any(not 0 <= v < 2**j for v in idx):
+        if any(not 0 <= v < 2**j for v in idx):
             raise SpecError(f"wavelet-atom: index k={k} outside [0, 2^{j})^{n}")
         coeffs = wavelet.WaveletCoefficients.zeros(n, J_grid)
         if n == 1:
@@ -281,6 +305,13 @@ def synthesize(spec: FunctionSpec, n: int, J_grid: int) -> GridFunction:
         raise SpecError(f"unknown kind {kind!r}")
 
     return GridFunction(n, J_grid, samples, label=spec.canonical())
+
+
+def _check_arity(kind: str, k, n: int):
+    """A frequency or position index k has one integer per axis."""
+    if (1 if np.isscalar(k) else len(k)) != n:
+        got = k if np.isscalar(k) else ",".join(str(v) for v in k)
+        raise SpecError(f"{kind}: k={got} needs {n} ind{'ex' if n == 1 else 'ices'} at n={n}")
 
 
 def _xlogx_axis(x: np.ndarray, eps: float) -> np.ndarray:
@@ -313,13 +344,33 @@ def bessel_lift(f: GridFunction, r: float) -> GridFunction:
     grids, and composing orders r and -r through float64 sample space would
     re-amplify FFT roundoff on the attenuated modes.  numpy >= 2.0 transforms
     longdouble input in longdouble (numpy 1.x dropped to float64).
+
+    The multiplier depends on |k|^2 only, so at n=2 it is evaluated once per
+    (|k1|, k2) with |k1| <= k2 and read back for every half-spectrum entry:
+    the same extended-precision values a pointwise evaluation gives.
     """
     x = f.samples.astype(np.longdouble)
-    ksq = _half_freq_sq(f.n, f.J_grid).astype(np.longdouble)
-    mult = (1.0 + 4.0 * np.longdouble(np.pi) ** 2 * ksq) ** np.longdouble(-r / 2.0)
-    out = np.fft.irfftn(np.fft.rfftn(x) * mult, s=x.shape, axes=tuple(range(f.n)))
+    out = np.fft.irfftn(np.fft.rfftn(x) * _bessel_multiplier(f.n, f.J_grid, r),
+                        s=x.shape, axes=tuple(range(f.n)))
     samples = np.ascontiguousarray(out, dtype=float)
     return GridFunction(f.n, f.J_grid, samples, label=f"{f.label}|bessel{r:+g}")
+
+
+def _bessel_multiplier(n: int, J: int, r: float) -> np.ndarray:
+    """(1 + 4 pi^2 |k|^2)^(-r/2) in longdouble on the half spectrum."""
+    def mult(ksq):
+        ksq = ksq.astype(np.longdouble)
+        return (1.0 + 4.0 * np.longdouble(np.pi) ** 2 * ksq) ** np.longdouble(-r / 2.0)
+
+    if n == 1:
+        return mult(_half_freq_sq(1, J))
+    # |k|^2 is even in k1 and symmetric in (k1, k2): evaluate the quadrant
+    # 0 <= k1, k2 <= N/2 on its upper triangle, mirror it, index rows by |k1|
+    N = 2**J
+    a, b = np.triu_indices(N // 2 + 1)
+    quad = np.empty((N // 2 + 1,) * 2, dtype=np.longdouble)
+    quad[a, b] = quad[b, a] = mult(a * a + b * b)
+    return quad[np.abs(np.fft.fftfreq(N, d=1.0 / N)).astype(np.intp)]
 
 
 def sup_norm(f: GridFunction) -> float:

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ import pytest
 import zygdist
 from zygdist import (GridFunction, SpecError, bessel_lift, parse_function_spec,
                      poisson_extend, sup_norm, synthesize)
-from zygdist.gridfn import _half_freq_sq
+from zygdist import gridfn
+from zygdist.gridfn import _half_freq_sq, _xlogx_axis
 
 
 class TestParse:
@@ -110,6 +112,19 @@ class TestSynthesize:
         with pytest.raises(SpecError):
             synthesize(parse_function_spec("wavelet-atom l=3 j=2 k=1"), 1, 8)
 
+    @pytest.mark.parametrize("n,text", [
+        (1, "trig k=3,5 a=1"),
+        (2, "trig k=1,2,3 a=1"),
+        (2, "trig k=1 a=1"),
+        (1, "wavelet-atom l=1 j=2 k=1,2"),
+        (2, "wavelet-atom l=1 j=2 k=1"),
+        (2, "wavelet-atom l=1 j=2 k=1,2,3"),
+    ])
+    def test_index_arity(self, n, text):
+        # k has one integer per axis; extra or missing components are an error
+        with pytest.raises(SpecError, match=f"needs {n} ind"):
+            synthesize(parse_function_spec(text), n, 8)
+
     def test_xlogx_continuous_and_odd(self):
         f = synthesize(parse_function_spec("xlogx"), 1, 12)
         jumps = np.max(np.abs(np.diff(f.samples)))
@@ -117,6 +132,99 @@ class TestSynthesize:
         assert abs(f.samples[0]) < 1e-12
         s = f.samples
         assert np.max(np.abs(s[1:] + s[:0:-1])) < 1e-12  # odd symmetry
+
+
+def _pointwise(spec, n, J):
+    """synthesize evaluated over the full meshgrid, point by point: the
+    values the exact-argument evaluation must reproduce bit for bit."""
+    N = 2**J
+    x = np.arange(N) / N
+    coords = (x,) if n == 1 else np.meshgrid(x, x, indexing="ij")
+    kind, p = spec.kind, spec.params
+    if kind == "sum":
+        return sum(_pointwise(t, n, J) for t in p["terms"])
+    if kind == "xlogx":
+        return sum(_xlogx_axis(c, p["eps"]) for c in coords)
+    if kind not in ("weierstrass", "lacunary-random"):
+        return synthesize(spec, n, J).samples
+    levels, s = p["levels"], p["s"]
+    rng = np.random.default_rng(p.get("seed"))
+    if kind == "lacunary-random":
+        signs = rng.choice((-1.0, 1.0), size=levels + 1)
+        phases = rng.uniform(0.0, 2 * np.pi, size=levels + 1)
+    else:
+        signs = (rng.choice((-1.0, 1.0), size=levels + 1) if p["signs"] == "random"
+                 else np.ones(levels + 1))
+        phases = np.zeros(levels + 1)
+    base = sum(coords)
+    samples = np.zeros_like(base)
+    for j in range(levels + 1):
+        samples += signs[j] * 2.0 ** (-j * s) * np.cos(2 * np.pi * 2**j * base + phases[j])
+    return samples
+
+
+class TestExactArguments:
+    """synthesize and bessel_lift evaluate each transcendental once per
+    distinct argument; the samples are bitwise those of the pointwise path
+    (compared as int64 so that signed zeros count)."""
+
+    SPECS = (
+        "weierstrass s=1 levels={L} signs=plus",
+        "weierstrass s=0.7 levels={L} seed=11 signs=random",
+        "lacunary-random s=0.5 levels={L} seed=3",
+        "xlogx",
+        "xlogx eps=0.1",
+        "sum weierstrass s=1 levels={L} signs=plus + wavelet-atom {atom}",
+        "sum lacunary-random s=1 levels={L} seed=5 + xlogx eps=0.1 + wavelet-atom {atom} p=2",
+    )
+
+    @pytest.mark.parametrize("n,J", [(1, 4), (1, 12), (1, 16), (2, 4), (2, 8), (2, 10)])
+    @pytest.mark.parametrize("text", SPECS)
+    def test_synthesize_bitwise(self, n, J, text):
+        atom = "l=1 j=2 k=1" if n == 1 else "l=3 j=2 k=1,3"
+        spec = parse_function_spec(text.format(L=J - 2, atom=atom))
+        got = synthesize(spec, n, J).samples
+        want = _pointwise(spec, n, J)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("n,J", [(1, 12), (2, 10)])
+    @pytest.mark.parametrize("text", SPECS[:3])
+    def test_synthesize_bitwise_blocks(self, n, J, text, monkeypatch):
+        # several level-sum blocks, the last one partial
+        monkeypatch.setattr(gridfn, "_LEVEL_BLOCK", 1000)
+        spec = parse_function_spec(text.format(L=J - 2))
+        got = synthesize(spec, n, J).samples
+        assert np.array_equal(got.view(np.int64), _pointwise(spec, n, J).view(np.int64))
+
+    @pytest.mark.parametrize("J", [4, 9, 10])
+    def test_bessel_n2_bitwise(self, J):
+        rng = np.random.default_rng(J)
+        f = GridFunction(2, J, rng.standard_normal((2**J, 2**J)), label="r2")
+        x = f.samples.astype(np.longdouble)
+        spec = np.fft.rfftn(x)
+        ksq = _half_freq_sq(2, J).astype(np.longdouble)
+        for r in (-1.0, -0.5, 0.5, 2.0):
+            mult = (1.0 + 4.0 * np.longdouble(np.pi) ** 2 * ksq) ** np.longdouble(-r / 2.0)
+            want = np.fft.irfftn(spec * mult, s=x.shape, axes=(0, 1)).astype(float)
+            got = bessel_lift(f, r).samples
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("text", [
+        "weierstrass s=1 levels=9 signs=plus",
+        "lacunary-random s=0.5 levels=9 seed=3",
+        "xlogx eps=0.1",
+    ])
+    def test_synthesize_memory_n2(self, text):
+        # the largest n=2 grid: at most 1.5 sample arrays of 32 MiB in flight
+        spec = parse_function_spec(text)
+        tracemalloc.start()
+        try:
+            synthesize(spec, 2, 11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * 2**22
 
 
 class TestGridFunctionInvariants:
