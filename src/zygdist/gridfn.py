@@ -172,9 +172,16 @@ def _as_float(p: dict, key: str, kind: str) -> float:
         raise SpecError(f"{kind}: {key}={p[key]!r} is not a number") from None
 
 
+def _require_index(p: dict, kind: str):
+    # _parse_value gives an int, a tuple of ints, or a float or raw string
+    _require(isinstance(p["k"], (int, tuple)),
+             f"{kind}: k={p['k']!r} is not an integer or integer pair")
+
+
 def _validate_params(kind: str, p: dict):
     if kind == "trig":
         _require("k" in p and "a" in p, "trig requires k=<int>[,<int>] and a=<real>")
+        _require_index(p, kind)
         p.setdefault("phase", 0.0)
         p["a"] = _as_float(p, "a", kind)
         p["phase"] = _as_float(p, "phase", kind)
@@ -199,6 +206,7 @@ def _validate_params(kind: str, p: dict):
         _require("l" in p and "j" in p and "k" in p, "wavelet-atom requires l=, j=, k=")
         _require(isinstance(p["l"], int) and p["l"] >= 1, "wavelet-atom: l must be >= 1")
         _require(isinstance(p["j"], int) and p["j"] >= 0, "wavelet-atom: j must be >= 0")
+        _require_index(p, kind)
         p.setdefault("p", 8)
         _require(p["p"] in range(2, 11), "wavelet-atom: p must be in 2..10")
     elif kind == "file":
@@ -286,7 +294,7 @@ def synthesize(spec: FunctionSpec, n: int, J_grid: int) -> GridFunction:
         if j > J_grid - 1:
             raise SpecError(f"wavelet-atom: level j={j} too deep for J_grid={J_grid}")
         _check_arity(kind, k, n)
-        idx = (int(k),) if np.isscalar(k) else tuple(int(v) for v in k)
+        idx = (k,) if np.isscalar(k) else k
         if any(not 0 <= v < 2**j for v in idx):
             raise SpecError(f"wavelet-atom: index k={k} outside [0, 2^{j})^{n}")
         coeffs = wavelet.WaveletCoefficients.zeros(n, J_grid)

@@ -4,13 +4,15 @@ the large-second-difference cell sets, and empirical continuity checks.
 The maximal second difference at (x, y) is the sup over directions |h| = y of
 |f(x+h) - 2 f(x) + f(x-h)|.  On the grid, h is a lattice vector (exact for
 n=1; rounded to within 2 percent of |h| = y for n=2).  On a probe lattice
-x = k * stride, f(x + h) is a strided slice of the samples rolled by whole
-lattice steps (periodic wraparound), so a field reads two shifted copies of
-the probe lattice per direction; sampled positions gather by index.
+x = k * stride, f(x + h) and f(x - h) are strided slices of the samples cut
+where either wraps around the torus and added piece by piece into one buffer
+per lattice, so a direction allocates nothing; sampled positions gather by
+index.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -53,22 +55,46 @@ def _directions(n: int, m: int, K: int) -> list[tuple[int, ...]]:
     return dirs
 
 
-def _d2_lattice(samples: np.ndarray, h: tuple[int, ...], stride: int = 1) -> np.ndarray:
-    """|f(p+h) - 2 f(p) + f(p-h)| on the probe lattice p = k * stride, periodic.
+def _wrapped_pieces(shape: tuple[int, ...], h: tuple[int, ...], stride: int):
+    """(dst, plus, minus) index triples covering the probe lattice
+    p = k * stride: at the lattice points dst, samples[(p + h) % N] is
+    samples[plus] and samples[(p - h) % N] is samples[minus].
 
-    On each axis samples[(p + h) % N] is samples[h % stride :: stride] rolled
-    back by h // stride (floor division, so h may be negative).  Summed as
-    (f(p+h) + f(p-h)) - 2 f(p) so the value is exactly even in h.
+    On each axis the lattice reads samples[o % stride :: stride] from step
+    s = (o // stride) % M on (floor division, so o may be negative) and
+    wraps to its start at k = M - s; cut at the wrap points of o = +h and
+    o = -h, the axis falls into at most three pieces that wrap neither.
     """
-    axes = tuple(range(samples.ndim))
+    axes = []
+    for hk, N in zip(h, shape):
+        M = N // stride
+        reads = [(o % stride, (o // stride) % M) for o in (hk, -hk)]  # (r, s)
+        cuts = sorted({0, M} | {M - s for _, s in reads if s})
+        pieces = []
+        for k0, k1 in zip(cuts, cuts[1:]):
+            starts = [r + (k0 + s) % M * stride for r, s in reads]
+            pieces.append((slice(k0, k1), *(slice(a, a + (k1 - k0) * stride, stride)
+                                            for a in starts)))
+        axes.append(pieces)
+    for combo in itertools.product(*axes):
+        yield tuple(zip(*combo))
 
-    def shifted(sign: int) -> np.ndarray:
-        offsets = [sign * hk for hk in h]
-        view = samples[tuple(slice(o % stride, None, stride) for o in offsets)]
-        return np.roll(view, tuple(-(o // stride) for o in offsets), axis=axes)
 
-    center = samples[(slice(None, None, stride),) * samples.ndim]
-    return np.abs((shifted(1) + shifted(-1)) - 2.0 * center)
+def _d2_lattice(samples: np.ndarray, h: tuple[int, ...], stride: int,
+                twice_center: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """|f(p+h) - 2 f(p) + f(p-h)| on the probe lattice p = k * stride, periodic,
+    written into out and returned.
+
+    twice_center is 2 * samples[::stride, ...], computed once per lattice
+    by the caller, and out a caller-owned buffer of its shape, reused across
+    directions.  f(p+h) + f(p-h) is added into out piece by piece
+    (_wrapped_pieces), then 2 f(p) is subtracted and abs taken in place:
+    (f(p+h) + f(p-h)) - 2 f(p), so the value is exactly even in h.
+    """
+    for dst, plus, minus in _wrapped_pieces(samples.shape, h, stride):
+        np.add(samples[plus], samples[minus], out=out[dst])
+    out -= twice_center
+    return np.abs(out, out=out)
 
 
 def second_difference(f: GridFunction, x, y: float, K: int = 1) -> float:
@@ -98,6 +124,8 @@ def holder_seminorm(f: GridFunction, s: float, K: int | None = None, refine: int
         raise ValueError("refine must be >= 1")
     K = _default_K(f.n) if K is None else K
     N = f.grid_size
+    twice_center = 2.0 * f.samples
+    buf = np.empty_like(twice_center)
     best = 0.0
     for j in range(1, f.J_grid):
         base = 2 ** (f.J_grid - j)
@@ -107,7 +135,7 @@ def holder_seminorm(f: GridFunction, s: float, K: int | None = None, refine: int
                 continue
             y = m / N
             for h in _directions(f.n, m, K):
-                val = float(_d2_lattice(f.samples, h).max())
+                val = float(_d2_lattice(f.samples, h, 1, twice_center, buf).max())
                 best = max(best, val / y**s)
     return best
 
@@ -125,22 +153,31 @@ def second_diff_field(f: GridFunction, s: float, J_max: int, K: int | None = Non
     if J_max > f.J_grid - 2:
         raise ValueError(f"J_max={J_max} too deep, need J_max <= J_grid-2={f.J_grid - 2}")
     K = _default_K(f.n) if K is None else K
-    N = f.grid_size
-    values: dict[int, np.ndarray] = {}
-    for j in range(J_max + 1):
-        base = 2 ** (f.J_grid - j)
-        stride = base // min(base, PROBES_PER_CELL)
-        probe_max = np.zeros((N // stride,) * f.n)
-        for frac in CELL_FRACS:
-            m_exact = base * frac
-            m = int(round(m_exact))
-            if abs(m - m_exact) > 1e-9 or m < 1:
-                continue
-            y = m / N
-            for h in _directions(f.n, m, K):
-                np.maximum(probe_max, _d2_lattice(f.samples, h, stride) / y**s, out=probe_max)
-        values[j] = pool_max(probe_max, 2**j)
+    values = {j: _level_probe_max(f, s, j, K) for j in range(J_max + 1)}
     return LevelField("secdiff", f.n, J_max, values)
+
+
+def _level_probe_max(f: GridFunction, s: float, j: int, K: int) -> np.ndarray:
+    """Level j of second_diff_field.  Its lattice arrays are freed before
+    the pooling and the next level allocate theirs."""
+    N = f.grid_size
+    base = 2 ** (f.J_grid - j)
+    stride = base // min(base, PROBES_PER_CELL)
+    twice_center = 2.0 * f.samples[(slice(None, None, stride),) * f.n]
+    buf = np.empty_like(twice_center)
+    probe_max = np.zeros(twice_center.shape)
+    for frac in CELL_FRACS:
+        m_exact = base * frac
+        m = int(round(m_exact))
+        if abs(m - m_exact) > 1e-9 or m < 1:
+            continue
+        y = m / N
+        for h in _directions(f.n, m, K):
+            _d2_lattice(f.samples, h, stride, twice_center, buf)
+            buf /= y**s
+            np.maximum(probe_max, buf, out=probe_max)
+    del twice_center, buf  # pooling's first halving would sit on top of them
+    return pool_max(probe_max, 2**j)
 
 
 def _d2_vector(samples: np.ndarray, pos, m: np.ndarray, K: int) -> np.ndarray:

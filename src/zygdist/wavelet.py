@@ -220,19 +220,32 @@ def _istep_axis(lo_part: np.ndarray, hi_part: np.ndarray,
     Running the (w, l) slice-adds in ascending (w * half - l // 2, l) adds
     each output's terms in ascending (i, l), the order np.add.at takes over an
     (i, l) table, so the result is bitwise equal to it, also on coarse levels
-    where the filter wraps the row more than once.
+    where the filter wraps the row more than once.  The slices index the step
+    axis in place, each part's products go into one contiguous scratch array,
+    and out is C-contiguous.  A part that is all zero is not multiplied: its products are
+    +-0, out starts at +0.0 and never holds -0.0, so adding them changes no bit.
     """
-    lo_part = np.moveaxis(lo_part, axis, -1)
-    hi_part = np.moveaxis(hi_part, axis, -1)
-    half = lo_part.shape[-1]
-    out = np.zeros(lo_part.shape[:-1] + (2 * half,))
+    lead = (slice(None),) * axis
+    half = lo_part.shape[axis]
+    shape = list(lo_part.shape)
+    shape[axis] = 2 * half
+    out = np.zeros(shape)
+    live = [(part, taps, np.empty(part.size))
+            for part, taps in ((lo_part, taps_lo), (hi_part, taps_hi)) if part.any()]
+    if not live:
+        return out
     for offset, l in sorted((w * half - l // 2, l) for l in range(taps_lo.size)
                             for w in range(l // 2 // half + 2)):
         q0, q1 = max(0, -offset), min(half, half - offset)  # outputs q with i = q + offset
         if q0 < q1:
-            i = slice(q0 + offset, q1 + offset)
-            out[..., l % 2::2][..., q0:q1] += lo_part[..., i] * taps_lo[l] + hi_part[..., i] * taps_hi[l]
-    return np.moveaxis(out, -1, axis)
+            i = lead + (slice(q0 + offset, q1 + offset),)
+            shape_i = lo_part[i].shape  # products are contiguous: strided ones run slower
+            prods = [np.multiply(part[i], taps[l], out=buf[:math.prod(shape_i)].reshape(shape_i))
+                     for part, taps, buf in live]
+            if len(prods) == 2:
+                prods[0] += prods[1]
+            out[lead + (slice(l % 2 + 2 * q0, 2 * q1, 2),)] += prods[0]
+    return out
 
 
 def analyze(f: GridFunction, bank: FilterBank) -> WaveletCoefficients:

@@ -41,9 +41,9 @@ class TestSeminorms:
         r = rep["ratios"]["holder_direct/wavelet_lip"]
         assert 1 / 50 < r < 50
 
-    def test_bad_spec_exit_code(self, tmp_path, capsys):
-        code = run(["seminorms", "--spec", "weierstrass s=2 levels=3",
-                    "--out", str(tmp_path)])
+    @pytest.mark.parametrize("spec", ["weierstrass s=2 levels=3", "trig k=abc a=1"])
+    def test_bad_spec_exit_code(self, tmp_path, capsys, spec):
+        code = run(["seminorms", "--spec", spec, "--out", str(tmp_path)])
         assert code == EXIT_VALIDATION
         assert "error" in capsys.readouterr().err
 

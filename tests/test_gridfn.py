@@ -46,6 +46,10 @@ class TestParse:
         "sum sum trig k=1 a=1 + trig k=2 a=1 + trig k=3 a=1",
         "xlogx eps=-1",
         "wavelet-atom l=1 j=2 k=0 p=11",
+        "trig k=abc a=1",                    # k is an integer or integer pair
+        "trig k=1.5 a=1",
+        "wavelet-atom l=1 j=3 k=1.5",
+        "wavelet-atom l=1 j=3 k=abc",
     ])
     def test_rejects(self, text):
         with pytest.raises(SpecError):

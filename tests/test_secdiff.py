@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,25 @@ def weier_d2_oracle(s, levels, x, y):
     return abs(total)
 
 
+def lattice_d2(samples, h, stride=1):
+    """_d2_lattice with its own 2 f(p) and output buffer."""
+    twice_center = 2.0 * samples[(slice(None, None, stride),) * samples.ndim]
+    return _d2_lattice(samples, h, stride, twice_center, np.empty_like(twice_center))
+
+
+def roll_d2_lattice(samples, h, stride=1):
+    """Reference stencil: the lattice read as two rolled strided copies."""
+    axes = tuple(range(samples.ndim))
+
+    def shifted(sign):
+        offsets = [sign * hk for hk in h]
+        view = samples[tuple(slice(o % stride, None, stride) for o in offsets)]
+        return np.roll(view, tuple(-(o // stride) for o in offsets), axis=axes)
+
+    center = samples[(slice(None, None, stride),) * samples.ndim]
+    return np.abs((shifted(1) + shifted(-1)) - 2.0 * center)
+
+
 class TestSecondDifference:
     def test_constant_annihilated(self):
         f = GridFunction(1, J, np.full(N, 4.2))
@@ -37,8 +58,8 @@ class TestSecondDifference:
         for _ in range(50):
             x = int(rng.integers(0, N))
             m = int(rng.integers(1, N // 2))
-            fwd = _d2_lattice(weier1_12.samples, (m,))[x]
-            bwd = _d2_lattice(weier1_12.samples, (-m,))[x]
+            fwd = lattice_d2(weier1_12.samples, (m,))[x]
+            bwd = lattice_d2(weier1_12.samples, (-m,))[x]
             assert fwd == bwd
             assert second_difference(weier1_12, x, m / N) == fwd
 
@@ -68,6 +89,29 @@ class TestSecondDifference:
 
 class TestLatticeStencil:
     @pytest.mark.parametrize("n,Jg", [(1, 9), (2, 6)])
+    def test_bitwise_equal_to_rolled_copies(self, n, Jg):
+        # negative h, |h| >= N/2, h a multiple of the lattice length and
+        # h beyond N, every stride; one buffer serves all calls of a stride
+        rng = np.random.default_rng(7)
+        Ng = 2**Jg
+        samples = rng.standard_normal((Ng,) * n)
+        for stride in range(1, 17):
+            if Ng % stride:
+                continue
+            M = Ng // stride
+            twice_center = 2.0 * samples[(slice(None, None, stride),) * n]
+            buf = np.empty_like(twice_center)
+            comps = [1, -1, stride + 1, -3 * stride + 2, Ng // 2, Ng // 2 + 3, -(Ng // 2) - 1,
+                     M, 2 * M, -M, Ng - 1, Ng + 5]
+            hs = [(a,) for a in comps] if n == 1 else [
+                (a, b) for a in comps for b in comps[::3]]
+            for h in hs:
+                want = roll_d2_lattice(samples, h, stride)
+                got = _d2_lattice(samples, h, stride, twice_center, buf)
+                assert got is buf
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("n,Jg", [(1, 9), (2, 6)])
     @pytest.mark.parametrize("K", [1, 8])
     def test_matches_point_oracle(self, n, Jg, K):
         # max over the directions and their negatives (negative lattice
@@ -79,7 +123,7 @@ class TestLatticeStencil:
             for m in (1, stride + 1, 5 * stride - 3, Ng // 2 + 3):
                 dirs = _directions(n, m, K)
                 dirs += [tuple(-c for c in h) for h in dirs]
-                field = np.max([_d2_lattice(f.samples, h, stride) for h in dirs], axis=0)
+                field = np.max([lattice_d2(f.samples, h, stride) for h in dirs], axis=0)
                 assert field.shape == (Ng // stride,) * n
                 picks = [(0,) * n, (Ng // stride - 1,) * n]
                 picks += [tuple(rng.integers(0, Ng // stride, n)) for _ in range(30)]
@@ -125,6 +169,20 @@ class TestHolderSeminorm:
 
 class TestBuildS:
     """The second-difference sets S(s, f, eps) = second_diff_field(...).threshold(eps)."""
+
+    def test_memory_one_level_at_a_time(self):
+        # the per-level lattice arrays (2 f(p), the stencil buffer, the
+        # running max) are freed before pooling and before the next level
+        rng = np.random.default_rng(2)
+        f = GridFunction(1, 18, rng.standard_normal(2**18))
+        second_diff_field(GridFunction(1, 6, f.samples[:64]), 1.0, 4)
+        tracemalloc.start()
+        try:
+            second_diff_field(f, 1.0, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * f.samples.nbytes
 
     def test_eps_zero_keeps_positive_cells(self, cos_12):
         field = second_diff_field(cos_12, 1.0, J - 2)

@@ -130,6 +130,21 @@ class TestAnalyzeReconstruct:
             energy = float((f.samples**2).mean())
             assert abs(coeffs.coefficient_energy() - energy) / energy < 1e-10
 
+    @pytest.mark.parametrize("n,J", [(1, 10), (2, 6)])
+    @pytest.mark.parametrize("p", [2, 8, 10])
+    def test_atom_bitwise_equal_to_add_at_reconstruct(self, monkeypatch, n, J, p):
+        # synthesis skips the all-zero parts of every level; the reference
+        # multiplies them all with the np.add.at step
+        for j in (0, J // 2, J - 1):
+            k = 2**j - 1 if n == 1 else f"{2**j - 1},{j % 2**j}"
+            for l in range(1, 2**n):
+                spec = parse_function_spec(f"wavelet-atom l={l} j={j} k={k} p={p}")
+                got = synthesize(spec, n, J).samples
+                with monkeypatch.context() as m:
+                    m.setattr(wavelet, "_istep_axis", add_at_istep)
+                    want = synthesize(spec, n, J).samples
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_atom_sits_on_its_cube(self, bank8):
         # index alignment: the atom's energy peak lies within a cell or so
         # of the nominal cube center
@@ -174,8 +189,13 @@ class TestPolyphaseSteps:
         rng = np.random.default_rng(p)
         for N, axis, shape in _level_shapes(n, 9 if n == 1 else 7):
             lo, hi = rng.standard_normal(shape), rng.standard_normal(shape)
-            got = _istep_axis(lo, hi, bank.lo, bank.hi, axis)
-            assert np.array_equal(got, add_at_istep(lo, hi, bank.lo, bank.hi, axis))
+            zero = np.zeros(shape)
+            # an all-zero part is skipped, not multiplied
+            for a, b in ((lo, hi), (zero, hi), (lo, zero), (zero, zero)):
+                got = _istep_axis(a, b, bank.lo, bank.hi, axis)
+                assert got.flags.c_contiguous
+                want = add_at_istep(a, b, bank.lo, bank.hi, axis)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("p", [2, 5, 8, 10])
     @pytest.mark.parametrize("n", [1, 2])
