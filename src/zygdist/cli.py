@@ -97,11 +97,15 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _content_hash(cfg: RunConfig, spec_text: str | None, f: GridFunction | None) -> str:
+def _content_hash(cfg: RunConfig, spec_text: str | None, f: GridFunction | None,
+                  criteria: list[int] | None = None) -> str:
     # the version names the code: a change to the numbers gets new report names;
     # the output directory is where the report goes, not what it is about
     config = {k: v for k, v in cfg.as_dict().items() if k != "out"}
     ident = {"config": config, "spec": spec_text, "version": zygdist.__version__}
+    if criteria is not None:
+        # a validate selection runs other criteria than the full suite
+        ident["criteria"] = sorted(criteria)
     if f is not None:
         # the spec may name a file, so the samples themselves identify the input;
         # hashed in place, without a copy of the grid
@@ -125,10 +129,10 @@ def _atomic_write(path: str, text: str):
 
 
 def _emit_json(cfg: RunConfig, name: str, body: dict, spec_text: str | None,
-               f: GridFunction | None = None) -> str:
+               f: GridFunction | None = None, criteria: list[int] | None = None) -> str:
     report = {
         "config": cfg.as_dict(),
-        "content_hash": _content_hash(cfg, spec_text, f),
+        "content_hash": _content_hash(cfg, spec_text, f, criteria),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         **body,
     }
@@ -248,15 +252,15 @@ def cmd_validate(args) -> int:
     results = _acceptance.run_all(numbers, theta=cfg.theta)
     for res in results:
         print(res.summary())
+    # run times go to stdout only: the report body is reproducible
     body = {
         "results": [
-            {"number": r.number, "name": r.name, "passed": r.passed,
-             "seconds": r.seconds, "failures": r.failures}
+            {"number": r.number, "name": r.name, "passed": r.passed, "failures": r.failures}
             for r in results
         ],
         "all_passed": all(r.passed for r in results),
     }
-    _emit_json(cfg, "validate", body, None)
+    _emit_json(cfg, "validate", body, None, criteria=numbers)
     return EXIT_OK if body["all_passed"] else EXIT_VALIDATION
 
 

@@ -211,14 +211,6 @@ class LevelField:
                     writer.writerow([j, pos, repr(float(val))])
 
 
-def pool_children(arr: np.ndarray, n: int) -> np.ndarray:
-    """Sum each dyadic cube's 2^n children: a level-(j+1) table to level j."""
-    if n == 1:
-        return arr[0::2] + arr[1::2]
-    h, w = arr.shape
-    return arr.reshape(h // 2, 2, w // 2, 2).sum(axis=(1, 3))
-
-
 def box_sup(levels, n: int) -> float:
     """sup over dyadic boxes Q of (1/|Q|) * (mass on the cubes under Q), in one
     bottom-up pass.
@@ -230,17 +222,25 @@ def box_sup(levels, n: int) -> float:
     best = 0.0
     acc = None
     for j, own in levels:
-        acc = own if acc is None else own + pool_children(acc, n)
+        acc = own if acc is None else own + pool(acc, np.add, 2**j)
         best = max(best, float(acc.max()) * 2.0 ** (n * j))
     return best
 
 
-def pool_max(arr: np.ndarray, cells: int) -> np.ndarray:
-    """Max over each of the cells^n equal dyadic blocks of arr, halving each axis pairwise."""
-    for axis in reversed(range(arr.ndim)):
+def pool(arr: np.ndarray, op, cells: int) -> np.ndarray:
+    """Reduce each of the cells^n equal dyadic blocks of arr with the binary
+    ufunc op (np.add or np.maximum).  The axes are halved pairwise in memory
+    order, smallest stride first, and the root's 2^n children are one
+    op.reduce: the order numpy's reshape(h/2, 2, w/2, 2).sum(axis=(1, 3))
+    adds in, so one level of sums is bitwise equal to it, (a00 + a01) +
+    (a10 + a11) on a C-ordered table and ((a00 + a01) + a10) + a11 on the
+    root's."""
+    if cells == 1 and arr.size == 2**arr.ndim:
+        return op.reduce(arr, axis=None, keepdims=True)
+    for axis in sorted(range(arr.ndim), key=arr.strides.__getitem__):
         lead = (slice(None),) * axis
         while arr.shape[axis] > cells:
-            arr = np.maximum(arr[lead + (slice(0, None, 2),)], arr[lead + (slice(1, None, 2),)])
+            arr = op(arr[lead + (slice(0, None, 2),)], arr[lead + (slice(1, None, 2),)])
     return arr
 
 
@@ -289,11 +289,12 @@ def carleson_sup(A: HalfSpaceSet, J_range: tuple[int, int], theta: float) -> Car
         raise ValueError(f"empty or invalid depth range {J_range}")
     js = list(range(j_lo, j_hi + 1))
 
-    def levels(top):
-        for j in range(top, -1, -1):  # a level-j cell's mass is its volume
-            yield j, A._masks[j].astype(float) * 2.0 ** (-A.n * j)
-
-    m_values = [box_sup(levels(min(J, A.J_max)), A.n) * LOG2 for J in js]
+    # a level-j cell's mass is its volume; depths beyond J_max share one pass
+    tops = [min(J, A.J_max) for J in js]
+    mass = [A._masks[j].astype(float) * 2.0 ** (-A.n * j) for j in range(tops[-1] + 1)]
+    sups = {top: box_sup(((j, mass[j]) for j in range(top, -1, -1)), A.n) * LOG2
+            for top in set(tops)}
+    m_values = [sups[top] for top in tops]
 
     fit_j = js[len(js) // 2:]
     if len(fit_j) < 2:

@@ -235,16 +235,10 @@ def synthesize(spec: FunctionSpec, n: int, J_grid: int) -> GridFunction:
         return GridFunction(n, J_grid, total, label=spec.canonical())
 
     if kind == "trig":
-        k = p["k"]
-        _check_arity(kind, k, n)
-        kmax = abs(k) if n == 1 else max(abs(v) for v in k)
-        if kmax > N // 2:
-            raise SpecError(f"trig frequency {k} not resolvable at J_grid={J_grid}")
-        if n == 1:
-            dot = k * x
-        else:
-            x1, x2 = np.meshgrid(x, x, indexing="ij")
-            dot = k[0] * x1 + k[1] * x2
+        k = _index_tuple(kind, p["k"], n)
+        if max(abs(v) for v in k) > N // 2:
+            raise SpecError(f"trig frequency {p['k']} not resolvable at J_grid={J_grid}")
+        dot = sum(kt * xt for kt, xt in zip(k, np.meshgrid(*(x,) * n, indexing="ij", sparse=True)))
         samples = p["a"] * np.cos(2 * np.pi * dot + p["phase"])
     elif kind in ("weierstrass", "lacunary-random"):
         levels = p["levels"]
@@ -283,7 +277,7 @@ def synthesize(spec: FunctionSpec, n: int, J_grid: int) -> GridFunction:
     elif kind == "xlogx":
         a = _xlogx_axis(x, p["eps"])
         # a sum of per-axis terms from 0, so a -0.0 term reads 0.0
-        samples = 0 + a if n == 1 else (0 + a[:, None]) + a[None, :]
+        samples = sum(np.meshgrid(*(a,) * n, indexing="ij", sparse=True))
     elif kind == "wavelet-atom":
         from . import wavelet  # local import, avoids a module cycle
 
@@ -293,15 +287,11 @@ def synthesize(spec: FunctionSpec, n: int, J_grid: int) -> GridFunction:
             raise SpecError(f"wavelet-atom: l={l} exceeds 2^n-1={2**n - 1}")
         if j > J_grid - 1:
             raise SpecError(f"wavelet-atom: level j={j} too deep for J_grid={J_grid}")
-        _check_arity(kind, k, n)
-        idx = (k,) if np.isscalar(k) else k
+        idx = _index_tuple(kind, k, n)
         if any(not 0 <= v < 2**j for v in idx):
             raise SpecError(f"wavelet-atom: index k={k} outside [0, 2^{j})^{n}")
         coeffs = wavelet.WaveletCoefficients.zeros(n, J_grid)
-        if n == 1:
-            coeffs.c[j][idx[0]] = 1.0
-        else:
-            coeffs.c[j][l - 1, idx[0], idx[1]] = 1.0
+        coeffs.c[j][(l - 1,) + idx] = 1.0
         g = wavelet.reconstruct(coeffs, bank)
         samples = g.samples
     elif kind == "file":
@@ -315,11 +305,13 @@ def synthesize(spec: FunctionSpec, n: int, J_grid: int) -> GridFunction:
     return GridFunction(n, J_grid, samples, label=spec.canonical())
 
 
-def _check_arity(kind: str, k, n: int):
-    """A frequency or position index k has one integer per axis."""
-    if (1 if np.isscalar(k) else len(k)) != n:
-        got = k if np.isscalar(k) else ",".join(str(v) for v in k)
+def _index_tuple(kind: str, k, n: int) -> tuple[int, ...]:
+    """A frequency or position index k as a tuple of one integer per axis."""
+    idx = (k,) if np.isscalar(k) else tuple(k)
+    if len(idx) != n:
+        got = ",".join(str(v) for v in idx)
         raise SpecError(f"{kind}: k={got} needs {n} ind{'ex' if n == 1 else 'ices'} at n={n}")
+    return idx
 
 
 def _xlogx_axis(x: np.ndarray, eps: float) -> np.ndarray:

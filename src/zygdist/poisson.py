@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import LevelField, pool_children, pool_max
+from .dyadic import LevelField, pool
 from .gridfn import GridFunction, bessel_lift, sup_norm, _half_freq_sq
 from .secdiff import CELL_FRACS
 
@@ -157,16 +157,16 @@ def derivative_field(f: GridFunction, s: float, J_max: int) -> LevelField:
     values = {j: np.zeros((2**j,) * f.n) for j in range(J_max + 1)}
     lock = threading.Lock()
 
-    def pool(i, parity, half):
+    def consume(i, parity, half):
         j, y = probes[i]
         # a cell two or more columns wide holds both parities, a one-column cell one
         level = values[j] if 2**j < f.grid_size else values[j][..., parity::2]
         # scaling by y^(2-s) > 0 after the max rounds exactly as before it
-        pooled = pool_max(np.abs(half, out=half), 2**j) * y ** (2.0 - s)
+        pooled = pool(np.abs(half, out=half), np.maximum, 2**j) * y ** (2.0 - s)
         with lock:  # both threads pool into the same levels
             np.maximum(level, pooled, out=level)
 
-    _extension_halves(f, [y for _, y in probes], True, pool)
+    _extension_halves(f, [y for _, y in probes], True, consume)
     return LevelField("poisson", f.n, J_max, values)
 
 
@@ -297,8 +297,8 @@ def bmo_norm(f: GridFunction, J_max: int) -> float:
             osc_sq = np.maximum(meansq - mean**2, 0.0)
             best = max(best, float(osc_sq.max()))
         if j > 0:
-            sums = pool_children(sums, f.n)
-            sqs = pool_children(sqs, f.n)
+            sums = pool(sums, np.add, 2 ** (j - 1))
+            sqs = pool(sqs, np.add, 2 ** (j - 1))
             count *= 2**f.n
     l2 = math.sqrt(float((f.samples**2).mean()))
     return math.sqrt(best) + l2

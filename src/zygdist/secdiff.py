@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import LevelField, pool_max
+from .dyadic import LevelField, pool
 from .gridfn import GridFunction
 
 # probe heights inside a Whitney cell, as fractions of the cube side
@@ -97,8 +97,10 @@ def _d2_lattice(samples: np.ndarray, h: tuple[int, ...], stride: int,
     return np.abs(out, out=out)
 
 
-def second_difference(f: GridFunction, x, y: float, K: int = 1) -> float:
-    """Maximal second difference at grid point x and scale y = m * 2^-J."""
+def second_difference(f: GridFunction, x, y: float, K: int | None = None) -> float:
+    """Maximal second difference at grid point x and scale y = m * 2^-J, over
+    K directions (default: as many as the fields use)."""
+    K = _default_K(f.n) if K is None else K
     N = f.grid_size
     m = y * N
     if abs(m - round(m)) > 1e-9 or round(m) < 1:
@@ -177,7 +179,7 @@ def _level_probe_max(f: GridFunction, s: float, j: int, K: int) -> np.ndarray:
             buf /= y**s
             np.maximum(probe_max, buf, out=probe_max)
     del twice_center, buf  # pooling's first halving would sit on top of them
-    return pool_max(probe_max, 2**j)
+    return pool(probe_max, np.maximum, 2**j)
 
 
 def _d2_vector(samples: np.ndarray, pos, m: np.ndarray, K: int) -> np.ndarray:

@@ -4,14 +4,20 @@ coefficient-truncation projection.
 
 Coefficient layout for grid depth J: one scaling coefficient d (the torus has
 a single unit cube at level 0) plus detail tables c[j] for levels
-j = 0 .. J-1, indexed by the dyadic cube (j, k) with 2^n - 1 orientations for
-n = 2.  Detail indices are rolled so that a coefficient's energy sits over
-its nominal cube; without that correction the filter group delay would park
-level-j coefficients about p cubes away from the features they measure.
+j = 0 .. J-1 of shape (2^n - 1,) + (2^j,) * n, so c[j][l - 1, k1, .., kn] is
+the coefficient of orientation l on the dyadic cube (j, k); n = 1 stores its
+one orientation as c[j][0].  Orientation l = 1 .. 2^n - 1 is the tensor
+product that carries the wavelet (detail) on axis t iff bit t of l is set and
+the scaling function (approximation) on the other axes: at n = 2, l = 1, 2, 3
+are detail on axis 0, on axis 1, and on both.  Detail indices are rolled so
+that a coefficient's energy sits over its nominal cube; without that
+correction the filter group delay would park level-j coefficients about p
+cubes away from the features they measure.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -159,9 +165,14 @@ class WaveletCoefficients:
     d: float
     c: dict[int, np.ndarray]
 
+    @staticmethod
+    def level_shape(n: int, j: int) -> tuple[int, ...]:
+        """Shape of c[j]: the orientations, then one axis per dimension."""
+        return (2**n - 1,) + (2**j,) * n
+
     def __post_init__(self):
         for j in range(self.J_grid):
-            shape = (2**j,) if self.n == 1 else (3, 2**j, 2**j)
+            shape = self.level_shape(self.n, j)
             arr = np.asarray(self.c[j], dtype=float)
             if arr.shape != shape:
                 raise ValueError(f"c[{j}] has shape {arr.shape}, expected {shape}")
@@ -169,10 +180,7 @@ class WaveletCoefficients:
 
     @classmethod
     def zeros(cls, n: int, J_grid: int) -> "WaveletCoefficients":
-        c = {
-            j: np.zeros((2**j,) if n == 1 else (3, 2**j, 2**j))
-            for j in range(J_grid)
-        }
+        c = {j: np.zeros(cls.level_shape(n, j)) for j in range(J_grid)}
         return cls(n=n, J_grid=J_grid, d=0.0, c=c)
 
     def copy(self) -> "WaveletCoefficients":
@@ -183,8 +191,7 @@ class WaveletCoefficients:
 
     def sup_abs(self, j: int) -> np.ndarray:
         """Per-cube sup over orientations of |c|."""
-        a = np.abs(self.c[j])
-        return a if self.n == 1 else a.max(axis=0)
+        return functools.reduce(np.maximum, map(np.abs, self.c[j]))
 
     def coefficient_energy(self) -> float:
         return self.d**2 + sum(float((a**2).sum()) for a in self.c.values())
@@ -248,55 +255,51 @@ def _istep_axis(lo_part: np.ndarray, hi_part: np.ndarray,
     return out
 
 
+def _rolls(n: int, l: int, bank: FilterBank) -> tuple[int, ...]:
+    """Per-axis roll of orientation l: shift_detail on its detail axes,
+    shift_approx on the others."""
+    return tuple(bank.shift_detail if l >> t & 1 else bank.shift_approx for t in range(n))
+
+
 def analyze(f: GridFunction, bank: FilterBank) -> WaveletCoefficients:
-    """Full periodized decomposition; exact Parseval partner of reconstruct."""
+    """Full periodized decomposition; exact Parseval partner of reconstruct.
+
+    Each level splits every part along each axis, last axis first; the part
+    with detail bits l is orientation l, and part 0 the next approximation."""
     if f.grid_size < bank.length:
         raise ValueError(
             f"grid of 2^{f.J_grid} points too coarse for a length-{bank.length} filter"
         )
-    J = f.J_grid
-    a = f.samples * 2.0 ** (-f.n * J / 2.0)
-    rd, ra = bank.shift_detail, bank.shift_approx
+    n, J = f.n, f.J_grid
+    axes = tuple(range(n))
+    parts = {0: f.samples * 2.0 ** (-n * J / 2.0)}
     c: dict[int, np.ndarray] = {}
-    if f.n == 1:
-        for j in range(J - 1, -1, -1):
-            a, detail = _step_axis(a, bank.lo, bank.hi, axis=0)
-            c[j] = np.roll(detail, rd)
-        return WaveletCoefficients(n=1, J_grid=J, d=float(a[0]), c=c)
-
     for j in range(J - 1, -1, -1):
-        A1, D1 = _step_axis(a, bank.lo, bank.hi, axis=1)
-        a, DA = _step_axis(A1, bank.lo, bank.hi, axis=0)
-        AD, DD = _step_axis(D1, bank.lo, bank.hi, axis=0)
-        c[j] = np.stack([
-            np.roll(DA, (rd, ra), axis=(0, 1)),
-            np.roll(AD, (ra, rd), axis=(0, 1)),
-            np.roll(DD, (rd, rd), axis=(0, 1)),
-        ])
-    return WaveletCoefficients(n=2, J_grid=J, d=float(a[0, 0]), c=c)
+        for t in reversed(axes):
+            for l in list(parts):
+                parts[l], parts[l | 1 << t] = _step_axis(parts[l], bank.lo, bank.hi, axis=t)
+        c[j] = np.stack([np.roll(parts.pop(l), _rolls(n, l, bank), axis=axes)
+                         for l in range(1, 2**n)])
+    return WaveletCoefficients(n=n, J_grid=J, d=float(parts[0][(0,) * n]), c=c)
 
 
 def reconstruct(coeffs: WaveletCoefficients, bank: FilterBank) -> GridFunction:
-    J = coeffs.J_grid
-    rd, ra = bank.shift_detail, bank.shift_approx
-    if coeffs.n == 1:
-        a = np.array([coeffs.d])
-        for j in range(J):
-            detail = np.roll(coeffs.c[j], -rd)
-            a = _istep_axis(a, detail, bank.lo, bank.hi, axis=0)
-        samples = a * 2.0 ** (J / 2.0)
-        return GridFunction(1, J, samples, label="reconstructed")
-
-    a = np.array([[coeffs.d]])
+    """Inverse of analyze: each level joins the parts l and l | 1 << t along
+    axis t, axis 0 first, down to the next approximation."""
+    n, J = coeffs.n, coeffs.J_grid
+    axes = tuple(range(n))
+    a = np.full((1,) * n, coeffs.d)
     for j in range(J):
-        DA = np.roll(coeffs.c[j][0], (-rd, -ra), axis=(0, 1))
-        AD = np.roll(coeffs.c[j][1], (-ra, -rd), axis=(0, 1))
-        DD = np.roll(coeffs.c[j][2], (-rd, -rd), axis=(0, 1))
-        A1 = _istep_axis(a, DA, bank.lo, bank.hi, axis=0)
-        D1 = _istep_axis(AD, DD, bank.lo, bank.hi, axis=0)
-        a = _istep_axis(A1, D1, bank.lo, bank.hi, axis=1)
-    samples = a * 2.0**J
-    return GridFunction(2, J, samples, label="reconstructed")
+        parts = {l: np.roll(coeffs.c[j][l - 1], [-r for r in _rolls(n, l, bank)], axis=axes)
+                 for l in range(1, 2**n)}
+        parts[0] = a
+        for t in axes:
+            for l in sorted(m for m in parts if not m >> t & 1):
+                parts[l] = _istep_axis(parts[l], parts.pop(l | 1 << t),
+                                       bank.lo, bank.hi, axis=t)
+        a = parts[0]
+    samples = a * 2.0 ** (n * J / 2.0)
+    return GridFunction(n, J, samples, label="reconstructed")
 
 
 def scale_ratio_field(coeffs: WaveletCoefficients, s: float) -> LevelField:
@@ -322,10 +325,7 @@ def jbmo_box_sup(coeffs: WaveletCoefficients, s: float, max_level: int | None = 
 
     def levels():
         for j in range(top, -1, -1):
-            sq = coeffs.c[j] ** 2
-            if coeffs.n == 2:
-                sq = sq.sum(axis=0)
-            yield j, 4.0 ** (j * s) * sq
+            yield j, 4.0 ** (j * s) * (coeffs.c[j] ** 2).sum(axis=0)
 
     return box_sup(levels(), coeffs.n)
 
@@ -346,10 +346,6 @@ def truncate_projection(coeffs: WaveletCoefficients, s: float, eps: float) -> Wa
     field = scale_ratio_field(coeffs, s)
     out = coeffs.copy()
     for j in range(coeffs.J_grid):
-        keep = field.values[j] > eps
-        if coeffs.n == 1:
-            out.c[j] = np.where(keep, coeffs.c[j], 0.0)
-        else:
-            out.c[j] = np.where(keep[None, :, :], coeffs.c[j], 0.0)
+        out.c[j] = np.where(field.values[j] > eps, coeffs.c[j], 0.0)
     return out
 

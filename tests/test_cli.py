@@ -47,11 +47,14 @@ class TestSeminorms:
         assert code == EXIT_VALIDATION
         assert "error" in capsys.readouterr().err
 
-    def test_reports_reproducible_modulo_timestamp(self, tmp_path):
-        args = ["seminorms", "--spec", "trig k=1 a=1", "--jgrid", "8",
-                "--out", str(tmp_path)]
+    @pytest.mark.parametrize("args", [
+        ["seminorms", "--spec", "trig k=1 a=1", "--jgrid", "8"],
+        ["validate", "--criteria", "1"],
+    ], ids=["seminorms", "validate"])
+    def test_reports_reproducible_modulo_timestamp(self, tmp_path, args):
+        args = args + ["--out", str(tmp_path)]
         assert run(args) == EXIT_OK
-        path, _ = load_report(tmp_path, "seminorms")
+        path, _ = load_report(tmp_path, args[0])
         first = path.read_text()
         assert run(args) == EXIT_OK
         second = path.read_text()
@@ -166,6 +169,13 @@ class TestValidate:
         assert "criterion  1" in out and "PASS" in out
         _, rep = load_report(tmp_path, "validate")
         assert rep["all_passed"]
+
+    def test_selection_enters_report_name(self, tmp_path):
+        # a partial run must not overwrite the report of another selection
+        for criteria in ("1", "1,3"):
+            assert run(["validate", "--criteria", criteria, "--out", str(tmp_path)]) == EXIT_OK
+        reports = [json.loads(p.read_text()) for p in tmp_path.glob("validate_*.json")]
+        assert sorted(len(rep["results"]) for rep in reports) == [1, 2]
 
     def test_absurd_theta_fails_divergence_criteria(self, tmp_path, capsys):
         # with theta=10 no slope can flag divergence, so the stack check fails

@@ -8,7 +8,7 @@ import pytest
 from zygdist.dyadic import (LOG2, DyadicCube, HalfSpacePoint, HalfSpaceSet,
                             WhitneyCell, carleson_box_value, carleson_sup,
                             cell_diameter_bound, enlarge,
-                            hyperbolic_distance, pool_max, threshold_set)
+                            hyperbolic_distance, pool, threshold_set)
 
 
 # ---------------------------------------------------------------- oracles
@@ -337,11 +337,23 @@ class TestEnlarge:
 @pytest.mark.parametrize("n,J", [(1, 10), (2, 6)])
 def test_pool_max_matches_block_reshape(n, J):
     arr = np.random.default_rng(n).standard_normal((2**J,) * n)
+    blocks = tuple(range(1, 2 * n, 2))
     for j in range(J + 1):
         pts = 2 ** (J - j)
         shape = (2**j, pts) * n
-        want = arr.reshape(shape).max(axis=tuple(range(1, 2 * n, 2)))
-        assert np.array_equal(pool_max(arr, 2**j), want)
+        want = arr.reshape(shape).max(axis=blocks)
+        assert np.array_equal(pool(arr, np.maximum, 2**j), want)
+    # one level of sums adds as numpy's block sum does, bit for bit, on
+    # C-ordered tables and transposed ones, down to the last 2^n children
+    for j in range(J):
+        sub = arr[(slice(0, 2 ** (j + 1)),) * n]
+        for table in (sub, sub.T):
+            want = table.reshape((2**j, 2) * n).sum(axis=blocks)
+            assert pool(table, np.add, 2**j).tobytes() == want.tobytes()
+    for root in np.random.default_rng(J).standard_normal((50,) + (2,) * n):
+        for table in (root, root.T):
+            want = table.reshape((1, 2) * n).sum(axis=blocks)
+            assert pool(table, np.add, 1).tobytes() == want.tobytes()
 
 
 class TestHalfSpaceSet:

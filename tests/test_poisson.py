@@ -214,13 +214,13 @@ class TestHalfLengthTransforms:
     def test_threads_do_not_change_the_numbers(self, n, Jg, monkeypatch):
         f = synthesize(parse_function_spec("weierstrass s=1 levels=5 signs=random seed=4"), n, Jg)
         caller, off_caller = threading.get_ident(), []
-        pool_max = poisson.pool_max
+        pool = poisson.pool
 
-        def spy(arr, cells):
+        def spy(arr, op, cells):
             off_caller.append(threading.get_ident() != caller)
-            return pool_max(arr, cells)
+            return pool(arr, op, cells)
 
-        monkeypatch.setattr(poisson, "pool_max", spy)
+        monkeypatch.setattr(poisson, "pool", spy)
         monkeypatch.setattr(poisson, "_CPUS", 2)
         runs = []
         for min_points in (2**62, 0):  # serial, then threaded
@@ -256,14 +256,14 @@ class TestHalfLengthTransforms:
     def test_worker_error_reaches_caller(self, monkeypatch):
         f = synthesize(parse_function_spec("weierstrass s=1 levels=6"), 1, 10)
         caller = threading.get_ident()
-        pool_max = poisson.pool_max
+        pool = poisson.pool
 
-        def fail_off_caller(arr, cells):
+        def fail_off_caller(arr, op, cells):
             if threading.get_ident() != caller:
                 raise RuntimeError("worker failed")
-            return pool_max(arr, cells)
+            return pool(arr, op, cells)
 
-        monkeypatch.setattr(poisson, "pool_max", fail_off_caller)
+        monkeypatch.setattr(poisson, "pool", fail_off_caller)
         monkeypatch.setattr(poisson, "_CPUS", 2)
         monkeypatch.setattr(poisson, "_THREAD_MIN_POINTS", 0)
         with pytest.raises(RuntimeError, match="worker failed"):

@@ -86,6 +86,18 @@ class TestSecondDifference:
         val = second_difference(f, (0, 0), 0.5, K=8)
         assert abs(val - 4.0) < 1e-12
 
+    def test_n2_default_directions_are_the_fields(self, weier1_12):
+        # the (m, 0) axis alone misses a function of the second coordinate
+        f = synthesize(parse_function_spec("trig k=0,1 a=1"), 2, 8)
+        assert second_difference(f, (0, 0), 0.5, K=1) == 0.0
+        assert second_difference(f, (0, 0), 0.5) == second_difference(f, (0, 0), 0.5, K=8)
+        g = synthesize(parse_function_spec("weierstrass s=1 levels=5 signs=random seed=2"), 2, 7)
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            x = tuple(int(v) for v in rng.integers(0, 128, 2))
+            y = int(rng.integers(1, 64)) / 128
+            assert second_difference(g, x, y) == second_difference(g, x, y, K=8)
+
 
 class TestLatticeStencil:
     @pytest.mark.parametrize("n,Jg", [(1, 9), (2, 6)])

@@ -61,7 +61,7 @@ class TestBasisOrthonormality:
             if kind == "d":
                 coeffs.d = 1.0
             else:
-                coeffs.c[j][k] = 1.0
+                coeffs.c[j][0, k] = 1.0
             rows.append(reconstruct(coeffs, bank).samples * 2.0 ** (-J / 2))
         B = np.stack(rows)
         gram = B @ B.T
@@ -70,7 +70,7 @@ class TestBasisOrthonormality:
         rng = np.random.default_rng(7)
         f = GridFunction(1, J, rng.standard_normal(N))
         coeffs = analyze(f, bank)
-        flat = np.concatenate([[coeffs.d]] + [coeffs.c[j] for j in range(J)])
+        flat = np.concatenate([[coeffs.d]] + [coeffs.c[j][0] for j in range(J)])
         want = B @ (f.samples * 2.0 ** (-J / 2))
         assert np.max(np.abs(flat - want)) < 1e-12
 
@@ -79,8 +79,8 @@ class TestAnalyzeReconstruct:
     def test_atom_gives_unit_coefficient(self, bank8):
         f = synthesize(parse_function_spec("wavelet-atom l=1 j=3 k=2"), 1, 12)
         coeffs = analyze(f, bank8)
-        assert abs(coeffs.c[3][2] - 1.0) < 1e-9
-        coeffs.c[3][2] = 0.0
+        assert abs(coeffs.c[3][0, 2] - 1.0) < 1e-9
+        coeffs.c[3][0, 2] = 0.0
         leak = max(float(np.max(np.abs(a))) for a in coeffs.c.values())
         assert leak < 1e-9
         assert abs(coeffs.d) < 1e-9
@@ -111,6 +111,22 @@ class TestAnalyzeReconstruct:
             assert abs(coeffs.c[2][l - 1, 1, 3] - 1.0) < 1e-9
             coeffs.c[2][l - 1, 1, 3] = 0.0
             assert max(float(np.max(np.abs(a))) for a in coeffs.c.values()) < 1e-9
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_one_table_per_level_with_all_orientations(self, bank2, n):
+        coeffs = analyze(GridFunction(n, 5, np.ones((32,) * n)), bank2)
+        assert [coeffs.c[j].shape for j in range(5)] == [(2**n - 1,) + (2**j,) * n for j in range(5)]
+
+    def test_n2_orientation_bits_name_detail_axes(self, bank8):
+        # f(x1, x2) = g(x2) is constant along axis 0, so the orientations with
+        # bit 0 set (detail on axis 0: l = 1, 3) vanish to roundoff
+        g = np.random.default_rng(4).standard_normal(64)
+        coeffs = analyze(GridFunction(2, 6, np.broadcast_to(g, (64, 64))), bank8)
+        for a in coeffs.c.values():
+            assert np.max(np.abs(a[[0, 2]])) < 1e-12 * np.max(np.abs(g))
+        # so l = 2 carries all the detail energy (Parseval)
+        energy = coeffs.d**2 + sum(float((a[1] ** 2).sum()) for a in coeffs.c.values())
+        assert abs(energy - float((g**2).mean())) < 1e-12 * float((g**2).mean())
 
     def test_n2_roundtrip_parseval(self, bank8):
         rng = np.random.default_rng(9)
@@ -243,7 +259,7 @@ class TestLipNorm:
     @pytest.mark.parametrize("j,k", [(0, 0), (3, 5), (6, 40)])
     def test_single_atom_scaling(self, s, j, k):
         coeffs = WaveletCoefficients.zeros(1, 8)
-        coeffs.c[j][k] = 2.0 ** (-j * (0.5 + s))
+        coeffs.c[j][0, k] = 2.0 ** (-j * (0.5 + s))
         assert abs(lip_wavelet_norm(coeffs, s) - 1.0) < 1e-12
 
     def test_homogeneous(self, random_12, bank8):
@@ -276,7 +292,7 @@ def brute_box_sup(coeffs, s, max_level):
             total = 0.0
             for j in range(q, max_level + 1):
                 shift = j - q
-                seg = coeffs.c[j][kq << shift:(kq + 1) << shift]
+                seg = coeffs.c[j][0, kq << shift:(kq + 1) << shift]
                 total += 4.0 ** (j * s) * float((seg**2).sum())
             best = max(best, total * 2.0**q)
     return best
@@ -290,7 +306,7 @@ class TestJbmoNorm:
     @pytest.mark.parametrize("j,k", [(0, 0), (4, 11)])
     def test_single_atom_closed_form(self, s, j, k):
         coeffs = WaveletCoefficients.zeros(1, 8)
-        coeffs.c[j][k] = 1.0
+        coeffs.c[j][0, k] = 1.0
         want = 2.0 ** (j * (s + 0.5))
         assert abs(jbmo_wavelet_norm(coeffs, s) - want) < 1e-10
 
@@ -326,7 +342,7 @@ class TestBuildT:
     def test_single_cell_at_half_threshold(self):
         coeffs = WaveletCoefficients.zeros(1, 8)
         eps = 0.3
-        coeffs.c[4][7] = 2.0 * eps * 2.0 ** (-4 * 1.5)
+        coeffs.c[4][0, 7] = 2.0 * eps * 2.0 ** (-4 * 1.5)
         T = scale_ratio_field(coeffs, 1.0).threshold(eps)
         assert T.cell_count == 1
         assert (4, (7,)) in T
@@ -337,7 +353,7 @@ class TestBuildT:
         T = scale_ratio_field(coeffs, s).threshold(eps)
         for j in range(coeffs.J_grid):
             for k in range(2**j):
-                expected = abs(coeffs.c[j][k]) > eps * 2.0 ** (-j * (0.5 + s))
+                expected = abs(coeffs.c[j][0, k]) > eps * 2.0 ** (-j * (0.5 + s))
                 assert ((j, (k,)) in T) == expected
 
     def test_monotone_in_eps(self, weier1_12, bank8):
