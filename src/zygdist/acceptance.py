@@ -230,7 +230,7 @@ def criterion_6() -> CriterionResult:
         for s in (0.5, 1.0):
             eps_hi = _wavelet.scale_ratio_field(coeffs, s).max_value
             for frac in (0.25, 0.5, 0.75):
-                w = _distance.projection_distance_witness(f, s, frac * eps_hi, bank=bank)
+                w = _distance.projection_distance_witness(coeffs, s, frac * eps_hi)
                 if not w.tail_ok:
                     failures.append(
                         f"{f.label} s={s} eps={frac}*hi: tail {w.tail_norm:.3e} > eps")
@@ -280,7 +280,7 @@ def criterion_7(theta: float = THETA) -> CriterionResult:
         f = synthesize(parse_function_spec(spec_text), 1, J)
         for s in (0.5, 1.0):
             for m in _distance.METHODS:
-                est = _distance.epsilon_star(f, s, m, J_range, theta)
+                est = _distance.epsilon_star(_distance.method_context(f, s, m), s, J_range, theta)
                 frac = est.epsilon_star / est.eps_hi if est.eps_hi else 0.0
                 details["collapse"][f"{f.label} s={s} {m}"] = {
                     "collapsed": est.collapsed, "eps0_over_hi": frac}
@@ -321,7 +321,7 @@ def criterion_8(theta: float = THETA) -> CriterionResult:
     safe_top = max(fit_start - spill - 1, 0)
     for f in corpus(1, J):
         fld = _distance.method_context(f, 1.0, "secdiff", J_max=J_max)
-        est = _distance.epsilon_star(f, 1.0, "secdiff", J_range, theta, context=fld)
+        est = _distance.epsilon_star(fld, 1.0, J_range, theta)
         eps_div = 0.5 * est.epsilon_star
         deep_max = max(float(fld.values[j].max()) for j in range(safe_top + 1, J_max + 1))
         eps_sat = 1.05 * deep_max
@@ -355,16 +355,13 @@ def criterion_9(theta: float = THETA) -> CriterionResult:
     s = 1.0
     J_range = (6, 10)
     f = synthesize(parse_function_spec(CORPUS_SPECS[4]), 1, J)
-    contexts = {m: _distance.method_context(f, s, m) for m in _distance.METHODS}
+    fields = {m: _distance.method_context(f, s, m) for m in _distance.METHODS}
     achieved = {}
     for src, tgt in (("wavelet", "secdiff"), ("secdiff", "poisson"), ("poisson", "wavelet")):
-        est = _distance.epsilon_star(f, s, src, J_range, theta, context=contexts[src])
-        eps = 0.5 * est.epsilon_star
+        eps = 0.5 * _distance.epsilon_star(fields[src], s, J_range, theta).epsilon_star
         rep = _distance.inclusion_probe(
-            f, s, eps, src, tgt,
-            c_grid=(1.0, 0.5, 0.25, 0.125), R_grid=(0.5, 1.0, 2.0, 4.0), eta=0.99,
-            source_context=contexts[src], target_context=contexts[tgt],
-        )
+            fields[src], fields[tgt], eps,
+            c_grid=(1.0, 0.5, 0.25, 0.125), R_grid=(0.5, 1.0, 2.0, 4.0), eta=0.99)
         achieved[f"{src}->{tgt}"] = {
             "achieved": rep.achieved, "eps": eps,
             "source_cells": rep.source_cells, "best_fraction": max(map(max, rep.fractions)),
@@ -422,6 +419,8 @@ def run_all(numbers=None, theta: float = THETA) -> list[CriterionResult]:
     import inspect
 
     selected = sorted(numbers) if numbers else sorted(CRITERIA)
+    if not set(selected) <= set(CRITERIA):
+        raise ValueError(f"criteria are numbered 1-{len(CRITERIA)}, got {selected}")
     results = []
     for k in selected:
         fn = CRITERIA[k]

@@ -224,19 +224,18 @@ def cmd_inclusion(args) -> int:
     spec = parse_function_spec(args.spec)
     f = synthesize(spec, cfg.n, cfg.J_grid)
     bank = _wavelet.filter_bank(cfg.wavelet_p)
-    kwargs = {"bank": bank, "K": _k_or_none(cfg)}
     # one source field serves the bisection and the probe
-    src = _distance.method_context(f, cfg.s, args.source, **kwargs)
+    src = _distance.method_context(f, cfg.s, args.source, bank=bank, K=_k_or_none(cfg))
     if args.eps is None:
-        est = _distance.epsilon_star(f, cfg.s, args.source, (cfg.J_lo, cfg.J_hi),
-                                     cfg.theta, context=src)
+        est = _distance.epsilon_star(src, cfg.s, (cfg.J_lo, cfg.J_hi), cfg.theta)
         _print_warnings([est])
         eps = 0.5 * est.epsilon_star
     else:
         eps = args.eps
-    rep = _distance.inclusion_probe(
-        f, cfg.s, eps, args.source, args.target, eta=args.eta, source_context=src,
-        target_context=src if args.target == args.source else None, **kwargs)
+    # the target field is built after the bisection, whose sets are gone by then
+    tgt = src if args.target == args.source else _distance.method_context(
+        f, cfg.s, args.target, bank=bank, K=_k_or_none(cfg))
+    rep = _distance.inclusion_probe(src, tgt, eps, eta=args.eta)
     body = {"function": f.label, "n": cfg.n, "s": cfg.s,
             "inclusions": rep.as_dict()}
     path = _emit_json(cfg, "inclusion", body, args.spec, f)
@@ -248,7 +247,8 @@ def cmd_validate(args) -> int:
     cfg = build_config(args)
     numbers = None
     if args.criteria:
-        numbers = [int(t) for t in args.criteria.split(",")]
+        # a repeated number selects its criterion once, under one report name
+        numbers = sorted({int(t) for t in args.criteria.split(",")})
     results = _acceptance.run_all(numbers, theta=cfg.theta)
     for res in results:
         print(res.summary())

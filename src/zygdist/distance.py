@@ -2,6 +2,9 @@
 cross-method comparison, the hyperbolic inclusion probes, and the
 coefficient-truncation witness.
 
+The estimators take what they measure: a LevelField (method_context builds
+one from a function) or, for the witness, the analysed wavelet table.
+
 For each method the critical threshold is the infimum of eps for which the
 eps-superlevel set stops looking like a Carleson-divergent set at desk scale.
 It is bracketed by bisection on [0, eps_hi], where eps_hi is the method's own
@@ -124,11 +127,10 @@ def _envelope_slope(fld: LevelField, J_range: tuple[int, int]) -> float | None:
 
 
 def epsilon_star(
-    f: GridFunction, s: float, method: str,
-    J_range: tuple[int, int], theta: float = 0.1, iterations: int = 20,
-    context: LevelField | None = None, **ctx_kwargs,
+    fld: LevelField, s: float, J_range: tuple[int, int],
+    theta: float = 0.1, iterations: int = 20,
 ) -> DistanceEstimate:
-    """Bisect for the smallest eps whose superlevel set is not diverging.
+    """Bisect for the smallest eps whose fld-superlevel set is not diverging.
 
     The bracket invariant is: the set at the upper end never diverges, the
     lower end was observed diverging (or stayed at 0).  Divergence flags need
@@ -142,7 +144,6 @@ def epsilon_star(
     a warning names the fitted slope.  Without the certificate a range that
     stops above J_max keeps its finite-depth bias.
     """
-    fld = context or method_context(f, s, method, **ctx_kwargs)
     eps_hi = fld.max_value
     warnings: list[str] = []
     trace: list[ProbeRecord] = []
@@ -219,15 +220,18 @@ class MethodComparison:
 
 def compare_methods(
     f: GridFunction, s: float, J_range: tuple[int, int], theta: float = 0.1,
-    band: float = 32.0, iterations: int = 20, **ctx_kwargs,
+    band: float = 32.0, iterations: int = 20,
+    bank: _wavelet.FilterBank | None = None, K: int | None = None,
 ) -> MethodComparison:
-    """Critical thresholds under all three constructions plus pairwise ratios.
+    """Critical thresholds under all three constructions plus pairwise ratios;
+    each method's field is built and dropped before the next is built.
 
     If both thresholds of a pair sit below their bisection resolution the
     ratio is defined as 1 (the zero-zero convention).
     """
     estimates = {
-        m: epsilon_star(f, s, m, J_range, theta, iterations, **ctx_kwargs)
+        m: epsilon_star(method_context(f, s, m, bank=bank, K=K),
+                        s, J_range, theta, iterations)
         for m in METHODS
     }
     ratios: dict[str, float] = {}
@@ -290,15 +294,11 @@ def _contained_fraction(source: HalfSpaceSet, target: HalfSpaceSet) -> float:
 
 
 def inclusion_probe(
-    f: GridFunction, s: float, eps: float,
-    source_method: str, target_method: str,
+    src: LevelField, tgt: LevelField, eps: float,
     c_grid=(1.0, 0.5, 0.25, 0.125), R_grid=(0.5, 1.0, 2.0, 4.0),
     eta: float = 0.99,
-    source_context: LevelField | None = None,
-    target_context: LevelField | None = None,
-    **ctx_kwargs,
 ) -> InclusionReport:
-    """Fraction of source cells inside the R-enlarged target set at c * eps.
+    """Fraction of src cells at eps inside the R-enlarged tgt set at c * eps.
 
     The target threshold is lowered (c <= 1 grows the target set) and the
     target is hyperbolically enlarged; the preferred witness is the largest c
@@ -308,8 +308,8 @@ def inclusion_probe(
         raise ValueError("c_grid entries must lie in (0, 1]")
     if any(r < 0.0 for r in R_grid):
         raise ValueError("R_grid entries must be >= 0")
-    src = source_context or method_context(f, s, source_method, **ctx_kwargs)
-    tgt = target_context or method_context(f, s, target_method, **ctx_kwargs)
+    if src.n != tgt.n:
+        raise ValueError(f"source field has n={src.n}, target field n={tgt.n}")
     source = src.threshold(eps)
 
     cs = tuple(sorted(c_grid, reverse=True))
@@ -344,24 +344,22 @@ class WitnessReport:
 
 
 def projection_distance_witness(
-    f: GridFunction, s: float, eps: float, bank: _wavelet.FilterBank | None = None,
+    coeffs: _wavelet.WaveletCoefficients, s: float, eps: float,
 ) -> WitnessReport:
-    """Check the mechanics of the coefficient-truncation projection.
+    """Check the mechanics of the coefficient-truncation projection of coeffs.
 
     (a) the discarded coefficient tail has smoothness norm <= eps exactly;
     (b) at every depth J, the kept coefficients' box sums are bounded by
         (2^n - 1) * (coefficient sup norm)^2 * M_J(bad set) / log 2,
         cell-exactly (a float slack of 1e-12 covers the arithmetic).
     """
-    bank = bank or _wavelet.filter_bank(8)
-    coeffs = _wavelet.analyze(f, bank)
     g = _wavelet.truncate_projection(coeffs, s, eps)
     tail = coeffs.minus(g)
     tail_norm = _wavelet.lip_wavelet_norm(tail, s)
     tail_ok = tail_norm <= eps or (eps == 0.0 and tail_norm == 0.0)
 
     ratio = _wavelet.scale_ratio_field(coeffs, s)
-    factor = (2**f.n - 1) * ratio.max_value**2
+    factor = (2**coeffs.n - 1) * ratio.max_value**2
     T = ratio.threshold(eps)
 
     per_depth: list[tuple[int, float, float]] = []

@@ -177,6 +177,22 @@ class TestValidate:
         reports = [json.loads(p.read_text()) for p in tmp_path.glob("validate_*.json")]
         assert sorted(len(rep["results"]) for rep in reports) == [1, 2]
 
+    @pytest.mark.parametrize("criteria", ["0", "11", "1,11"])
+    def test_unknown_criterion_rejected(self, tmp_path, capsys, criteria):
+        code = run(["validate", "--criteria", criteria, "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert "numbered 1-10" in capsys.readouterr().err
+        assert not list(tmp_path.glob("validate_*.json"))
+
+    def test_repeated_criterion_runs_once(self, tmp_path, capsys):
+        # "1,1" is the selection "1": one run, one report under one name
+        for criteria in ("1", "1,1"):
+            assert run(["validate", "--criteria", criteria, "--out", str(tmp_path)]) == EXIT_OK
+            assert capsys.readouterr().out.count("criterion  1") == 1
+        reports = list(tmp_path.glob("validate_*.json"))
+        assert len(reports) == 1
+        assert len(json.loads(reports[0].read_text())["results"]) == 1
+
     def test_absurd_theta_fails_divergence_criteria(self, tmp_path, capsys):
         # with theta=10 no slope can flag divergence, so the stack check fails
         code = run(["validate", "--criteria", "1", "--theta", "10",

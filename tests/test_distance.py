@@ -1,7 +1,9 @@
+import weakref
+
 import numpy as np
 import pytest
 
-from zygdist import GridFunction, parse_function_spec, synthesize
+from zygdist import GridFunction, distance, parse_function_spec, synthesize
 from zygdist.distance import (C2_DECAY_KAPPA, METHODS, compare_methods,
                               epsilon_star, inclusion_probe, method_context,
                               projection_distance_witness)
@@ -14,8 +16,12 @@ THETA = 0.1
 
 
 @pytest.fixture(scope="module")
-def contexts_weier(weier1_12):
+def fields_weier(weier1_12):
     return {m: method_context(weier1_12, 1.0, m) for m in METHODS}
+
+
+def estimate(f, s, method, J_range=J_RANGE):
+    return epsilon_star(method_context(f, s, method), s, J_range, THETA)
 
 
 class TestMethodContext:
@@ -31,17 +37,15 @@ class TestMethodContext:
 
 
 class TestEpsilonStar:
-    def test_weierstrass_separates(self, weier1_12, contexts_weier):
+    def test_weierstrass_separates(self, fields_weier):
         for m in METHODS:
-            est = epsilon_star(weier1_12, 1.0, m, J_RANGE, THETA,
-                               context=contexts_weier[m])
+            est = epsilon_star(fields_weier[m], 1.0, J_RANGE, THETA)
             assert est.epsilon_star > 0.05 * est.eps_hi
             assert not est.collapsed
             assert est.monotone
 
-    def test_bracket_invariants(self, weier1_12, contexts_weier):
-        est = epsilon_star(weier1_12, 1.0, "secdiff", J_RANGE, THETA,
-                           context=contexts_weier["secdiff"])
+    def test_bracket_invariants(self, fields_weier):
+        est = epsilon_star(fields_weier["secdiff"], 1.0, J_RANGE, THETA)
         lo, hi = est.bracket
         assert lo <= est.epsilon_star <= hi
         assert hi - lo <= est.eps_hi * 2.0**-est.iterations * (1 + 1e-12)
@@ -52,46 +56,45 @@ class TestEpsilonStar:
     def test_wavelet_collapse_for_smooth_and_atoms(self, atom_12):
         trig = synthesize(parse_function_spec("sum trig k=1 a=1 + trig k=7 a=0.2"), 1, J)
         for f in (trig, atom_12):
-            est = epsilon_star(f, 1.0, "wavelet", J_RANGE, THETA)
+            est = estimate(f, 1.0, "wavelet")
             assert est.collapsed
             assert est.epsilon_star < est.resolution
 
-    def test_smooth_below_rough_under_every_method(self, weier1_12, contexts_weier):
+    def test_smooth_below_rough_under_every_method(self, fields_weier):
         trig = synthesize(parse_function_spec("sum trig k=1 a=1 + trig k=7 a=0.2"), 1, J)
         for m in METHODS:
-            rough = epsilon_star(weier1_12, 1.0, m, J_RANGE, THETA,
-                                 context=contexts_weier[m])
-            smooth = epsilon_star(trig, 1.0, m, J_RANGE, THETA)
+            rough = epsilon_star(fields_weier[m], 1.0, J_RANGE, THETA)
+            smooth = estimate(trig, 1.0, m)
             assert smooth.epsilon_star / smooth.eps_hi < rough.epsilon_star / rough.eps_hi
 
     def test_depth_artifact_shrinks_with_range(self):
         # for a smooth function the threshold estimate decays as the fit
         # window deepens (the finite-depth bias, not a true positive value)
         trig = synthesize(parse_function_spec("trig k=1 a=1"), 1, J)
-        shallow = epsilon_star(trig, 1.0, "secdiff", (4, 8), THETA)
-        deep = epsilon_star(trig, 1.0, "secdiff", (6, 10), THETA)
+        shallow = estimate(trig, 1.0, "secdiff", (4, 8))
+        deep = estimate(trig, 1.0, "secdiff", (6, 10))
         assert deep.epsilon_star < shallow.epsilon_star
 
     def test_scaling_homogeneity_exact(self, weier1_12):
         lam = 4.0
-        base = epsilon_star(weier1_12, 1.0, "secdiff", J_RANGE, THETA)
-        scaled = epsilon_star(weier1_12.scaled(lam), 1.0, "secdiff", J_RANGE, THETA)
+        base = estimate(weier1_12, 1.0, "secdiff")
+        scaled = estimate(weier1_12.scaled(lam), 1.0, "secdiff")
         assert scaled.epsilon_star == lam * base.epsilon_star
 
     def test_zero_field_trivial(self):
         f = GridFunction(1, J, np.zeros(2**J))
-        est = epsilon_star(f, 1.0, "secdiff", J_RANGE, THETA)
+        est = estimate(f, 1.0, "secdiff")
         assert est.epsilon_star == 0.0
         assert est.collapsed
 
-    def test_rough_set_occupies_every_level(self, weier1_12, contexts_weier):
+    def test_rough_set_occupies_every_level(self, fields_weier):
         # below the critical threshold the bad set keeps a fixed share of
         # every level (level 0 excepted: probe heights there are near the
         # full period, where the lacunary terms wrap and cancel), which is
         # what drives the divergence flag
-        ctx = contexts_weier["secdiff"]
-        est = epsilon_star(weier1_12, 1.0, "secdiff", J_RANGE, THETA, context=ctx)
-        S = ctx.threshold(0.5 * est.epsilon_star)
+        fld = fields_weier["secdiff"]
+        est = epsilon_star(fld, 1.0, J_RANGE, THETA)
+        S = fld.threshold(0.5 * est.epsilon_star)
         for j in range(1, S.J_max + 1):
             assert S.mask(j).mean() >= 0.05
 
@@ -110,7 +113,7 @@ class TestC2DecayCertificate:
         s, J_max = 1.0, 10
         fld = LevelField("secdiff", 1, J_max, {
             j: np.full(2**j, 2.0 ** (-share * (2.0 - s) * j)) for j in range(J_max + 1)})
-        est = epsilon_star(None, s, "secdiff", (6, 10), THETA, context=fld)
+        est = epsilon_star(fld, s, (6, 10), THETA)
         assert _certified(est) is certified
         assert est.collapsed is certified
 
@@ -123,7 +126,7 @@ class TestC2DecayCertificate:
     def test_smooth_collapses_when_range_reaches_deepest_level(
             self, spec, J_grid, J_range, method, s):
         f = synthesize(parse_function_spec(spec), 1, J_grid)
-        est = epsilon_star(f, s, method, J_range, THETA)
+        est = estimate(f, s, method, J_range)
         assert J_range[1] >= est.J_max
         assert _certified(est)
         assert f"-(2-s) = {-(2.0 - s):.4f}" in est.warnings[0]
@@ -136,7 +139,7 @@ class TestC2DecayCertificate:
         # the same smooth function judged on a range that stops above the
         # field's deepest level is left to the slope test
         trig = synthesize(parse_function_spec("sum trig k=1 a=1 + trig k=7 a=0.2"), 1, J)
-        est = epsilon_star(trig, 1.0, "secdiff", (4, 8), THETA)
+        est = estimate(trig, 1.0, "secdiff", (4, 8))
         assert not _certified(est)
         assert not est.collapsed
 
@@ -148,7 +151,7 @@ class TestC2DecayCertificate:
     def test_rough_ladders_not_certified(self, spec, s):
         f = synthesize(parse_function_spec(spec), 1, 14)
         for m in METHODS:
-            est = epsilon_star(f, s, m, (7, 14), THETA)
+            est = estimate(f, s, m, (7, 14))
             assert not _certified(est), m
             assert not est.collapsed, m
 
@@ -157,7 +160,7 @@ class TestC2DecayCertificate:
         # certificate, decides it
         f = synthesize(parse_function_spec("xlogx"), 1, 14)
         for m in METHODS:
-            assert not _certified(epsilon_star(f, 1.0, m, (7, 14), THETA)), m
+            assert not _certified(estimate(f, 1.0, m, (7, 14))), m
 
 
 class TestCompareMethods:
@@ -179,6 +182,23 @@ class TestCompareMethods:
         comp = compare_methods(f, 1.0, J_RANGE, THETA)
         assert comp.ratios["secdiff/poisson"] == 1.0
 
+    def test_fields_built_one_at_a_time(self, weier1_12, monkeypatch):
+        # each field must be dead before the next is built, so that at most
+        # one grid-sized field is alive at a time
+        built = []
+        build = distance.method_context
+
+        def spy(*args, **kwargs):
+            assert all(ref() is None for ref in built), "an earlier field is still alive"
+            fld = build(*args, **kwargs)
+            built.append(weakref.ref(fld))
+            return fld
+
+        monkeypatch.setattr(distance, "method_context", spy)
+        compare_methods(weier1_12, 1.0, J_RANGE, THETA)
+        assert len(built) == len(METHODS)
+        assert all(ref() is None for ref in built)
+
     def test_n2_pipeline_runs(self):
         f = synthesize(parse_function_spec("weierstrass s=1 levels=4"), 2, 8)
         comp = compare_methods(f, 1.0, (2, 5), THETA)
@@ -188,62 +208,61 @@ class TestCompareMethods:
 
 
 class TestInclusionProbe:
-    def test_empty_source_vacuous(self, weier1_12, contexts_weier):
-        big_eps = contexts_weier["secdiff"].max_value * 2.0
-        rep = inclusion_probe(weier1_12, 1.0, big_eps, "secdiff", "poisson",
-                              source_context=contexts_weier["secdiff"],
-                              target_context=contexts_weier["poisson"])
+    def test_empty_source_vacuous(self, fields_weier):
+        big_eps = fields_weier["secdiff"].max_value * 2.0
+        rep = inclusion_probe(fields_weier["secdiff"], fields_weier["poisson"], big_eps)
         assert rep.source_cells == 0
         assert all(frac == 1.0 for row in rep.fractions for frac in row)
         assert rep.achieved == (1.0, 0.5)
 
-    def test_self_inclusion_identity(self, weier1_12, contexts_weier):
-        ctx = contexts_weier["secdiff"]
-        eps = 0.3 * ctx.max_value
-        rep = inclusion_probe(weier1_12, 1.0, eps, "secdiff", "secdiff",
-                              c_grid=(1.0,), R_grid=(0.0,),
-                              source_context=ctx, target_context=ctx)
+    def test_self_inclusion_identity(self, fields_weier):
+        fld = fields_weier["secdiff"]
+        eps = 0.3 * fld.max_value
+        rep = inclusion_probe(fld, fld, eps, c_grid=(1.0,), R_grid=(0.0,))
         assert rep.fractions == [[1.0]]
         assert rep.achieved == (1.0, 0.0)
 
-    def test_wavelet_inside_enlarged_secdiff(self, weier1_12, contexts_weier):
-        est = epsilon_star(weier1_12, 1.0, "wavelet", J_RANGE, THETA,
-                           context=contexts_weier["wavelet"])
-        rep = inclusion_probe(weier1_12, 1.0, 0.5 * est.epsilon_star,
-                              "wavelet", "secdiff", eta=0.99,
-                              source_context=contexts_weier["wavelet"],
-                              target_context=contexts_weier["secdiff"])
+    def test_wavelet_inside_enlarged_secdiff(self, fields_weier):
+        est = epsilon_star(fields_weier["wavelet"], 1.0, J_RANGE, THETA)
+        rep = inclusion_probe(fields_weier["wavelet"], fields_weier["secdiff"],
+                              0.5 * est.epsilon_star, eta=0.99)
         assert rep.source_cells > 0
         assert rep.achieved is not None
 
-    def test_fractions_monotone(self, weier1_12, contexts_weier):
-        est = epsilon_star(weier1_12, 1.0, "secdiff", J_RANGE, THETA,
-                           context=contexts_weier["secdiff"])
-        rep = inclusion_probe(weier1_12, 1.0, 0.5 * est.epsilon_star,
-                              "secdiff", "poisson",
-                              source_context=contexts_weier["secdiff"],
-                              target_context=contexts_weier["poisson"])
+    def test_fractions_monotone(self, fields_weier):
+        est = epsilon_star(fields_weier["secdiff"], 1.0, J_RANGE, THETA)
+        rep = inclusion_probe(fields_weier["secdiff"], fields_weier["poisson"],
+                              0.5 * est.epsilon_star)
         mat = np.asarray(rep.fractions)  # rows: c descending; cols: R ascending
         assert np.all(np.diff(mat, axis=1) >= -1e-12)  # growing R helps
         assert np.all(np.diff(mat, axis=0) >= -1e-12)  # shrinking c helps
 
-    def test_bad_grids_rejected(self, weier1_12):
+    def test_bad_grids_rejected(self, fields_weier):
+        src, tgt = fields_weier["secdiff"], fields_weier["poisson"]
         with pytest.raises(ValueError):
-            inclusion_probe(weier1_12, 1.0, 0.1, "secdiff", "poisson", c_grid=(2.0,))
+            inclusion_probe(src, tgt, 0.1, c_grid=(2.0,))
         with pytest.raises(ValueError):
-            inclusion_probe(weier1_12, 1.0, 0.1, "secdiff", "poisson", R_grid=(-1.0,))
+            inclusion_probe(src, tgt, 0.1, R_grid=(-1.0,))
+
+    def test_fields_of_different_n_rejected(self, fields_weier):
+        f2 = synthesize(parse_function_spec("weierstrass s=1 levels=3"), 2, 6)
+        flat = fields_weier["secdiff"]
+        for src, tgt in ((flat, method_context(f2, 1.0, "poisson")),
+                         (method_context(f2, 1.0, "secdiff"), flat)):
+            with pytest.raises(ValueError, match="n=2"):
+                inclusion_probe(src, tgt, 0.1)
 
 
 class TestProjectionWitness:
     def test_eps_zero(self, weier1_12, bank8):
-        w = projection_distance_witness(weier1_12, 1.0, 0.0, bank=bank8)
+        w = projection_distance_witness(analyze(weier1_12, bank8), 1.0, 0.0)
         assert w.tail_norm == 0.0
         assert w.tail_ok and w.box_ok
 
     def test_eps_above_norm_trivial(self, weier1_12, bank8):
         coeffs = analyze(weier1_12, bank8)
         eps = lip_wavelet_norm(coeffs, 1.0)
-        w = projection_distance_witness(weier1_12, 1.0, eps, bank=bank8)
+        w = projection_distance_witness(coeffs, 1.0, eps)
         assert w.kept_cells == 0
         assert w.tail_ok and w.box_ok
         assert abs(w.d - coeffs.d) < 1e-15
@@ -252,7 +271,7 @@ class TestProjectionWitness:
     def test_mid_eps_bounds_hold(self, frac, weier1_12, bank8):
         coeffs = analyze(weier1_12, bank8)
         eps = frac * lip_wavelet_norm(coeffs, 1.0)
-        w = projection_distance_witness(weier1_12, 1.0, eps, bank=bank8)
+        w = projection_distance_witness(coeffs, 1.0, eps)
         assert w.tail_ok
         assert w.tail_norm <= eps
         assert w.box_ok
