@@ -5,9 +5,15 @@ On the torus the Poisson kernel is a pure Fourier multiplier exp(-2 pi |k| y)
 and the derivative multiplier is (2 pi |k|)^2 exp(-2 pi |k| y), so heights
 need not be grid aligned and there is no kernel truncation error.  Every
 field takes one forward real (half-spectrum) transform of the function and,
-per height, two half-length inverse real transforms: one for the even grid
-columns (last axis) and one for the odd.  On grids of at least 2^16 points
-the heights are shared between two threads, each with its own buffers; the
+per height, inverts the last axis as L interleaved phases (the columns
+L r + p, p < L) of length N / L.  A height whose decay is exactly 0.0 in
+float64 beyond its first K <= N/4 entries of the last axis (the coarse
+levels) keeps those K and splits into L = N / M phases, M the smallest power
+of two with M/2 >= K; every other height folds into its even and odd
+columns, L = 2.  Only exact zeros are dropped, so the split changes roundoff
+alone: each level of a field stays within 1e-12 of its maximum of one
+full-length inverse per height.  On grids of at least 2^16 points the
+heights are shared between two threads, each with its own buffers; the
 results do not depend on the schedule.  Fields are restricted to y <= 1; the
 lowest frequencies dominate above that and carry no scale information.
 """
@@ -31,25 +37,76 @@ _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os
 _FOLD_CHUNK = 2**12  # spectrum entries folded per pass; measured lowest peak RSS at n=1 J=20
 
 
-def _extension_halves(f: GridFunction, heights, d2y: bool, consume):
-    """Call consume(i, parity, half) for each height y = heights[i] and column
-    parity 0 (even) and 1 (odd), where half[..., r] is d^2/dy^2 u(., y) (u
-    itself if not d2y) at last-axis column 2r + parity.
+def _phase_plan(N: int, heights) -> list[tuple[int, int]]:
+    """(K, L) per height y: the height keeps K leading half-spectrum entries
+    of the last axis and is inverted as L interleaved phases of length N / L.
+
+    K counts the entries k whose decay exp(-2 pi k y) is not exactly 0.0; in
+    float64 it underflows to zero once 2 pi k y passes about 745.  If
+    K <= N/4, N / L is the smallest power of two M with M/2 >= K.  Otherwise
+    the height keeps the even/odd fold: every entry, L = 2.
+    """
+    y = np.asarray(heights, dtype=float)
+    # exp(-x) is at least the smallest subnormal below x = 744 and exactly 0.0
+    # above 746, so the decay is evaluated only on each height's window of
+    # k between the two; w = 2 pi k is the generator's table at k1 = 0
+    lo = np.minimum(np.floor(744.0 / (2.0 * np.pi * y)), N // 4 + 1).astype(int)
+    hi = np.minimum(np.ceil(746.0 / (2.0 * np.pi * y)) + 1, N // 4 + 1).astype(int)
+    size = hi - lo
+    height = np.repeat(np.arange(y.size), size)
+    k = np.arange(height.size) + np.repeat(lo + size - np.cumsum(size), size)
+    kept = lo + np.bincount(height[np.exp(2.0 * np.pi * k * -y[height]) != 0], minlength=y.size)
+    return [(K, N // (2 << (K - 1).bit_length())) if K <= N // 4 else (N // 2 + 1, 2)
+            for K in kept.tolist()]
+
+
+def _stage_twiddle(step: int, K: int, fine: np.ndarray, coarse: np.ndarray, out: np.ndarray):
+    """exp(2 pi i k step / N) for k < K, from fine[t] = exp(2 pi i t / N) for
+    t < S and coarse[c] = exp(2 pi i c S / N): a strided view of one of them,
+    or their outer product written to out (len(out) a power of two >= K)."""
+    S = fine.size
+    if (K - 1) * step < S:
+        return fine[::step][:K]
+    if step >= S:
+        return coarse[::step // S][:K]
+    width = S // step
+    count = -(-K // width)
+    np.multiply(coarse[:count, None], fine[::step], out=out[:count * width].reshape(count, width))
+    return out[:K]
+
+
+def _extension_blocks(f: GridFunction, heights, d2y: bool, consume):
+    """Call consume(i, start, block) for each height y = heights[i] and
+    start in (0, B): block has shape (B,) + lead + (M,), and block[q, ..., r]
+    is d^2/dy^2 u(., y) (u itself if not d2y) at last-axis column
+    L r + start + q, with L = 2 B = N / M from _phase_plan.
 
     One forward half-spectrum transform of f and one table w = 2 pi |k| serve
-    every height.  With P = spec * exp(-w y), each height folds the last axis
-    into the half spectra of its even and odd columns, for k <= N/4,
+    every height; P = spec * exp(-w y).  A split height (K <= N/4) gives
+    phase p the half spectrum P_k exp(2 pi i k p / N), k < K: phases h..2h-1
+    are phases 0..h-1 times exp(2 pi i k h / N), and each block of B phases
+    is one batched inverse at length M.  Only exact zeros are dropped, so
+    the split changes roundoff alone (each level of a field stays within
+    1e-12 of its maximum of one full-length inverse per height).  Any other
+    height folds the last axis into the half spectra of its even and odd
+    columns, for k <= N/4,
 
         E_k = P_k + P_{k+N/2},   O_k = (P_k - P_{k+N/2}) exp(2 pi i k / N),
 
     where P_{k+N/2} = conj P_{N/2-k} (for n=2 with the first axis negated),
-    and inverts each at length N/2.  half is a scratch buffer that the next
-    transform overwrites; consume may modify it.  On grids of at least
-    _THREAD_MIN_POINTS points the heights are dealt round-robin to the calling
-    thread and one worker thread, so consume must be safe to call from both.
+    and inverts each at length N/2.
+
+    block is a scratch buffer that the next transform overwrites; consume may
+    modify it.  A height's decays, spectra, twiddles and inverses live in
+    buffers each thread allocates once.  On grids of at least
+    _THREAD_MIN_POINTS points the heights are dealt round-robin to the
+    calling thread and one worker thread, so consume must be safe to call
+    from both.
     """
     N = f.grid_size
+    lead = f.samples.shape[:-1]
     rows, cols = (N if f.n == 2 else 1), N // 4 + 1
+    plan = _phase_plan(N, heights)
     spec = np.fft.rfftn(f.samples).reshape(rows, -1)
     w = 2.0 * np.pi * np.sqrt(_half_freq_sq(f.n, f.J_grid)).reshape(rows, -1)
     # 1/2: a length-N/2 inverse divides by N/2 where the full one divides by N
@@ -63,18 +120,18 @@ def _extension_halves(f: GridFunction, heights, d2y: bool, consume):
     np.conjugate(spec[:1, mirror], out=spec_pairs[1, :1])  # row 0 is its own negation
     np.conjugate(spec[:0:-1, mirror], out=spec_pairs[1, 1:])
     del spec, w
+    w_low, spec_low = w_pairs[0].reshape(lead + (cols,)), spec_pairs[0].reshape(lead + (cols,))
     step_r, step_c = max(1, _FOLD_CHUNK // cols), min(cols, _FOLD_CHUNK)
-    # exp(2 pi i k / N) for k = c0 + t: one block-length table times exp(2 pi i c0 / N)
+    # exp(2 pi i k / N) for k = c0 + t, c0 = c step_c: twiddle[t] times shifts[c]
     twiddle = np.exp(2j * np.pi / N * np.arange(step_c))
+    shifts = np.exp(2j * np.pi / N * step_c * np.arange(-(-cols // step_c)))
     blocks = [(slice(r0, r0 + step_r), slice(c0, c0 + step_c))
               for r0 in range(0, rows, step_r) for c0 in range(0, cols, step_c)]
-    fold_shape = f.samples.shape[:-1] + (cols,)
-    half_shape = f.samples.shape[:-1] + (N // 2,)
 
     def run(share):
-        even = np.empty(fold_shape, dtype=complex)
-        odd = np.empty(fold_shape, dtype=complex)
-        half = np.empty(half_shape)
+        even = np.empty(lead + (cols,), dtype=complex)
+        odd = np.empty(lead + (cols,), dtype=complex)
+        half = np.empty((1,) + lead + (N // 2,))
         decay = np.empty((2, min(step_r, rows), step_c))
         pairs = np.empty(decay.shape, dtype=complex)
         views = []  # per block, height-independent: inputs, scratch, outputs
@@ -83,22 +140,47 @@ def _extension_halves(f: GridFunction, heights, d2y: bool, consume):
             _, nr, nc = wv.shape
             views.append((wv, sv, decay[:, :nr, :nc], pairs[:, :nr, :nc],
                           even.reshape(rows, cols)[rs, cs], odd.reshape(rows, cols)[rs, cs],
-                          twiddle[:nc], np.exp(2j * np.pi / N * cs.start) if cs.start else None))
+                          twiddle[:nc], shifts[cs.start // step_c] if cs.start else None))
+        # the split's decay and output share half, its phases even, its twiddles odd
+        half_flat, phase_flat, twiddle_flat = half.reshape(-1), even.reshape(-1), odd.reshape(-1)
         for i in share:
             y = heights[i]
-            for wv, sv, d, p, e, o, tw, shift in views:
-                np.exp(np.multiply(wv, -y, out=d), out=d)
-                np.multiply(sv, d, out=p)  # P_k, P_{k+N/2}
-                np.add(p[0], p[1], out=e)
-                np.subtract(p[0], p[1], out=o)
-                np.multiply(o, tw, out=o)
-                if shift is not None:
-                    o *= shift
-            for parity, folded in ((0, even), (1, odd)):
-                for axis in range(f.n - 1):  # as irfftn: complex inverses first, in place
-                    np.fft.ifft(folded, axis=axis, out=folded)
-                np.fft.irfft(folded, n=N // 2, out=half)
-                consume(i, parity, half)
+            K, L = plan[i]
+            if K > N // 4:
+                for wv, sv, d, p, e, o, tw, shift in views:
+                    np.exp(np.multiply(wv, -y, out=d), out=d)
+                    np.multiply(sv, d, out=p)  # P_k, P_{k+N/2}
+                    np.add(p[0], p[1], out=e)
+                    np.subtract(p[0], p[1], out=o)
+                    np.multiply(o, tw, out=o)
+                    if shift is not None:
+                        o *= shift
+                for parity, folded in ((0, even), (1, odd)):
+                    for axis in range(f.n - 1):  # as irfftn: complex inverses first, in place
+                        np.fft.ifft(folded, axis=axis, out=folded)
+                    np.fft.irfft(folded, n=N // 2, out=half[0])
+                    consume(i, parity, half)
+                continue
+            B, M = L // 2, N // L
+            d = half_flat[:rows * K].reshape(lead + (K,))
+            np.exp(np.multiply(w_low[..., :K], -y, out=d), out=d)
+            phases = phase_flat[:B * rows * K].reshape((B,) + lead + (K,))
+            np.multiply(spec_low[..., :K], d, out=phases[0])
+            phases[0] *= 2.0 / L  # spec carries 1/2 for length N/2; length M needs 1/L
+            for axis in range(f.n - 1):  # commutes with the last-axis twiddles
+                np.fft.ifft(phases[0], axis=axis, out=phases[0])
+            h = 1
+            tw = _stage_twiddle(h, K, twiddle, shifts, twiddle_flat[:M // 2])
+            while h < B:  # phases h..2h-1 from 0..h-1
+                np.multiply(phases[:h], tw, out=phases[h:2 * h])
+                h *= 2
+                tw = _stage_twiddle(h, K, twiddle, shifts, twiddle_flat[:M // 2])
+            out = half_flat.reshape((B,) + lead + (M,))
+            np.fft.irfft(phases, n=M, out=out)
+            consume(i, 0, out)
+            np.multiply(phases, tw, out=phases)  # phases B..2B-1
+            np.fft.irfft(phases, n=M, out=out)
+            consume(i, B, out)
 
     order = range(len(heights))
     if len(heights) < 2 or f.samples.size < _THREAD_MIN_POINTS or _CPUS < 2:
@@ -123,14 +205,16 @@ def _extension_halves(f: GridFunction, heights, d2y: bool, consume):
 
 
 def _single_height(f: GridFunction, y: float, d2y: bool) -> np.ndarray:
-    if y <= 0:
-        raise ValueError("height must be > 0")
+    if not 0.0 < y < math.inf:
+        raise ValueError("height must be finite and > 0")
     out = np.empty(f.samples.shape)
 
-    def interleave(i, parity, half):
-        out[..., parity::2] = half
+    def place(i, start, block):
+        B, M = block.shape[0], block.shape[-1]
+        columns = out.reshape(out.shape[:-1] + (M, 2 * B))  # [..., r, p] is column 2 B r + p
+        columns[..., start:start + B] = np.moveaxis(block, 0, -1)
 
-    _extension_halves(f, (y,), d2y, interleave)
+    _extension_blocks(f, (y,), d2y, place)
     return out
 
 
@@ -157,16 +241,25 @@ def derivative_field(f: GridFunction, s: float, J_max: int) -> LevelField:
     values = {j: np.zeros((2**j,) * f.n) for j in range(J_max + 1)}
     lock = threading.Lock()
 
-    def consume(i, parity, half):
+    def consume(i, start, block):
         j, y = probes[i]
-        # a cell two or more columns wide holds both parities, a one-column cell one
-        level = values[j] if 2**j < f.grid_size else values[j][..., parity::2]
+        a = np.abs(block, out=block)
+        if 2**j < f.grid_size:  # a cell holds all 2B phases of its columns (a
+            # split height has M >= 256 * 2^j): take their maximum in place
+            level = values[j]
+            h = block.shape[0]
+            while h > 1:
+                h //= 2
+                np.maximum(a[:h], a[h:2 * h], out=a[:h])
+        else:  # a one-column cell holds one parity of the fold
+            level = values[j][..., start::2]
+        a = pool(a[0], np.maximum, 2**j)
         # scaling by y^(2-s) > 0 after the max rounds exactly as before it
-        pooled = pool(np.abs(half, out=half), np.maximum, 2**j) * y ** (2.0 - s)
+        a *= y ** (2.0 - s)
         with lock:  # both threads pool into the same levels
-            np.maximum(level, pooled, out=level)
+            np.maximum(level, a, out=level)
 
-    _extension_halves(f, [y for _, y in probes], True, consume)
+    _extension_blocks(f, [y for _, y in probes], True, consume)
     return LevelField("poisson", f.n, J_max, values)
 
 
@@ -236,31 +329,46 @@ def lipschitz_check(f: GridFunction, s: float, sample_count: int, seed: int) -> 
         tb = np.minimum(np.abs(dxb) % N, N - np.abs(dxb) % N) / N
         dist_sq = ta**2 + tb**2
 
-    # one derivative slice per quantized height in use, streamed in two column
-    # halves; each endpoint set is sorted once by the key 2 * height id + column
-    # parity, so every half reads its samples as one contiguous run of the sort
+    # one derivative slice per quantized height in use, streamed in two blocks
+    # of phases; each endpoint set is sorted once by the key 2 * position of its
+    # height in `used` + block, so every block reads its samples as one
+    # contiguous run of the sort, at flat indices into the block computed here
     hid1 = lev1 * fracs.size + fr1
     hid2 = lev2 * fracs.size + fr2
     g1 = np.empty(sample_count)
     g2 = np.empty(sample_count)
     used = np.union1d(hid1, hid2)
     heights = [float(fracs[h % fracs.size] * 2.0 ** -(h // fracs.size)) for h in used.tolist()]
-    keys = (2 * used[:, None] + np.arange(2)).ravel()  # ascending, index 2 i + parity
+    block_phases = np.array([L // 2 for _, L in _phase_plan(N, heights)], dtype=np.int32)
+    slot = np.empty(used[-1] + 1, dtype=np.int32)
+    slot[used] = np.arange(used.size)
+    keys = np.arange(2 * used.size)
     ends = []
     for g, hid, at in ((g1, hid1, at1), (g2, hid2, at2)):
-        key = (2 * hid + at[-1] % 2).astype(np.int32)
+        pos = slot[hid]
+        B = block_phases[pos]
+        # column x = 2 B r + start + q is block[q, ..., r], r < M = N / (2 B)
+        c, index = np.divmod(at[-1].astype(np.int32), B)  # x // B and q
+        if f.n == 2:
+            index *= N
+            index += at[0]
+        index *= N // (2 * B)
+        index += c >> 1
+        key = 2 * pos + (c & 1)
         order = np.argsort(key).astype(np.int32)
         key = key[order]
-        ends.append((g, at, order, np.searchsorted(key, keys), np.searchsorted(key, keys, "right")))
-    del key  # the slices stream with only the sort orders held
+        ends.append((g, order, index[order],
+                     np.searchsorted(key, keys), np.searchsorted(key, keys, "right")))
+    del pos, B, c, index, key  # the slices stream with only the sort orders and indices held
 
-    def gather(i, parity, half):
+    def gather(i, start, block):
         scale = heights[i] ** (2.0 - s)
-        for g, at, order, lo, hi in ends:
-            rows = order[lo[2 * i + parity]:hi[2 * i + parity]]
-            g[rows] = half[tuple(a[rows] for a in at[:-1]) + (at[-1][rows] // 2,)] * scale
+        b = 2 * i + start // block.shape[0]
+        flat = block.reshape(-1)
+        for g, order, index, lo, hi in ends:
+            g[order[lo[b]:hi[b]]] = flat[index[lo[b]:hi[b]]] * scale
 
-    _extension_halves(f, heights, True, gather)
+    _extension_blocks(f, heights, True, gather)
 
     rho = np.arccosh(1.0 + (dist_sq + (y1 - y2) ** 2) / (2.0 * y1 * y2))
     ok = (rho > 0) & (rho <= 2.0)

@@ -10,7 +10,7 @@ from zygdist import (GridFunction, bessel_lift, parse_function_spec, sup_norm,
                      synthesize)
 import zygdist.poisson as poisson
 from zygdist.dyadic import LevelField, carleson_sup
-from zygdist.gridfn import _half_freq_sq
+from zygdist.gridfn import J_GRID_MIN, _half_freq_sq
 from zygdist.poisson import (bmo_norm, d2y_extension, derivative_field,
                              holder_poisson_norm, jbmo_direct_norm,
                              lipschitz_check, poisson_extend)
@@ -31,9 +31,16 @@ ORACLE_CASES = [
     (1, 16, "weierstrass s=1 levels=13 signs=plus"),
     (2, 8, "sum weierstrass s=1 levels=5 signs=plus + wavelet-atom l=3 j=3 k=2,5"),
 ]
-# Stated tolerance of the even/odd half-length inverses against one full-length
-# inverse real transform per height, relative to each level's maximum
+# Stated tolerance of the phase-split inverses (the even/odd fold, and the L
+# interleaved short transforms of heights whose decay is zero beyond N/4)
+# against one full-length inverse real transform per height, relative to each
+# level's maximum
 HALF_LENGTH_RTOL = 1e-12
+# tracemalloc peak of derivative_field at n=1 J_grid=20 J_max=18 on two
+# threads, measured before the phase split (46.72 MiB; 46.73 MiB after it,
+# where the spectrum's set-up still sets it)
+LIMIT_FIELD_PEAK_MIB = 46.72
+LIMIT_FIELD_PEAK_SLACK_MIB = 0.25
 
 
 def complex_oracle(f, y, d2y):
@@ -132,6 +139,12 @@ class TestExtension:
         with pytest.raises(ValueError):
             poisson_extend(cos_12, 0.0)
 
+    @pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
+    def test_height_must_be_finite(self, cos_12, y):
+        for extension in (poisson_extend, d2y_extension):
+            with pytest.raises(ValueError, match="height must be finite and > 0"):
+                extension(cos_12, y)
+
 
 class TestD2y:
     def test_constant_vanishes(self):
@@ -202,15 +215,17 @@ class TestHalfLengthTransforms:
         for j, level in full_length_field(f, 1.0, Jg - 2).items():
             assert np.max(np.abs(field.values[j] - level)) <= HALF_LENGTH_RTOL * level.max()
 
-    @pytest.mark.parametrize("n,Jg", [(1, 10), (2, 6)])
+    @pytest.mark.parametrize("n,Jg", [(1, 10), (2, 6), (1, J_GRID_MIN), (2, J_GRID_MIN)])
     def test_one_column_cells(self, n, Jg):
         # levels J_grid - 1 and J_grid: cells two and one columns wide
-        f = synthesize(parse_function_spec("weierstrass s=1 levels=4 signs=plus"), n, Jg)
+        levels = min(4, Jg - 2)  # J_GRID_MIN resolves 2 levels
+        f = synthesize(parse_function_spec(f"weierstrass s=1 levels={levels} signs=plus"), n, Jg)
         field = derivative_field(f, 1.0, Jg)
         for j, level in full_length_field(f, 1.0, Jg).items():
             assert np.max(np.abs(field.values[j] - level)) <= HALF_LENGTH_RTOL * level.max()
 
-    @pytest.mark.parametrize("n,Jg", [(1, 12), (2, 7)])
+    # n=1 J=16: the heights of levels 0-5 split into L >= 2 phases
+    @pytest.mark.parametrize("n,Jg", [(1, 12), (1, 16), (2, 7)])
     def test_threads_do_not_change_the_numbers(self, n, Jg, monkeypatch):
         f = synthesize(parse_function_spec("weierstrass s=1 levels=5 signs=random seed=4"), n, Jg)
         caller, off_caller = threading.get_ident(), []
@@ -238,18 +253,21 @@ class TestHalfLengthTransforms:
 
     def test_level_updates_survive_thread_switches(self, monkeypatch):
         # both threads pool into the same levels; a lost update changes a maximum
-        f = synthesize(parse_function_spec("weierstrass s=1 levels=12 signs=random seed=6"), 1, 14)
         monkeypatch.setattr(poisson, "_CPUS", 2)
-        monkeypatch.setattr(poisson, "_THREAD_MIN_POINTS", 2**62)
-        serial = derivative_field(f, 1.0, 14)
-        monkeypatch.setattr(poisson, "_THREAD_MIN_POINTS", 0)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for _ in range(10):
-                threaded = derivative_field(f, 1.0, 14)
-                for j, level in serial.values.items():
-                    assert np.array_equal(threaded.values[j], level)
+            for Jg, repeats in ((14, 10), (16, 3)):  # both split coarse heights into L >= 4
+                f = synthesize(parse_function_spec("weierstrass s=1 levels=12 signs=random seed=6"), 1, Jg)
+                probes = [frac * 2.0**-j for j in range(Jg + 1) for frac in CELL_FRACS]
+                assert any(L >= 4 for _, L in poisson._phase_plan(2**Jg, probes))
+                monkeypatch.setattr(poisson, "_THREAD_MIN_POINTS", 2**62)
+                serial = derivative_field(f, 1.0, Jg)
+                monkeypatch.setattr(poisson, "_THREAD_MIN_POINTS", 0)
+                for _ in range(repeats):
+                    threaded = derivative_field(f, 1.0, Jg)
+                    for j, level in serial.values.items():
+                        assert np.array_equal(threaded.values[j], level)
         finally:
             sys.setswitchinterval(interval)
 
@@ -268,6 +286,73 @@ class TestHalfLengthTransforms:
         monkeypatch.setattr(poisson, "_THREAD_MIN_POINTS", 0)
         with pytest.raises(RuntimeError, match="worker failed"):
             derivative_field(f, 1.0, 8)
+
+
+@pytest.fixture(scope="module")
+def limit_field():
+    """The field of the n=1 grid limit (J_grid=20, J_max=18) and its tracemalloc peak."""
+    f = synthesize(parse_function_spec("weierstrass s=1 levels=16 signs=plus"), 1, 20)
+    tracemalloc.start()
+    try:
+        field = derivative_field(f, 1.0, 18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return f, field, peak
+
+
+class TestPhaseSplit:
+    """Heights whose decay is exactly zero beyond K <= N/4 last-axis entries
+    are inverted as L = N / M interleaved phases of length M."""
+
+    @pytest.mark.parametrize("n,Jg,split,wide", [
+        (1, 12, 13, 9), (1, 20, 45, 41), (2, 10, 5, 1), (2, 11, 9, 5),
+    ])
+    def test_only_exact_zeros_are_cut(self, n, Jg, split, wide):
+        # split: heights with K <= N/4; wide: those with L >= 4
+        N = 2**Jg
+        w = 2.0 * np.pi * np.sqrt(_half_freq_sq(n, Jg))
+        probes = [frac * 2.0**-j for j in range(Jg - 1) for frac in CELL_FRACS]
+        plan = poisson._phase_plan(N, probes)
+        for y, (K, L) in zip(probes, plan):
+            nonzero = np.exp(-w * y) != 0
+            columns = np.flatnonzero(nonzero.reshape(-1, N // 2 + 1).any(axis=0))
+            M = N // L
+            assert L * M == N
+            if K <= N // 4:
+                assert np.array_equal(columns, np.arange(K))
+                assert M // 4 < K <= M // 2
+            else:
+                assert (K, L) == (N // 2 + 1, 2) and columns.size > N // 4
+        assert sum(K <= N // 4 for K, _ in plan) == split
+        assert sum(L >= 4 for _, L in plan) == wide
+
+    def test_limit_grid_matches_full_length_inverse(self, limit_field):
+        f, field, _ = limit_field
+        want = full_length_field(f, 1.0, 18)
+        for j, level in want.items():
+            assert np.max(np.abs(field.values[j] - level)) <= HALF_LENGTH_RTOL * level.max()
+        oracle = LevelField("poisson", 1, 18, want)
+        for c in (0.1, 0.5):
+            eps = c * field.max_value
+            assert field.threshold(eps) == oracle.threshold(eps)
+
+    def test_limit_grid_memory(self, limit_field):
+        # the split's arrays live in the fold's per-thread buffers
+        assert limit_field[2] <= (LIMIT_FIELD_PEAK_MIB + LIMIT_FIELD_PEAK_SLACK_MIB) * 2**20
+
+    @pytest.mark.parametrize("n,Jg", [(1, 12), (2, 7), (1, J_GRID_MIN), (2, J_GRID_MIN)])
+    @pytest.mark.parametrize("y,kept,M", [(1e3, 1, 2), (3.0, 40, 128)])
+    def test_edge_heights_match_complex_oracle(self, n, Jg, y, kept, M):
+        # y = 1e3 keeps only k = 0, y = 3 keeps k = 0..39, where N/4 allows a split
+        N = 2**Jg
+        g = synthesize(parse_function_spec("weierstrass s=1 levels=2 signs=random seed=2"), n, Jg)
+        f = GridFunction(n, Jg, g.samples + 1.5)  # a mean for u at y = 1e3
+        [plan] = poisson._phase_plan(N, [y])
+        assert plan == ((kept, N // M) if kept <= N // 4 else (N // 2 + 1, 2))
+        for got, d2y in ((poisson_extend(f, y), False), (d2y_extension(f, y), True)):
+            want = complex_oracle(f, y, d2y)
+            assert np.max(np.abs(got.samples - want)) <= SPECTRAL_RTOL * np.max(np.abs(want))
 
 
 class TestPoissonNorm:
