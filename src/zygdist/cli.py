@@ -94,18 +94,20 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         cfg.J_lo, cfg.J_hi = int(lo), int(hi)
     if getattr(args, "K", None) is not None:
         cfg.K = args.K
+    if cfg.K < 0:
+        raise SpecError(f"K={cfg.K} must be >= 0 (0 means the per-dimension default)")
     return cfg
 
 
 def _content_hash(cfg: RunConfig, spec_text: str | None, f: GridFunction | None,
-                  criteria: list[int] | None = None) -> str:
+                  options: dict | None = None) -> str:
     # the version names the code: a change to the numbers gets new report names;
     # the output directory is where the report goes, not what it is about
     config = {k: v for k, v in cfg.as_dict().items() if k != "out"}
     ident = {"config": config, "spec": spec_text, "version": zygdist.__version__}
-    if criteria is not None:
-        # a validate selection runs other criteria than the full suite
-        ident["criteria"] = sorted(criteria)
+    # a command's own options (the sets method, a validate selection) change
+    # what is computed, so two values must not share one report name
+    ident.update(options or {})
     if f is not None:
         # the spec may name a file, so the samples themselves identify the input;
         # hashed in place, without a copy of the grid
@@ -129,10 +131,10 @@ def _atomic_write(path: str, text: str):
 
 
 def _emit_json(cfg: RunConfig, name: str, body: dict, spec_text: str | None,
-               f: GridFunction | None = None, criteria: list[int] | None = None) -> str:
+               f: GridFunction | None = None, options: dict | None = None) -> str:
     report = {
         "config": cfg.as_dict(),
-        "content_hash": _content_hash(cfg, spec_text, f, criteria),
+        "content_hash": _content_hash(cfg, spec_text, f, options),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         **body,
     }
@@ -198,7 +200,8 @@ def cmd_sets(args) -> int:
         "carleson": {"J": report.j_values, "M_J": report.m_values,
                      "slope": report.slope, "diverging": report.diverging},
     }
-    path = _emit_json(cfg, "sets", body, args.spec, f)
+    path = _emit_json(cfg, "sets", body, args.spec, f,
+                      {"method": args.method, "eps": args.eps})
     A.to_csv(path[:-5] + ".csv")
     print(path)
     return EXIT_OK
@@ -238,7 +241,9 @@ def cmd_inclusion(args) -> int:
     rep = _distance.inclusion_probe(src, tgt, eps, eta=args.eta)
     body = {"function": f.label, "n": cfg.n, "s": cfg.s,
             "inclusions": rep.as_dict()}
-    path = _emit_json(cfg, "inclusion", body, args.spec, f)
+    path = _emit_json(cfg, "inclusion", body, args.spec, f,
+                      {"source": args.source, "target": args.target,
+                       "eps": args.eps, "eta": args.eta})
     print(path)
     return EXIT_OK
 
@@ -260,7 +265,8 @@ def cmd_validate(args) -> int:
         ],
         "all_passed": all(r.passed for r in results),
     }
-    _emit_json(cfg, "validate", body, None, criteria=numbers)
+    _emit_json(cfg, "validate", body, None,
+               options=None if numbers is None else {"criteria": numbers})
     return EXIT_OK if body["all_passed"] else EXIT_VALIDATION
 
 

@@ -308,6 +308,8 @@ def inclusion_probe(
         raise ValueError("c_grid entries must lie in (0, 1]")
     if any(r < 0.0 for r in R_grid):
         raise ValueError("R_grid entries must be >= 0")
+    if not 0.0 < eta <= 1.0:
+        raise ValueError("eta must lie in (0, 1]")
     if src.n != tgt.n:
         raise ValueError(f"source field has n={src.n}, target field n={tgt.n}")
     source = src.threshold(eps)

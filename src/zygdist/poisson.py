@@ -6,16 +6,16 @@ and the derivative multiplier is (2 pi |k|)^2 exp(-2 pi |k| y), so heights
 need not be grid aligned and there is no kernel truncation error.  Every
 field takes one forward real (half-spectrum) transform of the function and,
 per height, inverts the last axis as L interleaved phases (the columns
-L r + p, p < L) of length N / L.  A height whose decay is exactly 0.0 in
-float64 beyond its first K <= N/4 entries of the last axis (the coarse
-levels) keeps those K and splits into L = N / M phases, M the smallest power
-of two with M/2 >= K; every other height folds into its even and odd
-columns, L = 2.  Only exact zeros are dropped, so the split changes roundoff
-alone: each level of a field stays within 1e-12 of its maximum of one
-full-length inverse per height.  On grids of at least 2^16 points the
-heights are shared between two threads, each with its own buffers; the
-results do not depend on the schedule.  Fields are restricted to y <= 1; the
-lowest frequencies dominate above that and carry no scale information.
+L r + p, p < L) of length M = N / L, the smallest power of two with M/2 >= K.
+K counts the entries of the last axis whose decay is not exactly 0.0 in
+float64; a height with K > N/4 folds the upper half of the spectrum onto the
+lower half, L = 2.  Only exact zeros are dropped, so the phases change
+roundoff alone: each level of a field stays within 1e-12 of its
+maximum of one full-length inverse per height.  On grids of at least 2^16
+points the heights are shared between two threads, each with its own
+buffers; the results do not depend on the schedule.  Fields are restricted
+to y <= 1; the lowest frequencies dominate above that and carry no scale
+information.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .secdiff import CELL_FRACS
 _DEFAULT_FIELD_MARGIN = 2  # deepest field level is J_grid - margin, as for second differences
 _THREAD_MIN_POINTS = 2**16  # smaller grids run their heights on the calling thread alone
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-_FOLD_CHUNK = 2**12  # spectrum entries folded per pass; measured lowest peak RSS at n=1 J=20
+_TWIDDLE_LENGTH = 2**12  # entries of the fine twiddle table, exp(2 pi i t / N) for t < this
 
 
 def _phase_plan(N: int, heights) -> list[tuple[int, int]]:
@@ -82,26 +82,26 @@ def _extension_blocks(f: GridFunction, heights, d2y: bool, consume):
     L r + start + q, with L = 2 B = N / M from _phase_plan.
 
     One forward half-spectrum transform of f and one table w = 2 pi |k| serve
-    every height; P = spec * exp(-w y).  A split height (K <= N/4) gives
-    phase p the half spectrum P_k exp(2 pi i k p / N), k < K: phases h..2h-1
-    are phases 0..h-1 times exp(2 pi i k h / N), and each block of B phases
-    is one batched inverse at length M.  Only exact zeros are dropped, so
-    the split changes roundoff alone (each level of a field stays within
-    1e-12 of its maximum of one full-length inverse per height).  Any other
-    height folds the last axis into the half spectra of its even and odd
-    columns, for k <= N/4,
+    every height; P = spec * exp(-w y).  Phase p has the half spectrum
 
-        E_k = P_k + P_{k+N/2},   O_k = (P_k - P_{k+N/2}) exp(2 pi i k / N),
+        sum over m < L of P_{k+mM} exp(2 pi i (k + mM) p / N),   k <= M/2,
 
-    where P_{k+N/2} = conj P_{N/2-k} (for n=2 with the first axis negated),
-    and inverts each at length N/2.
+    with P_{k+N/2} = conj P_{N/2-k} (for n=2 with the first axis negated).
+    If K <= N/4, only m = 0 is nonzero: phase 0 is P_k, k < K, and phases
+    h..2h-1 are phases 0..h-1 times exp(2 pi i k h / N).  Otherwise L = 2
+    and the height adds the mirrored half: for k <= N/4 phase 0 is E and
+    phase 1 is O,
+
+        E_k = P_k + P_{k+N/2},   O_k = (P_k - P_{k+N/2}) exp(2 pi i k / N).
+
+    Each half of the phases is then one batched inverse at length M.
 
     block is a scratch buffer that the next transform overwrites; consume may
-    modify it.  A height's decays, spectra, twiddles and inverses live in
-    buffers each thread allocates once.  On grids of at least
-    _THREAD_MIN_POINTS points the heights are dealt round-robin to the
-    calling thread and one worker thread, so consume must be safe to call
-    from both.
+    modify it.  Each thread allocates two buffers once: the phases, and the
+    decays, which later hold the stage twiddles and the inverses.  On grids
+    of at least _THREAD_MIN_POINTS points the heights are dealt round-robin
+    to the calling thread and one worker thread, so consume must be safe to
+    call from both.
     """
     N = f.grid_size
     lead = f.samples.shape[:-1]
@@ -114,72 +114,61 @@ def _extension_blocks(f: GridFunction, heights, d2y: bool, consume):
     # [0, :, k] holds entry k and [1, :, k] entry k + N/2 as conj of row -k1, column
     # N/2 - k; w is even in k1, and conjugation commutes with the real decay
     mirror = slice(N // 2, N // 2 - cols, -1)
-    w_pairs = np.stack((w[:, :cols], w[:, mirror]))
+    w_pairs = np.stack((w[:, :cols], w[:, mirror])).reshape((2,) + lead + (cols,))
     spec_pairs = np.empty((2, rows, cols), dtype=complex)
     spec_pairs[0] = spec[:, :cols]
     np.conjugate(spec[:1, mirror], out=spec_pairs[1, :1])  # row 0 is its own negation
     np.conjugate(spec[:0:-1, mirror], out=spec_pairs[1, 1:])
+    spec_pairs = spec_pairs.reshape(w_pairs.shape)
     del spec, w
-    w_low, spec_low = w_pairs[0].reshape(lead + (cols,)), spec_pairs[0].reshape(lead + (cols,))
-    step_r, step_c = max(1, _FOLD_CHUNK // cols), min(cols, _FOLD_CHUNK)
-    # exp(2 pi i k / N) for k = c0 + t, c0 = c step_c: twiddle[t] times shifts[c]
-    twiddle = np.exp(2j * np.pi / N * np.arange(step_c))
-    shifts = np.exp(2j * np.pi / N * step_c * np.arange(-(-cols // step_c)))
-    blocks = [(slice(r0, r0 + step_r), slice(c0, c0 + step_c))
-              for r0 in range(0, rows, step_r) for c0 in range(0, cols, step_c)]
+    # exp(2 pi i k / N) for k = c S + t: twiddle[t] times shifts[c]
+    S = min(cols, _TWIDDLE_LENGTH)
+    twiddle = np.exp(2j * np.pi / N * np.arange(S))
+    shifts = np.exp(2j * np.pi / N * S * np.arange(-(-cols // S)))
+    whole = cols // S * S  # the columns in rows of S; k = N/4 is left over if S < cols
 
     def run(share):
-        even = np.empty(lead + (cols,), dtype=complex)
-        odd = np.empty(lead + (cols,), dtype=complex)
-        half = np.empty((1,) + lead + (N // 2,))
-        decay = np.empty((2, min(step_r, rows), step_c))
-        pairs = np.empty(decay.shape, dtype=complex)
-        views = []  # per block, height-independent: inputs, scratch, outputs
-        for rs, cs in blocks:
-            wv, sv = w_pairs[:, rs, cs], spec_pairs[:, rs, cs]
-            _, nr, nc = wv.shape
-            views.append((wv, sv, decay[:, :nr, :nc], pairs[:, :nr, :nc],
-                          even.reshape(rows, cols)[rs, cs], odd.reshape(rows, cols)[rs, cs],
-                          twiddle[:nc], shifts[cs.start // step_c] if cs.start else None))
-        # the split's decay and output share half, its phases even, its twiddles odd
-        half_flat, phase_flat, twiddle_flat = half.reshape(-1), even.reshape(-1), odd.reshape(-1)
+        pair = np.empty((2,) + lead + (cols,), dtype=complex)
+        decay = np.empty((2,) + lead + (cols,))  # N/2 + 2 entries per row
+        pair_flat, decay_flat = pair.reshape(-1), decay.reshape(-1)
+        scratch = decay_flat.view(complex)
+        diff = scratch.reshape(lead + (cols,))
+        diff_rows = diff[..., :whole].reshape(lead + (-1, S))
+        odd_rows = pair[1, ..., :whole].reshape(lead + (-1, S))
         for i in share:
             y = heights[i]
             K, L = plan[i]
-            if K > N // 4:
-                for wv, sv, d, p, e, o, tw, shift in views:
-                    np.exp(np.multiply(wv, -y, out=d), out=d)
-                    np.multiply(sv, d, out=p)  # P_k, P_{k+N/2}
-                    np.add(p[0], p[1], out=e)
-                    np.subtract(p[0], p[1], out=o)
-                    np.multiply(o, tw, out=o)
-                    if shift is not None:
-                        o *= shift
-                for parity, folded in ((0, even), (1, odd)):
-                    for axis in range(f.n - 1):  # as irfftn: complex inverses first, in place
-                        np.fft.ifft(folded, axis=axis, out=folded)
-                    np.fft.irfft(folded, n=N // 2, out=half[0])
-                    consume(i, parity, half)
-                continue
+            if K > N // 4:  # every entry, with the mirrored half
+                K, seeds = cols, 2
+                np.exp(np.multiply(w_pairs, -y, out=decay), out=decay)
+                np.multiply(spec_pairs, decay, out=pair)  # P_k, P_{k+N/2}
+                np.subtract(pair[0], pair[1], out=diff)
+                np.add(pair[0], pair[1], out=pair[0])
+                np.multiply(diff_rows, twiddle, out=odd_rows)
+                if S < cols:  # n=1 from N = 2^14: rows 1.. of S, and the column k = N/4
+                    np.multiply(odd_rows[1:], shifts[1:-1, None], out=odd_rows[1:])
+                    np.multiply(diff[whole:], twiddle[:1], out=pair[1, whole:])
+                    pair[1, whole:] *= shifts[-1]
+            else:
+                seeds = 1
+                d = decay_flat[:rows * K].reshape(lead + (K,))
+                np.exp(np.multiply(w_pairs[0, ..., :K], -y, out=d), out=d)
+                np.multiply(spec_pairs[0, ..., :K], d, out=pair_flat[:rows * K].reshape(d.shape))
             B, M = L // 2, N // L
-            d = half_flat[:rows * K].reshape(lead + (K,))
-            np.exp(np.multiply(w_low[..., :K], -y, out=d), out=d)
-            phases = phase_flat[:B * rows * K].reshape((B,) + lead + (K,))
-            np.multiply(spec_low[..., :K], d, out=phases[0])
-            phases[0] *= 2.0 / L  # spec carries 1/2 for length N/2; length M needs 1/L
-            for axis in range(f.n - 1):  # commutes with the last-axis twiddles
-                np.fft.ifft(phases[0], axis=axis, out=phases[0])
-            h = 1
-            tw = _stage_twiddle(h, K, twiddle, shifts, twiddle_flat[:M // 2])
-            while h < B:  # phases h..2h-1 from 0..h-1
+            phases = pair_flat[:L * rows * K].reshape((L,) + lead + (K,))
+            if L > 2:
+                phases[0] *= 2.0 / L  # spec carries 1/2 for length N/2; length M needs 1/L
+            for axis in range(1, f.n):  # as irfftn: complex inverses first, in place
+                np.fft.ifft(phases[:seeds], axis=axis, out=phases[:seeds])
+            h = seeds  # the first-axis inverses commute with the last-axis twiddles
+            while h < L:  # phases h..2h-1 from 0..h-1
+                tw = _stage_twiddle(h, K, twiddle, shifts, scratch[:M // 2])
                 np.multiply(phases[:h], tw, out=phases[h:2 * h])
                 h *= 2
-                tw = _stage_twiddle(h, K, twiddle, shifts, twiddle_flat[:M // 2])
-            out = half_flat.reshape((B,) + lead + (M,))
-            np.fft.irfft(phases, n=M, out=out)
+            out = decay_flat[:B * rows * M].reshape((B,) + lead + (M,))
+            np.fft.irfft(phases[:B], n=M, out=out)
             consume(i, 0, out)
-            np.multiply(phases, tw, out=phases)  # phases B..2B-1
-            np.fft.irfft(phases, n=M, out=out)
+            np.fft.irfft(phases[B:], n=M, out=out)
             consume(i, B, out)
 
     order = range(len(heights))
@@ -340,7 +329,7 @@ def lipschitz_check(f: GridFunction, s: float, sample_count: int, seed: int) -> 
     used = np.union1d(hid1, hid2)
     heights = [float(fracs[h % fracs.size] * 2.0 ** -(h // fracs.size)) for h in used.tolist()]
     block_phases = np.array([L // 2 for _, L in _phase_plan(N, heights)], dtype=np.int32)
-    slot = np.empty(used[-1] + 1, dtype=np.int32)
+    slot = np.empty(fracs.size * (J_top + 1), dtype=np.int32)  # one entry per quantized height
     slot[used] = np.arange(used.size)
     keys = np.arange(2 * used.size)
     ends = []

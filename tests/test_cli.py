@@ -112,6 +112,18 @@ class TestSets:
         assert set(rep["set"].keys()) == {"n", "J_max", "cells"}
         assert rep["cells"] == len(rep["set"]["cells"])
 
+    @pytest.mark.parametrize("option,values", [
+        ("--method", ("secdiff", "poisson")), ("--eps", ("5", "6")),
+    ])
+    def test_options_enter_report_name(self, tmp_path, option, values):
+        # one spec, two option values in one --out: two reports, neither overwritten
+        base = {"--method": "secdiff", "--eps": "5"}
+        for value in values:
+            argv = [t for item in {**base, option: value}.items() for t in item]
+            assert run(["sets", "--spec", "trig k=1 a=1", "--jgrid", "8", "--jrange", "2:5",
+                        *argv, "--out", str(tmp_path)]) == EXIT_OK
+        assert len(list(tmp_path.glob("sets_*.json"))) == 2
+
 
 class TestDistance:
     def test_atom_runs(self, tmp_path, capsys):
@@ -159,6 +171,30 @@ class TestInclusion:
                     "--out", str(tmp_path)])
         assert code == EXIT_OK
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("option,values", [
+        ("--source", ("poisson", "wavelet")), ("--target", ("secdiff", "wavelet")),
+        ("--eps", ("0.5", "0.25")), ("--eta", ("0.99", "0.5")),
+    ])
+    def test_options_enter_report_name(self, tmp_path, option, values):
+        # one spec, two option values in one --out: two reports, neither overwritten
+        base = {"--source": "poisson", "--target": "secdiff", "--eps": "0.5", "--eta": "0.99"}
+        for value in values:
+            argv = [t for item in {**base, option: value}.items() for t in item]
+            assert run(["inclusion", "--spec", "weierstrass s=1 levels=4 signs=plus",
+                        "--jgrid", "7", "--jrange", "3:5", *argv,
+                        "--out", str(tmp_path)]) == EXIT_OK
+        assert len(list(tmp_path.glob("inclusion_*.json"))) == 2
+
+    @pytest.mark.parametrize("eta", ["1.5", "-1", "0", "nan"])
+    def test_eta_outside_unit_interval_rejected(self, tmp_path, capsys, eta):
+        code = run(["inclusion", "--spec", "weierstrass s=1 levels=4 signs=plus",
+                    "--jgrid", "7", "--jrange", "3:5", "--source", "poisson",
+                    "--target", "secdiff", "--eps", "0.5", "--eta", eta,
+                    "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert "eta must lie in (0, 1]" in capsys.readouterr().err
+        assert not list(tmp_path.glob("inclusion_*.json"))
 
 
 class TestValidate:
@@ -221,6 +257,20 @@ class TestConfigFile:
                     "--out", str(tmp_path)])
         assert code == EXIT_VALIDATION
         assert "unknown config key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["flag", "file"])
+    def test_negative_K_rejected(self, tmp_path, capsys, where):
+        # K = 0 means the per-dimension default; a negative K means nothing
+        argv = ["seminorms", "--spec", "trig k=1 a=1", "--jgrid", "8", "--out", str(tmp_path)]
+        if where == "flag":
+            argv += ["--K", "-1"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("K = -1\n")
+            argv += ["--config", str(cfg)]
+        assert run(argv) == EXIT_VALIDATION
+        assert "K=-1 must be >= 0" in capsys.readouterr().err
+        assert not list(tmp_path.glob("seminorms_*.json"))
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -244,6 +244,18 @@ class TestInclusionProbe:
         with pytest.raises(ValueError):
             inclusion_probe(src, tgt, 0.1, R_grid=(-1.0,))
 
+    @pytest.mark.parametrize("eta", [1.5, -1.0, 0.0, float("nan")])
+    def test_eta_outside_unit_interval_rejected(self, fields_weier, eta):
+        # eta > 1 is never achieved, and eta <= 0 is achieved by any grid point
+        src, tgt = fields_weier["secdiff"], fields_weier["poisson"]
+        with pytest.raises(ValueError, match=r"eta must lie in \(0, 1\]"):
+            inclusion_probe(src, tgt, 0.1, eta=eta)
+
+    def test_eta_one_accepted(self, fields_weier):
+        fld = fields_weier["secdiff"]
+        rep = inclusion_probe(fld, fld, 0.3 * fld.max_value, c_grid=(1.0,), R_grid=(0.0,), eta=1.0)
+        assert rep.achieved == (1.0, 0.0)
+
     def test_fields_of_different_n_rejected(self, fields_weier):
         f2 = synthesize(parse_function_spec("weierstrass s=1 levels=3"), 2, 6)
         flat = fields_weier["secdiff"]

@@ -29,18 +29,26 @@ ORACLE_CASES = [
     (1, 12, "lacunary-random s=0.5 levels=9 seed=3"),
     # 2^16 points: the field's heights run on two threads
     (1, 16, "weierstrass s=1 levels=13 signs=plus"),
+    # energy at k = N/4, which the fold twiddles apart from its rows of 2^12 columns
+    (1, 14, "sum weierstrass s=1 levels=11 signs=plus + trig k=4096 a=0.5"),
     (2, 8, "sum weierstrass s=1 levels=5 signs=plus + wavelet-atom l=3 j=3 k=2,5"),
 ]
-# Stated tolerance of the phase-split inverses (the even/odd fold, and the L
-# interleaved short transforms of heights whose decay is zero beyond N/4)
-# against one full-length inverse real transform per height, relative to each
-# level's maximum
+# Stated tolerance of the L interleaved inverses of length N / L per height
+# (L = 2 where the decay is nonzero beyond N/4 last-axis entries) against one
+# full-length inverse real transform per height, relative to each level's
+# maximum
 HALF_LENGTH_RTOL = 1e-12
 # tracemalloc peak of derivative_field at n=1 J_grid=20 J_max=18 on two
-# threads, measured before the phase split (46.72 MiB; 46.73 MiB after it,
-# where the spectrum's set-up still sets it)
+# threads, measured when heights with K > N/4 still folded in chunks
+# (46.72 MiB); the spectrum's set-up sets it
 LIMIT_FIELD_PEAK_MIB = 46.72
 LIMIT_FIELD_PEAK_SLACK_MIB = 0.25
+# the same at n=2 J_grid=10 J_max=8, where a height with K > N/4 holds its
+# whole (2, N, N/4 + 1) spectrum pair at once: 40.6-43.66 MiB in 63 runs when
+# the fold went in chunks, 40.3-43.08 MiB in 36 runs of the whole-array fold,
+# as the two threads' pooling overlaps; the slack was set before the latter ran
+N2_FIELD_PEAK_MIB = 43.66
+N2_FIELD_PEAK_SLACK_MIB = 0.5
 
 
 def complex_oracle(f, y, d2y):
@@ -338,8 +346,20 @@ class TestPhaseSplit:
             assert field.threshold(eps) == oracle.threshold(eps)
 
     def test_limit_grid_memory(self, limit_field):
-        # the split's arrays live in the fold's per-thread buffers
+        # every height's arrays live in the two buffers each thread allocates once
         assert limit_field[2] <= (LIMIT_FIELD_PEAK_MIB + LIMIT_FIELD_PEAK_SLACK_MIB) * 2**20
+
+    def test_n2_grid_memory(self, monkeypatch):
+        monkeypatch.setattr(poisson, "_CPUS", 2)
+        spec = "sum weierstrass s=1 levels=8 signs=plus + wavelet-atom l=3 j=4 k=5,9"
+        f = synthesize(parse_function_spec(spec), 2, 10)
+        tracemalloc.start()
+        try:
+            derivative_field(f, 1.0, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (N2_FIELD_PEAK_MIB + N2_FIELD_PEAK_SLACK_MIB) * 2**20
 
     @pytest.mark.parametrize("n,Jg", [(1, 12), (2, 7), (1, J_GRID_MIN), (2, J_GRID_MIN)])
     @pytest.mark.parametrize("y,kept,M", [(1e3, 1, 2), (3.0, 40, 128)])
@@ -444,6 +464,13 @@ class TestLipschitzCheck:
         f = synthesize(parse_function_spec("weierstrass s=1 levels=4"), 2, 8)
         rep = lipschitz_check(f, 1.0, 3000, seed=2)
         assert 0.0 < rep.max_ratio < 50.0
+
+    @pytest.mark.parametrize("n,Jg", [(1, 8), (2, 6)])
+    def test_zero_samples_empty_report(self, n, Jg):
+        f = synthesize(parse_function_spec("weierstrass s=1 levels=4"), n, Jg)
+        rep = lipschitz_check(f, 1.0, 0, seed=3)
+        assert (rep.max_ratio, rep.pairs_used, rep.sample_count) == (0.0, 0, 0)
+        assert rep.ratios.shape == (0,)
 
     def test_memory_independent_of_height_count(self):
         # 7 levels x 8 heights of 256^2 slices held at once would take 28 MiB

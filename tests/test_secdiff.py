@@ -274,3 +274,10 @@ class TestContinuity:
         rep = continuity_check(f, 1.0, 2000, seed=5)
         assert np.isfinite(rep.max_ratio)
         assert rep.max_ratio > 0.0
+
+    @pytest.mark.parametrize("n,Jg", [(1, 8), (2, 6)])
+    def test_zero_samples_empty_report(self, n, Jg):
+        f = synthesize(parse_function_spec("weierstrass s=1 levels=4"), n, Jg)
+        rep = continuity_check(f, 1.0, 0, seed=3)
+        assert (rep.max_ratio, rep.pairs_used, rep.sample_count) == (0.0, 0, 0)
+        assert rep.ratios.shape == (0,)
