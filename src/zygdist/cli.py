@@ -15,6 +15,7 @@ import dataclasses
 import datetime
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -96,6 +97,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         cfg.K = args.K
     if cfg.K < 0:
         raise SpecError(f"K={cfg.K} must be >= 0 (0 means the per-dimension default)")
+    if not 0.0 < cfg.theta < math.inf:
+        raise SpecError(f"theta={cfg.theta} must be finite and > 0")
     return cfg
 
 

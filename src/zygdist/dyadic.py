@@ -287,6 +287,8 @@ def carleson_sup(A: HalfSpaceSet, J_range: tuple[int, int], theta: float) -> Car
     j_lo, j_hi = int(J_range[0]), int(J_range[1])
     if j_lo < 0 or j_hi < j_lo:
         raise ValueError(f"empty or invalid depth range {J_range}")
+    if not 0.0 < theta < math.inf:
+        raise ValueError(f"theta={theta} must be finite and > 0")
     js = list(range(j_lo, j_hi + 1))
 
     # a level-j cell's mass is its volume; depths beyond J_max share one pass

@@ -6,16 +6,18 @@ and the derivative multiplier is (2 pi |k|)^2 exp(-2 pi |k| y), so heights
 need not be grid aligned and there is no kernel truncation error.  Every
 field takes one forward real (half-spectrum) transform of the function and,
 per height, inverts the last axis as L interleaved phases (the columns
-L r + p, p < L) of length M = N / L, the smallest power of two with M/2 >= K.
-K counts the entries of the last axis whose decay is not exactly 0.0 in
-float64; a height with K > N/4 folds the upper half of the spectrum onto the
-lower half, L = 2.  Only exact zeros are dropped, so the phases change
-roundoff alone: each level of a field stays within 1e-12 of its
-maximum of one full-length inverse per height.  On grids of at least 2^16
-points the heights are shared between two threads, each with its own
-buffers; the results do not depend on the schedule.  Fields are restricted
-to y <= 1; the lowest frequencies dominate above that and carry no scale
-information.
+L r + p, p < L) of length M = N / L.  K counts the entries of the last axis
+whose decay is not exactly 0.0 in float64, and M is the smallest power of two
+with M/2 >= K, capped at min(N/2, 2^14) so that every inverse is cache-sized.
+A height within the cap keeps its first K entries, one segment of the
+spectrum; any other sums L segments of M entries into each phase (Bailey's
+four-step transform), and L = 2 is the even/odd fold.  Only exact zeros are
+dropped, so the phases change roundoff alone: each level of a field stays
+within 1e-12 of its maximum of one full-length inverse per height.  On grids
+of at least 2^16 points the heights are shared between two threads, each
+with its own buffers; the results do not depend on the schedule.  Fields are
+restricted to y <= 1; the lowest frequencies dominate above that and carry no
+scale information.
 """
 
 from __future__ import annotations
@@ -35,43 +37,47 @@ _DEFAULT_FIELD_MARGIN = 2  # deepest field level is J_grid - margin, as for seco
 _THREAD_MIN_POINTS = 2**16  # smaller grids run their heights on the calling thread alone
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _TWIDDLE_LENGTH = 2**12  # entries of the fine twiddle table, exp(2 pi i t / N) for t < this
+_SEGMENT_LENGTH = 2**14  # longest inverse transform; 2^13 and 2^15 measured alike
 
 
 def _phase_plan(N: int, heights) -> list[tuple[int, int]]:
     """(K, L) per height y: the height keeps K leading half-spectrum entries
-    of the last axis and is inverted as L interleaved phases of length N / L.
+    of the last axis and is inverted as L interleaved phases of length
+    M = N / L.
 
     K counts the entries k whose decay exp(-2 pi k y) is not exactly 0.0; in
-    float64 it underflows to zero once 2 pi k y passes about 745.  If
-    K <= N/4, N / L is the smallest power of two M with M/2 >= K.  Otherwise
-    the height keeps the even/odd fold: every entry, L = 2.
+    float64 it underflows to zero once 2 pi k y passes about 745.  M is the
+    smallest power of two with M/2 >= K, capped at min(N/2, _SEGMENT_LENGTH):
+    a height with K <= M/2 inverts one segment of the spectrum, and any other
+    sums L segments of M points into each phase.
     """
     y = np.asarray(heights, dtype=float)
     # exp(-x) is at least the smallest subnormal below x = 744 and exactly 0.0
     # above 746, so the decay is evaluated only on each height's window of
     # k between the two; w = 2 pi k is the generator's table at k1 = 0
-    lo = np.minimum(np.floor(744.0 / (2.0 * np.pi * y)), N // 4 + 1).astype(int)
-    hi = np.minimum(np.ceil(746.0 / (2.0 * np.pi * y)) + 1, N // 4 + 1).astype(int)
+    lo = np.minimum(np.floor(744.0 / (2.0 * np.pi * y)), N // 2 + 1).astype(int)
+    hi = np.minimum(np.ceil(746.0 / (2.0 * np.pi * y)) + 1, N // 2 + 1).astype(int)
     size = hi - lo
     height = np.repeat(np.arange(y.size), size)
     k = np.arange(height.size) + np.repeat(lo + size - np.cumsum(size), size)
     kept = lo + np.bincount(height[np.exp(2.0 * np.pi * k * -y[height]) != 0], minlength=y.size)
-    return [(K, N // (2 << (K - 1).bit_length())) if K <= N // 4 else (N // 2 + 1, 2)
-            for K in kept.tolist()]
+    top = min(N // 2, _SEGMENT_LENGTH)
+    return [(K, N // min(2 << (K - 1).bit_length(), top)) for K in kept.tolist()]
 
 
 def _stage_twiddle(step: int, K: int, fine: np.ndarray, coarse: np.ndarray, out: np.ndarray):
     """exp(2 pi i k step / N) for k < K, from fine[t] = exp(2 pi i t / N) for
     t < S and coarse[c] = exp(2 pi i c S / N): a strided view of one of them,
-    or their outer product written to out (len(out) a power of two >= K)."""
+    or their outer product written to out[:K]."""
     S = fine.size
     if (K - 1) * step < S:
         return fine[::step][:K]
     if step >= S:
         return coarse[::step // S][:K]
     width = S // step
-    count = -(-K // width)
-    np.multiply(coarse[:count, None], fine[::step], out=out[:count * width].reshape(count, width))
+    full, rest = divmod(K, width)
+    np.multiply(coarse[:full, None], fine[::step], out=out[:full * width].reshape(full, width))
+    np.multiply(coarse[full], fine[::step][:rest], out=out[full * width:K])
     return out[:K]
 
 
@@ -87,14 +93,16 @@ def _extension_blocks(f: GridFunction, heights, d2y: bool, consume):
         sum over m < L of P_{k+mM} exp(2 pi i (k + mM) p / N),   k <= M/2,
 
     with P_{k+N/2} = conj P_{N/2-k} (for n=2 with the first axis negated).
-    If K <= N/4, only m = 0 is nonzero: phase 0 is P_k, k < K, and phases
-    h..2h-1 are phases 0..h-1 times exp(2 pi i k h / N).  Otherwise L = 2
-    and the height adds the mirrored half: for k <= N/4 phase 0 is E and
-    phase 1 is O,
-
-        E_k = P_k + P_{k+N/2},   O_k = (P_k - P_{k+N/2}) exp(2 pi i k / N).
-
-    Each half of the phases is then one batched inverse at length M.
+    The spectrum is laid out once as segments T[m, k] = P_{k+m Ms}, m < N / Ms,
+    k <= Ms/2, at the segment length Ms = min(N/2, _SEGMENT_LENGTH).  If
+    K <= M/2, only m = 0 is nonzero: phase 0 is P_k, k < K, and phases
+    h..2h-1 are phases 0..h-1 times exp(2 pi i k h / N).  Otherwise M = Ms,
+    and phase p is the inverse transform over m of the segments, times
+    exp(2 pi i k p / N), one factor per bit h of p (the four-step transform);
+    only the segments holding a nonzero decay are evaluated, the others are
+    zero.  L = 2 is the even/odd fold: phase 0 is T[0] + T[1] and phase 1
+    (T[0] - T[1]) exp(2 pi i k / N).  Each half of the phases is then one
+    batched inverse at length M.
 
     block is a scratch buffer that the next transform overwrites; consume may
     modify it.  Each thread allocates two buffers once: the phases, and the
@@ -105,66 +113,81 @@ def _extension_blocks(f: GridFunction, heights, d2y: bool, consume):
     """
     N = f.grid_size
     lead = f.samples.shape[:-1]
-    rows, cols = (N if f.n == 2 else 1), N // 4 + 1
+    rows = N if f.n == 2 else 1
     plan = _phase_plan(N, heights)
+    Ms = min(N // 2, _SEGMENT_LENGTH)
+    Ls, half = N // Ms, Ms // 2 + 1
     spec = np.fft.rfftn(f.samples).reshape(rows, -1)
     w = 2.0 * np.pi * np.sqrt(_half_freq_sq(f.n, f.J_grid)).reshape(rows, -1)
-    # 1/2: a length-N/2 inverse divides by N/2 where the full one divides by N
-    spec *= 0.5 * w * w if d2y else 0.5
-    # [0, :, k] holds entry k and [1, :, k] entry k + N/2 as conj of row -k1, column
-    # N/2 - k; w is even in k1, and conjugation commutes with the real decay
-    mirror = slice(N // 2, N // 2 - cols, -1)
-    w_pairs = np.stack((w[:, :cols], w[:, mirror])).reshape((2,) + lead + (cols,))
-    spec_pairs = np.empty((2, rows, cols), dtype=complex)
-    spec_pairs[0] = spec[:, :cols]
-    np.conjugate(spec[:1, mirror], out=spec_pairs[1, :1])  # row 0 is its own negation
-    np.conjugate(spec[:0:-1, mirror], out=spec_pairs[1, 1:])
-    spec_pairs = spec_pairs.reshape(w_pairs.shape)
+    # 1/Ls: a length-Ms inverse divides by Ms where the full one divides by N
+    spec *= w * w / Ls if d2y else 1.0 / Ls
+    # segments below N/2 directly; the rest, entry k + N/2, as conj of row -k1,
+    # column N/2 - k; w is even in k1, and conjugation commutes with the real decay
+    def segments(a, mirror):
+        a = a[:, N // 2:0:-1] if mirror else a[:, :N // 2]
+        return a.reshape(a.shape[0], Ls // 2, Ms)[..., :half].swapaxes(0, 1)
+
+    table = np.empty((Ls, rows, half), dtype=complex)
+    table_w = np.empty((Ls, rows, half))
+    table[:Ls // 2] = segments(spec, False)
+    np.conjugate(segments(spec[:1], True), out=table[Ls // 2:, :1])  # row 0 is its own negation
+    np.conjugate(segments(spec[:0:-1], True), out=table[Ls // 2:, 1:])
+    table_w[:Ls // 2] = segments(w, False)
+    table_w[Ls // 2:] = segments(w, True)
+    shape = (Ls,) + lead + (half,)
+    table, table_w = table.reshape(shape), table_w.reshape(shape)
     del spec, w
     # exp(2 pi i k / N) for k = c S + t: twiddle[t] times shifts[c]
+    cols = N // 4 + 1
     S = min(cols, _TWIDDLE_LENGTH)
     twiddle = np.exp(2j * np.pi / N * np.arange(S))
     shifts = np.exp(2j * np.pi / N * S * np.arange(-(-cols // S)))
-    whole = cols // S * S  # the columns in rows of S; k = N/4 is left over if S < cols
+    # exp(2 pi i k h / N), k <= Ms/2, for the phases with bit h of p set
+    bits = [(1 << b, _stage_twiddle(1 << b, half, twiddle, shifts, np.empty(half, dtype=complex)))
+            for b in range(Ls.bit_length() - 1)]
 
     def run(share):
-        pair = np.empty((2,) + lead + (cols,), dtype=complex)
-        decay = np.empty((2,) + lead + (cols,))  # N/2 + 2 entries per row
-        pair_flat, decay_flat = pair.reshape(-1), decay.reshape(-1)
+        buffer = np.empty(shape, dtype=complex)
+        decay = np.empty(shape)  # N/2 + Ls entries per row
+        buffer_flat, decay_flat = buffer.reshape(-1), decay.reshape(-1)
         scratch = decay_flat.view(complex)
-        diff = scratch.reshape(lead + (cols,))
-        diff_rows = diff[..., :whole].reshape(lead + (-1, S))
-        odd_rows = pair[1, ..., :whole].reshape(lead + (-1, S))
+        diff = scratch[:rows * half].reshape(lead + (half,))  # phase 1 before its twiddle, Ls = 2
         for i in share:
             y = heights[i]
             K, L = plan[i]
-            if K > N // 4:  # every entry, with the mirrored half
-                K, seeds = cols, 2
-                np.exp(np.multiply(w_pairs, -y, out=decay), out=decay)
-                np.multiply(spec_pairs, decay, out=pair)  # P_k, P_{k+N/2}
-                np.subtract(pair[0], pair[1], out=diff)
-                np.add(pair[0], pair[1], out=pair[0])
-                np.multiply(diff_rows, twiddle, out=odd_rows)
-                if S < cols:  # n=1 from N = 2^14: rows 1.. of S, and the column k = N/4
-                    np.multiply(odd_rows[1:], shifts[1:-1, None], out=odd_rows[1:])
-                    np.multiply(diff[whole:], twiddle[:1], out=pair[1, whole:])
-                    pair[1, whole:] *= shifts[-1]
-            else:
-                seeds = 1
-                d = decay_flat[:rows * K].reshape(lead + (K,))
-                np.exp(np.multiply(w_pairs[0, ..., :K], -y, out=d), out=d)
-                np.multiply(spec_pairs[0, ..., :K], d, out=pair_flat[:rows * K].reshape(d.shape))
-            B, M = L // 2, N // L
-            phases = pair_flat[:L * rows * K].reshape((L,) + lead + (K,))
-            if L > 2:
-                phases[0] *= 2.0 / L  # spec carries 1/2 for length N/2; length M needs 1/L
+            if K > N // L // 2:  # Ls segments; those m < a and m >= b hold nonzero decays
+                a = min((K - 1) // Ms + 1, Ls // 2)
+                b = max((N - Ms // 2 - K) // Ms + 1, Ls // 2)
+                K, seeds = half, Ls
+            else:  # one segment
+                a, b, seeds = 1, 1, 1
+            phases = buffer_flat[:L * rows * K].reshape((L,) + lead + (K,))
+            live = ((0, seeds),)
+            if a < b:
+                phases[a:b] = 0.0
+                live = ((0, a), (b, seeds))
+            for lo, hi in live:
+                d = decay_flat[lo * rows * K:hi * rows * K].reshape((hi - lo,) + lead + (K,))
+                np.exp(np.multiply(table_w[lo:hi, ..., :K], -y, out=d), out=d)
+                np.multiply(table[lo:hi, ..., :K], d, out=phases[lo:hi])
+            if seeds == 2:  # the ifft and twiddle below, bitwise, at a fifth of the ifft cost
+                np.subtract(phases[0], phases[1], out=diff)
+                phases[0] += phases[1]
+                np.multiply(diff, bits[0][1], out=phases[1])
+            elif seeds > 2:  # sum over the segments, then each phase's twiddle
+                np.fft.ifft(phases, axis=0, norm="forward", out=phases)
+                for h, tw in bits:
+                    phases.reshape((L // (2 * h), 2, h) + phases.shape[1:])[:, 1] *= tw
+            elif L > Ls:
+                phases[0] *= Ls / L  # the table carries 1/Ls; length N / L needs 1/L
             for axis in range(1, f.n):  # as irfftn: complex inverses first, in place
                 np.fft.ifft(phases[:seeds], axis=axis, out=phases[:seeds])
             h = seeds  # the first-axis inverses commute with the last-axis twiddles
             while h < L:  # phases h..2h-1 from 0..h-1
-                tw = _stage_twiddle(h, K, twiddle, shifts, scratch[:M // 2])
+                tw = _stage_twiddle(h, K, twiddle, shifts, scratch)
                 np.multiply(phases[:h], tw, out=phases[h:2 * h])
                 h *= 2
+            B, M = L // 2, N // L
             out = decay_flat[:B * rows * M].reshape((B,) + lead + (M,))
             np.fft.irfft(phases[:B], n=M, out=out)
             consume(i, 0, out)
@@ -232,16 +255,18 @@ def derivative_field(f: GridFunction, s: float, J_max: int) -> LevelField:
 
     def consume(i, start, block):
         j, y = probes[i]
-        a = np.abs(block, out=block)
-        if 2**j < f.grid_size:  # a cell holds all 2B phases of its columns (a
-            # split height has M >= 256 * 2^j): take their maximum in place
-            level = values[j]
-            h = block.shape[0]
-            while h > 1:
-                h //= 2
-                np.maximum(a[:h], a[h:2 * h], out=a[:h])
-        else:  # a one-column cell holds one parity of the fold
-            level = values[j][..., start::2]
+        a, level = np.abs(block, out=block), values[j]
+        # a cell of W = N / 2^j columns holds all L = 2B phases of its columns
+        # if W >= L; otherwise groups g of W phases, one cell per group and r
+        B, M, W = block.shape[0], block.shape[-1], f.grid_size >> j
+        if W < 2 * B:  # [..., r, g]: the cell of columns L r + W g .. L r + W g + W - 1
+            level = level.reshape(level.shape[:-1] + (M, 2 * B // W))
+            level = level[..., start // W:(start + B) // W]
+            a = a.reshape((B // W, W) + a.shape[1:]).transpose((*range(1, block.ndim + 1), 0))
+        h = a.shape[0]
+        while h > 1:  # the maximum over the phases of each cell, in place
+            h //= 2
+            np.maximum(a[:h], a[h:2 * h], out=a[:h])
         a = pool(a[0], np.maximum, 2**j)
         # scaling by y^(2-s) > 0 after the max rounds exactly as before it
         a *= y ** (2.0 - s)

@@ -272,6 +272,23 @@ class TestConfigFile:
         assert "K=-1 must be >= 0" in capsys.readouterr().err
         assert not list(tmp_path.glob("seminorms_*.json"))
 
+    @pytest.mark.parametrize("where", ["flag", "file"])
+    @pytest.mark.parametrize("theta", ["nan", "-1"])
+    def test_bad_theta_rejected(self, tmp_path, capsys, where, theta):
+        # theta = nan collapses every method and is not valid JSON; theta <= 0
+        # flags every set as diverging
+        argv = ["distance", "--spec", "weierstrass s=1 levels=6 signs=plus", "--jgrid", "8",
+                "--jrange", "3:6", "--out", str(tmp_path)]
+        if where == "flag":
+            argv += ["--theta", theta]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"theta = {theta}\n")
+            argv += ["--config", str(cfg)]
+        assert run(argv) == EXIT_VALIDATION
+        assert "must be finite and > 0" in capsys.readouterr().err
+        assert not list(tmp_path.glob("distance_*.json"))
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("nonsense=1\n")

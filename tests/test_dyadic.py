@@ -195,6 +195,11 @@ class TestCarlesonSup:
         with pytest.raises(ValueError):
             carleson_sup(HalfSpaceSet(1, 4), (3, 2), 0.1)
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, 0.0, -1.0])
+    def test_theta_must_be_finite_and_positive(self, theta):
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            carleson_sup(HalfSpaceSet.full_stack(1, 4), (0, 4), theta)
+
 
 # ------------------------------------------------------------- hyperbolic
 

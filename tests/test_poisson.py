@@ -33,14 +33,16 @@ ORACLE_CASES = [
     (1, 14, "sum weierstrass s=1 levels=11 signs=plus + trig k=4096 a=0.5"),
     (2, 8, "sum weierstrass s=1 levels=5 signs=plus + wavelet-atom l=3 j=3 k=2,5"),
 ]
-# Stated tolerance of the L interleaved inverses of length N / L per height
-# (L = 2 where the decay is nonzero beyond N/4 last-axis entries) against one
-# full-length inverse real transform per height, relative to each level's
-# maximum
+# Stated tolerance of the L interleaved inverses of length M = N / L <= 2^14
+# per height (L segments of the spectrum summed where the decay is nonzero
+# beyond M/2 last-axis entries) against one full-length inverse real transform
+# per height, relative to each level's maximum; measured at most 6e-16 at n=1
+# J=20 and 4e-16 at J=17, as the even/odd fold did
 HALF_LENGTH_RTOL = 1e-12
 # tracemalloc peak of derivative_field at n=1 J_grid=20 J_max=18 on two
 # threads, measured when heights with K > N/4 still folded in chunks
-# (46.72 MiB); the spectrum's set-up sets it
+# (46.72 MiB); the spectrum's set-up sets it.  The segment layout, the same
+# size as the fold's spectrum pair, measured 41.2 MiB
 LIMIT_FIELD_PEAK_MIB = 46.72
 LIMIT_FIELD_PEAK_SLACK_MIB = 0.25
 # the same at n=2 J_grid=10 J_max=8, where a height with K > N/4 holds its
@@ -310,29 +312,30 @@ def limit_field():
 
 
 class TestPhaseSplit:
-    """Heights whose decay is exactly zero beyond K <= N/4 last-axis entries
-    are inverted as L = N / M interleaved phases of length M."""
+    """Heights are inverted as L = N / M interleaved phases of length
+    M <= 2^14: one segment of the spectrum where the decay is exactly zero
+    beyond K <= M/2 last-axis entries, L segments summed otherwise."""
 
-    @pytest.mark.parametrize("n,Jg,split,wide", [
-        (1, 12, 13, 9), (1, 20, 45, 41), (2, 10, 5, 1), (2, 11, 9, 5),
+    @pytest.mark.parametrize("n,Jg,one,wide", [
+        (1, 12, 13, 9), (1, 17, 25, 64), (1, 20, 25, 76), (2, 10, 5, 1), (2, 11, 9, 5),
     ])
-    def test_only_exact_zeros_are_cut(self, n, Jg, split, wide):
-        # split: heights with K <= N/4; wide: those with L >= 4
+    def test_only_exact_zeros_are_cut(self, n, Jg, one, wide):
+        # one: heights with one segment, K <= M/2; wide: those with L >= 4
         N = 2**Jg
+        top = min(N // 2, 2**14)
         w = 2.0 * np.pi * np.sqrt(_half_freq_sq(n, Jg))
         probes = [frac * 2.0**-j for j in range(Jg - 1) for frac in CELL_FRACS]
         plan = poisson._phase_plan(N, probes)
         for y, (K, L) in zip(probes, plan):
             nonzero = np.exp(-w * y) != 0
             columns = np.flatnonzero(nonzero.reshape(-1, N // 2 + 1).any(axis=0))
+            assert np.array_equal(columns, np.arange(K))
             M = N // L
-            assert L * M == N
-            if K <= N // 4:
-                assert np.array_equal(columns, np.arange(K))
-                assert M // 4 < K <= M // 2
-            else:
-                assert (K, L) == (N // 2 + 1, 2) and columns.size > N // 4
-        assert sum(K <= N // 4 for K, _ in plan) == split
+            assert L * M == N and M <= 2**14
+            M_K = 2 << (K - 1).bit_length()  # the smallest power of two with M/2 >= K
+            assert (K <= M // 2) == (M_K <= top)
+            assert M == min(M_K, top)
+        assert sum(K <= N // L // 2 for K, L in plan) == one
         assert sum(L >= 4 for _, L in plan) == wide
 
     def test_limit_grid_matches_full_length_inverse(self, limit_field):
@@ -341,6 +344,21 @@ class TestPhaseSplit:
         for j, level in want.items():
             assert np.max(np.abs(field.values[j] - level)) <= HALF_LENGTH_RTOL * level.max()
         oracle = LevelField("poisson", 1, 18, want)
+        for c in (0.1, 0.5):
+            eps = c * field.max_value
+            assert field.threshold(eps) == oracle.threshold(eps)
+
+    def test_narrow_cells_match_full_length_inverse(self):
+        # N = 2^17: the segment heights take L = 8 phases, so a level-15 cell
+        # of 4 columns holds half the phases of a block
+        f = synthesize(parse_function_spec("weierstrass s=1 levels=14 signs=plus"), 1, 17)
+        probes = [frac * 2.0**-j for j in range(16) for frac in CELL_FRACS]
+        assert {L for K, L in poisson._phase_plan(2**17, probes) if K > 2**13} == {8}
+        field = derivative_field(f, 1.0, 15)
+        want = full_length_field(f, 1.0, 15)
+        for j, level in want.items():
+            assert np.max(np.abs(field.values[j] - level)) <= HALF_LENGTH_RTOL * level.max()
+        oracle = LevelField("poisson", 1, 15, want)
         for c in (0.1, 0.5):
             eps = c * field.max_value
             assert field.threshold(eps) == oracle.threshold(eps)
@@ -364,12 +382,12 @@ class TestPhaseSplit:
     @pytest.mark.parametrize("n,Jg", [(1, 12), (2, 7), (1, J_GRID_MIN), (2, J_GRID_MIN)])
     @pytest.mark.parametrize("y,kept,M", [(1e3, 1, 2), (3.0, 40, 128)])
     def test_edge_heights_match_complex_oracle(self, n, Jg, y, kept, M):
-        # y = 1e3 keeps only k = 0, y = 3 keeps k = 0..39, where N/4 allows a split
+        # y = 1e3 keeps only k = 0, y = 3 keeps k = 0..39, one segment where N/2 allows
         N = 2**Jg
         g = synthesize(parse_function_spec("weierstrass s=1 levels=2 signs=random seed=2"), n, Jg)
         f = GridFunction(n, Jg, g.samples + 1.5)  # a mean for u at y = 1e3
         [plan] = poisson._phase_plan(N, [y])
-        assert plan == ((kept, N // M) if kept <= N // 4 else (N // 2 + 1, 2))
+        assert plan == (min(kept, N // 2 + 1), N // min(M, N // 2))
         for got, d2y in ((poisson_extend(f, y), False), (d2y_extension(f, y), True)):
             want = complex_oracle(f, y, d2y)
             assert np.max(np.abs(got.samples - want)) <= SPECTRAL_RTOL * np.max(np.abs(want))
@@ -451,10 +469,12 @@ class TestLipschitzCheck:
     @pytest.mark.parametrize("n,Jg,levels,max_ratio,ratio_sum", [
         (1, J, 9, 0.5807698952512016, 506.914795405008),
         (2, 7, 5, 0.5945834914129349, 368.0531144630453),
+        # heights of 4 segments; measured when they folded to two inverses of N/2
+        (1, 16, 13, 0.6326618135714732, 526.2393981103787),
     ])
     def test_ratios_pinned(self, n, Jg, levels, max_ratio, ratio_sum):
-        # measured with one full-length inverse per height; reading a neighbor
-        # column's value instead moves max_ratio by tens of percent
+        # the first two measured with one full-length inverse per height; reading
+        # a neighbor column's value instead moves max_ratio by tens of percent
         f = synthesize(parse_function_spec(f"weierstrass s=1 levels={levels} signs=plus"), n, Jg)
         rep = lipschitz_check(f, 1.0, 3000, seed=42)
         assert rep.max_ratio == pytest.approx(max_ratio, rel=1e-9)
