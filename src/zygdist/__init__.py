@@ -5,9 +5,8 @@ derivatives of the Poisson extension."""
 
 __version__ = "0.2.1"  # part of every report's content hash
 
-from .dyadic import (CarlesonReport, DyadicCube, HalfSpacePoint, HalfSpaceSet,
-                     LevelField, WhitneyCell, carleson_box_value, carleson_sup,
-                     enlarge, hyperbolic_distance)
+from .dyadic import (CarlesonReport, HalfSpaceSet, LevelField, carleson_sup,
+                     enlarge)
 from .distance import (DistanceEstimate, InclusionReport, MethodComparison,
                        compare_methods, epsilon_star, inclusion_probe,
                        projection_distance_witness)
@@ -17,8 +16,7 @@ from .gridfn import (CORPUS_SPECS, FunctionSpec, GridFunction, SpecError,
 from .poisson import (bmo_norm, d2y_extension, derivative_field,
                       holder_poisson_norm, jbmo_direct_norm, lipschitz_check,
                       poisson_extend)
-from .secdiff import (continuity_check, holder_seminorm, second_diff_field,
-                      second_difference)
+from .secdiff import continuity_check, holder_seminorm, second_diff_field
 from .wavelet import (FilterBank, WaveletCoefficients, analyze, filter_bank,
                       jbmo_wavelet_norm, lip_wavelet_norm, reconstruct,
                       truncate_projection)

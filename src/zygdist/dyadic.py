@@ -1,10 +1,11 @@
-"""Dyadic cubes, Whitney cells, half-space sets, the Carleson functional,
-and the hyperbolic geometry of the upper half-space over the torus.
+"""Sets of Whitney cells as per-level boolean masks, the Carleson functional
+on them, and their hyperbolic enlargement.
 
 A Whitney cell over the dyadic cube Q of level j is the slab
 T(Q) = Q x [l(Q)/2, l(Q)].  Against the measure dx dy / y it carries exactly
 |Q| * log 2, which makes the Carleson functional of any finite cell union an
-exact finite sum.
+exact finite sum.  A set holds one (2^j,)^n mask per level j <= J_max, and
+entry idx of level j stands for the cell over the cube of that index.
 """
 
 from __future__ import annotations
@@ -18,97 +19,17 @@ import numpy as np
 LOG2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class DyadicCube:
-    n: int
-    level: int
-    index: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.level < 0:
-            raise ValueError("level must be >= 0")
-        idx = tuple(int(v) for v in self.index)
-        if len(idx) != self.n or any(not 0 <= v < 2**self.level for v in idx):
-            raise ValueError(f"index {idx} outside [0, 2^{self.level})^{self.n}")
-        object.__setattr__(self, "index", idx)
-
-    @property
-    def side(self) -> float:
-        return 2.0**-self.level
-
-    @property
-    def volume(self) -> float:
-        return 2.0 ** (-self.n * self.level)
-
-    def contains(self, other: "DyadicCube") -> bool:
-        """True iff other is a descendant of (or equal to) this cube."""
-        if other.n != self.n or other.level < self.level:
-            return False
-        shift = other.level - self.level
-        return all(o >> shift == s for o, s in zip(other.index, self.index))
-
-
-@dataclass(frozen=True)
-class WhitneyCell:
-    cube: DyadicCube
-
-    @property
-    def y_range(self) -> tuple[float, float]:
-        side = self.cube.side
-        return (side / 2.0, side)
-
-    @property
-    def weight(self) -> float:
-        # integral of dy/y over [l/2, l] times |Q|
-        return self.cube.volume * LOG2
-
-    def center(self) -> tuple[tuple[float, ...], float]:
-        side = self.cube.side
-        x = tuple((k + 0.5) * side for k in self.cube.index)
-        return x, 0.75 * side
-
-
-@dataclass(frozen=True)
-class HalfSpacePoint:
-    x: tuple[float, ...]
-    y: float
-
-    def __post_init__(self):
-        if self.y <= 0:
-            raise ValueError("y must be > 0")
-        object.__setattr__(self, "x", tuple(float(v) for v in self.x))
-
-
 class HalfSpaceSet:
     """Finite union of Whitney cells, stored as per-level boolean masks."""
 
-    def __init__(self, n: int, J_max: int, masks: dict[int, np.ndarray] | None = None):
+    def __init__(self, n: int, J_max: int):
         if n not in (1, 2):
             raise ValueError("n must be 1 or 2")
         if J_max < 0:
             raise ValueError("J_max must be >= 0")
         self.n = n
         self.J_max = J_max
-        self._masks = {}
-        for j in range(J_max + 1):
-            shape = (2**j,) * n
-            if masks is not None and j in masks:
-                m = np.asarray(masks[j], dtype=bool)
-                if m.shape != shape:
-                    raise ValueError(f"mask at level {j} has shape {m.shape}, expected {shape}")
-                self._masks[j] = m
-            else:
-                self._masks[j] = np.zeros(shape, dtype=bool)
-
-    @classmethod
-    def from_cells(cls, n: int, J_max: int, cells) -> "HalfSpaceSet":
-        out = cls(n, J_max)
-        for item in cells:
-            j, idx = item[0], tuple(item[1:]) if not isinstance(item[1], tuple) else item[1]
-            if j > J_max:
-                raise ValueError(f"cell level {j} exceeds J_max={J_max}")
-            out._masks[j][idx] = True
-        return out
+        self._masks = {j: np.zeros((2**j,) * n, dtype=bool) for j in range(J_max + 1)}
 
     @classmethod
     def full_stack(cls, n: int, J_max: int) -> "HalfSpaceSet":
@@ -120,11 +41,6 @@ class HalfSpaceSet:
     def mask(self, j: int) -> np.ndarray:
         return self._masks[j]
 
-    def cells(self):
-        for j in range(self.J_max + 1):
-            for idx in np.argwhere(self._masks[j]):
-                yield WhitneyCell(DyadicCube(self.n, j, tuple(int(v) for v in idx)))
-
     @property
     def cell_count(self) -> int:
         return int(sum(m.sum() for m in self._masks.values()))
@@ -132,32 +48,10 @@ class HalfSpaceSet:
     def is_empty(self) -> bool:
         return self.cell_count == 0
 
-    def __contains__(self, cell) -> bool:
-        if isinstance(cell, WhitneyCell):
-            j, idx = cell.cube.level, cell.cube.index
-        else:
-            j, idx = cell[0], tuple(cell[1]) if isinstance(cell[1], (tuple, list)) else (cell[1],)
-        if j > self.J_max:
-            return False
-        return bool(self._masks[j][idx])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, HalfSpaceSet) or self.n != other.n or self.J_max != other.J_max:
             return False
         return all(np.array_equal(self._masks[j], other._masks[j]) for j in self._masks)
-
-    def issubset(self, other: "HalfSpaceSet") -> bool:
-        if self.n != other.n:
-            return False
-        for j in range(self.J_max + 1):
-            mine = self._masks[j]
-            if j > other.J_max:
-                if mine.any():
-                    return False
-                continue
-            if np.any(mine & ~other._masks[j]):
-                return False
-        return True
 
     def as_dict(self) -> dict:
         cells = [[j] + [int(v) for v in idx]
@@ -176,8 +70,8 @@ class HalfSpaceSet:
 
 def threshold_set(values: dict[int, np.ndarray], eps: float, n: int, J_max: int) -> HalfSpaceSet:
     """Cells whose per-cell value strictly exceeds eps (ties excluded)."""
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
+    if not 0.0 <= eps < math.inf:
+        raise ValueError(f"eps={eps} must be finite and >= 0")
     out = HalfSpaceSet(n, J_max)
     for j in range(J_max + 1):
         if j in values:
@@ -244,22 +138,6 @@ def pool(arr: np.ndarray, op, cells: int) -> np.ndarray:
     return arr
 
 
-def carleson_box_value(A: HalfSpaceSet, Q: DyadicCube, max_level: int | None = None) -> float:
-    """(1/|Q|) * integral over Q x (0, l(Q)] of chi_A dy dx / y, exactly.
-
-    Each cell T(P) with P inside Q contributes |P| * log 2.
-    """
-    if Q.n != A.n:
-        raise ValueError("dimension mismatch")
-    top = A.J_max if max_level is None else min(max_level, A.J_max)
-    vol = 0.0
-    for j in range(Q.level, top + 1):
-        shift = j - Q.level
-        sl = tuple(slice(k << shift, (k + 1) << shift) for k in Q.index)
-        vol += float(A._masks[j][sl].sum()) * 2.0 ** (-A.n * j)
-    return vol * 2.0 ** (A.n * Q.level) * LOG2
-
-
 @dataclass
 class CarlesonReport:
     """Depth-truncated Carleson suprema with a divergence diagnosis.
@@ -313,22 +191,6 @@ def carleson_sup(A: HalfSpaceSet, J_range: tuple[int, int], theta: float) -> Car
         theta=theta,
         diverging=bool(slope > theta * LOG2),
     )
-
-
-def torus_dist_sq(x1, x2) -> float:
-    d = 0.0
-    for a, b in zip(x1, x2):
-        t = abs(a - b) % 1.0
-        t = min(t, 1.0 - t)
-        d += t * t
-    return d
-
-
-def hyperbolic_distance(p: HalfSpacePoint, q: HalfSpacePoint) -> float:
-    """rho = arccosh(1 + (d_T(x,x')^2 + (y-y')^2) / (2 y y'))."""
-    d2 = torus_dist_sq(p.x, q.x)
-    num = d2 + (p.y - q.y) ** 2
-    return float(np.arccosh(1.0 + num / (2.0 * p.y * q.y)))
 
 
 def cell_diameter_bound(n: int) -> float:

@@ -49,6 +49,13 @@ class SpecError(ValueError):
     """Malformed or out-of-range function spec."""
 
 
+def _check_grid(n: int, J_grid: int):
+    if n not in (1, 2):
+        raise ValueError(f"n must be 1 or 2, got {n}")
+    if not J_GRID_MIN <= J_grid <= J_GRID_MAX[n]:
+        raise ValueError(f"J_grid={J_grid} outside [{J_GRID_MIN}, {J_GRID_MAX[n]}] for n={n}")
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """Real samples of a periodic function on the dyadic grid of [0,1)^n."""
@@ -59,12 +66,7 @@ class GridFunction:
     label: str = ""
 
     def __post_init__(self):
-        if self.n not in (1, 2):
-            raise ValueError(f"n must be 1 or 2, got {self.n}")
-        if not J_GRID_MIN <= self.J_grid <= J_GRID_MAX[self.n]:
-            raise ValueError(
-                f"J_grid={self.J_grid} outside [{J_GRID_MIN}, {J_GRID_MAX[self.n]}] for n={self.n}"
-            )
+        _check_grid(self.n, self.J_grid)
         arr = np.ascontiguousarray(np.asarray(self.samples, dtype=float))
         expected = (2**self.J_grid,) * self.n
         if arr.shape != expected:
@@ -225,6 +227,7 @@ def synthesize(spec: FunctionSpec, n: int, J_grid: int) -> GridFunction:
     the grid as row i1 = profile[i1:i1+N].  The log-kink is a sum of one
     function per coordinate, evaluated on one axis.
     """
+    _check_grid(n, J_grid)  # before the grid is allocated
     N = 2**J_grid
     x = np.arange(N) / N
     kind, p = spec.kind, spec.params

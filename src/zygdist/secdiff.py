@@ -97,18 +97,6 @@ def _d2_lattice(samples: np.ndarray, h: tuple[int, ...], stride: int,
     return np.abs(out, out=out)
 
 
-def second_difference(f: GridFunction, x, y: float, K: int | None = None) -> float:
-    """Maximal second difference at grid point x and scale y = m * 2^-J, over
-    K directions (default: as many as the fields use)."""
-    K = _default_K(f.n) if K is None else K
-    N = f.grid_size
-    m = y * N
-    if abs(m - round(m)) > 1e-9 or round(m) < 1:
-        raise ValueError(f"y={y} is not a positive multiple of the grid step")
-    pos = tuple(np.asarray([v], dtype=int) for v in np.atleast_1d(x))
-    return float(_d2_vector(f.samples, pos, np.asarray([int(round(m))]), K)[0])
-
-
 def _default_K(n: int) -> int:
     return 1 if n == 1 else 8
 

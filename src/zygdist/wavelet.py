@@ -131,31 +131,6 @@ def filter_bank(p: int) -> FilterBank:
     return FilterBank(p=p, lo=lo, hi=hi)
 
 
-def orthonormality_residual(bank: FilterBank) -> float:
-    """Worst defect of the defining quadratic filter equations."""
-    lo = bank.lo
-    res = abs(float(lo.sum()) - math.sqrt(2.0))
-    for t in range(1, bank.p):
-        res = max(res, abs(float(np.dot(lo[: lo.size - 2 * t], lo[2 * t:]))))
-    res = max(res, abs(float(np.dot(lo, lo)) - 1.0))
-    return res
-
-
-def moment_residuals(bank: FilterBank) -> list[float]:
-    """Normalized discrete moments of the high-pass filter, orders 0..p-1.
-
-    Residual q is |sum_k k^q hi[k]| / sum_k |k^q hi[k]| (order 0 normalizes
-    by sum |hi|), so the cancellation test is scale free in q.
-    """
-    k = np.arange(bank.length, dtype=float)
-    out = []
-    for q in range(bank.p):
-        w = k**q * bank.hi
-        denom = float(np.sum(np.abs(w)))
-        out.append(abs(float(w.sum())) / denom if denom > 0 else 0.0)
-    return out
-
-
 @dataclass
 class WaveletCoefficients:
     """Full periodized multiresolution table: scaling d plus details c[j]."""

@@ -8,6 +8,14 @@ J_TEST = 12
 N_TEST = 2**J_TEST
 
 
+def is_subset(A, B):
+    """Every cell of the HalfSpaceSet A is a cell of B."""
+    if A.n != B.n:
+        return False
+    return all(not A.mask(j).any() if j > B.J_max else not np.any(A.mask(j) & ~B.mask(j))
+               for j in range(A.J_max + 1))
+
+
 @pytest.fixture(scope="session")
 def cos_12():
     x = np.arange(N_TEST) / N_TEST

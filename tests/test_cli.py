@@ -50,7 +50,9 @@ class TestSeminorms:
     @pytest.mark.parametrize("args", [
         ["seminorms", "--spec", "trig k=1 a=1", "--jgrid", "8"],
         ["validate", "--criteria", "1"],
-    ], ids=["seminorms", "validate"])
+        ["sets", "--n", "2", "--jgrid", "7", "--jrange", "2:5", "--eps", "0.5",
+         "--method", "poisson", "--spec", "weierstrass s=1 levels=5 signs=plus"],
+    ], ids=["seminorms", "validate", "sets"])
     def test_reports_reproducible_modulo_timestamp(self, tmp_path, args):
         args = args + ["--out", str(tmp_path)]
         assert run(args) == EXIT_OK
@@ -142,6 +144,14 @@ class TestDistance:
         assert sorted(printed) == sorted(expected)
         assert any(line.startswith("warning: secdiff: C2-decay certificate") for line in printed)
 
+    def test_jgrid_over_limit_rejected_before_allocating(self, tmp_path, capsys):
+        # 2^40 samples could not be allocated: the grid is checked first
+        code = run(["distance", "--spec", "trig k=1 a=1", "--jgrid", "40",
+                    "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert "outside [4, 20]" in capsys.readouterr().err
+        assert not list(tmp_path.glob("distance_*.json"))
+
 
 class TestInclusion:
     def test_probe_runs(self, tmp_path):
@@ -195,6 +205,20 @@ class TestInclusion:
         assert code == EXIT_VALIDATION
         assert "eta must lie in (0, 1]" in capsys.readouterr().err
         assert not list(tmp_path.glob("inclusion_*.json"))
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+@pytest.mark.parametrize("command,argv", [
+    ("sets", ["--method", "poisson"]),
+    ("inclusion", ["--source", "poisson", "--target", "secdiff"]),
+], ids=["sets", "inclusion"])
+def test_non_finite_eps_rejected(tmp_path, capsys, command, argv, eps):
+    # "eps": NaN or Infinity would not be valid JSON
+    code = run([command, "--spec", "weierstrass s=1 levels=4 signs=plus", "--jgrid", "7",
+                "--jrange", "3:5", "--eps", eps, *argv, "--out", str(tmp_path)])
+    assert code == EXIT_VALIDATION
+    assert "must be finite and >= 0" in capsys.readouterr().err
+    assert not list(tmp_path.glob(f"{command}_*.json"))
 
 
 class TestValidate:
