@@ -69,6 +69,58 @@ def geodesic_length(dx, y1, y2, steps=400_000):
     return float(np.trapezoid(1.0 / np.sin(t), t))
 
 
+def box_values(A, q):
+    """Box value of every level-q cube of A: the cell masses of each level
+    j >= q summed into their level-q ancestors by pool, as box_sup sums them."""
+    return LOG2 * sum(pool(A.mask(j) * 2.0 ** (-A.n * j), np.add, 2**q)
+                      for j in range(q, A.J_max + 1))
+
+
+# ------------------------------------------------------------ box values
+
+class TestBoxValue:
+    def test_single_cell_own_box(self):
+        A = cell_set(1, 4, [(2, (1,))])
+        assert abs(box_values(A, 2)[1] * 2.0**2 - LOG2) < 1e-15
+
+    def test_full_stack_unit_cube(self):
+        J = 6
+        A = HalfSpaceSet.full_stack(1, J)
+        assert abs(box_values(A, 0)[0] - (J + 1) * LOG2) < 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_child_cell_volume_ratio(self, n):
+        A = cell_set(n, 4, [(3, (0,) * n)])
+        val = box_values(A, 2)[(0,) * n] * 2.0 ** (2 * n)
+        assert abs(val - LOG2 * 2.0**-n) < 1e-15
+
+    def test_additive_over_disjoint_cells(self):
+        rng = np.random.default_rng(0)
+        cells = list({(int(j), (int(rng.integers(0, 2**j)),)) for j in rng.integers(1, 5, size=12)})
+        whole = box_values(cell_set(1, 6, cells), 0)[0]
+        parts = sum(box_values(cell_set(1, 6, [c]), 0)[0] for c in cells)
+        assert abs(whole - parts) < 1e-13
+
+    def test_agrees_with_brute_force(self):
+        rng = np.random.default_rng(1)
+        cells = list({(int(j), (int(rng.integers(0, 2**j)),)) for j in rng.integers(0, 5, size=20)})
+        A = cell_set(1, 4, cells)
+        for q in range(3):
+            got = box_values(A, q) * 2.0**q
+            for k in range(2**q):
+                assert abs(got[k] - brute_box_value(cells, q, (k,), 1, 4)) < 1e-13
+
+    def test_agrees_with_brute_force_n2(self):
+        rng = np.random.default_rng(7)
+        cells = list({(int(j), (int(rng.integers(0, 2**j)), int(rng.integers(0, 2**j))))
+                      for j in rng.integers(0, 4, size=25)})
+        A = cell_set(2, 3, cells)
+        for q in range(4):
+            got = box_values(A, q) * 4.0**q
+            for idx in np.ndindex(*(2**q,) * 2):
+                assert abs(got[idx] - brute_box_value(cells, q, idx, 2, 3)) < 1e-13
+
+
 # ------------------------------------------------------------ carleson sup
 
 class TestCarlesonSup:
@@ -306,6 +358,17 @@ class TestHalfSpaceSet:
         assert S.mask(1)[1]
         assert not S.mask(0)[0]  # ties excluded
         assert S.cell_count == 1
+
+    def test_threshold_zero_keeps_positive_values(self):
+        values = {0: np.array([0.0]), 1: np.array([1e-300, 0.0])}
+        S = threshold_set(values, 0.0, 1, 1)
+        assert S.mask(1)[0]
+        assert S.cell_count == 1
+
+    @pytest.mark.parametrize("eps", [-1.0, math.nan, math.inf])
+    def test_threshold_eps_must_be_finite_and_nonnegative(self, eps):
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            threshold_set({0: np.array([1.0])}, eps, 1, 0)
 
     def test_json_roundtrip(self):
         A = cell_set(2, 3, [(2, (1, 3)), (0, (0, 0))])

@@ -241,6 +241,19 @@ class TestGridFunctionInvariants:
         with pytest.raises(ValueError):
             GridFunction(n, J, np.zeros((2**J,) * min(n, 2)))
 
+    @pytest.mark.parametrize("n,J", [(1, 3), (1, 21), (2, 12), (1, 40), (3, 8)])
+    def test_synthesize_rejects_bad_dims_before_allocating(self, n, J):
+        # the same check as GridFunction's, made before the 2^J grid exists
+        spec = parse_function_spec("trig k=1 a=1")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"n must be 1 or 2|outside \[4, "):
+                synthesize(spec, n, J)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_finite_required(self):
         samples = np.zeros(256)
         samples[3] = np.inf
