@@ -160,15 +160,17 @@ def cmd_seminorms(args) -> int:
     cfg = build_config(args)
     spec = parse_function_spec(args.spec)
     f = synthesize(spec, cfg.n, cfg.J_grid)
-    bank = _wavelet.filter_bank(cfg.wavelet_p)
-    coeffs = _wavelet.analyze(f, bank)
     s = cfg.s
     holder_semi = _secdiff.holder_seminorm(f, s, K=_k_or_none(cfg))
+    coeffs = _wavelet.analyze(f, _wavelet.filter_bank(cfg.wavelet_p))
     norms = {
         "holder_direct": holder_semi + sup_norm(f),
         "zygmund_seminorm": holder_semi if s == 1.0 else None,
         "wavelet_lip": _wavelet.lip_wavelet_norm(coeffs, s),
         "wavelet_jbmo": _wavelet.jbmo_wavelet_norm(coeffs, s),
+    }
+    del coeffs  # the coefficient table is a grid's worth: free it before the spectral norms
+    norms |= {
         "jbmo_direct": _poisson.jbmo_direct_norm(f, s, cfg.J_grid),
         "poisson": _poisson.holder_poisson_norm(f, s),
     }

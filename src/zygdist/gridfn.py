@@ -5,10 +5,12 @@ All analysis in this package lives on [0,1)^n with a uniform dyadic grid of
 2^J_grid points per axis.  Frequencies are integers k, with the multiplier
 convention xi = 2*pi*k.
 
-The lacunary and log-kink kinds of synthesis and the Bessel multiplier
-evaluate each transcendental once per distinct exact argument (x1 + x2 on
-the grid, one coordinate axis, |k|^2) and lay the values out on the grid;
-the samples are bitwise those of a pointwise evaluation.
+The lacunary and log-kink kinds of synthesis evaluate each transcendental
+once per distinct exact argument (x1 + x2 on the grid, one coordinate axis)
+and lay the values out on the grid.  The Bessel multiplier is evaluated once
+per (|k1|, k2) with |k1| <= k2 (131,841 values at n=2 J_grid=10, where the
+distinct |k|^2 number 82,799) and read row by row.  The samples are bitwise
+those of a pointwise evaluation.
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ J_GRID_MAX = {1: 20, 2: 11}
 # points per block of the Weierstrass level sum: its one scratch buffer is
 # 512 KiB however large the grid
 _LEVEL_BLOCK = 2**16
+# points per row block of the Bessel lift's real transforms: its longdouble
+# copy of the samples is 1 MiB at n=2 (a whole row at n=1)
+_ROW_BLOCK = 2**16
 
 # n=1 reference corpus used by the validation suite and the comparability
 # bands.  Rough (Weierstrass/lacunary) entries sit outside the bmo-Sobolev
@@ -348,32 +353,51 @@ def bessel_lift(f: GridFunction, r: float) -> GridFunction:
     re-amplify FFT roundoff on the attenuated modes.  numpy >= 2.0 transforms
     longdouble input in longdouble (numpy 1.x dropped to float64).
 
-    The multiplier depends on |k|^2 only, so at n=2 it is evaluated once per
-    (|k1|, k2) with |k1| <= k2 and read back for every half-spectrum entry:
-    the same extended-precision values a pointwise evaluation gives.
+    One clongdouble half spectrum is the only full-size buffer: it is filled
+    by real transforms of longdouble row blocks, transformed along the first
+    axis in place (n=2), multiplied row by row by the quadrant table of
+    _bessel_multiplier, transformed back in place, and inverted row block by
+    row block straight into the float64 samples.  These are the 1-D
+    transforms rfftn and irfftn make, so the samples are bitwise theirs.
     """
-    x = f.samples.astype(np.longdouble)
-    out = np.fft.irfftn(np.fft.rfftn(x) * _bessel_multiplier(f.n, f.J_grid, r),
-                        s=x.shape, axes=tuple(range(f.n)))
-    samples = np.ascontiguousarray(out, dtype=float)
+    N = f.grid_size
+    # the table first: its temporaries are gone before the spectrum exists
+    quad = _bessel_multiplier(f.n, f.J_grid, r)
+    rows = f.samples.reshape(-1, N)
+    step = max(1, _ROW_BLOCK // N)
+    spec = np.empty((rows.shape[0], N // 2 + 1), dtype=np.clongdouble)
+    for i in range(0, rows.shape[0], step):
+        np.fft.rfft(rows[i:i + step].astype(np.longdouble), out=spec[i:i + step])
+    for axis in range(f.n - 1):  # as rfftn: the other axes after the last
+        np.fft.fft(spec, axis=axis, out=spec)
+    # row k1 >= 0 is quadrant row k1; row N + k1 (k1 < 0) is quadrant row -k1
+    spec[:N // 2 + 1] *= quad
+    spec[N // 2 + 1:] *= quad[N // 2 - 1:0:-1]
+    del quad
+    for axis in range(f.n - 1):  # as irfftn: complex inverses first
+        np.fft.ifft(spec, axis=axis, out=spec)
+    samples = np.empty(f.samples.shape)
+    out = samples.reshape(-1, N)
+    for i in range(0, rows.shape[0], step):
+        np.fft.irfft(spec[i:i + step], n=N, out=out[i:i + step])
     return GridFunction(f.n, f.J_grid, samples, label=f"{f.label}|bessel{r:+g}")
 
 
 def _bessel_multiplier(n: int, J: int, r: float) -> np.ndarray:
-    """(1 + 4 pi^2 |k|^2)^(-r/2) in longdouble on the half spectrum."""
+    """(1 + 4 pi^2 (k1^2 + k2^2))^(-r/2) in longdouble for 0 <= k1, k2 <= N/2,
+    shape (N/2 + 1,) * 2; at n=1 the single row k1 = 0 (the half spectrum)."""
     def mult(ksq):
         ksq = ksq.astype(np.longdouble)
         return (1.0 + 4.0 * np.longdouble(np.pi) ** 2 * ksq) ** np.longdouble(-r / 2.0)
 
     if n == 1:
-        return mult(_half_freq_sq(1, J))
-    # |k|^2 is even in k1 and symmetric in (k1, k2): evaluate the quadrant
-    # 0 <= k1, k2 <= N/2 on its upper triangle, mirror it, index rows by |k1|
+        return mult(_half_freq_sq(1, J))[None]
+    # |k|^2 is symmetric in (k1, k2): evaluate the upper triangle and mirror it
     N = 2**J
     a, b = np.triu_indices(N // 2 + 1)
     quad = np.empty((N // 2 + 1,) * 2, dtype=np.longdouble)
     quad[a, b] = quad[b, a] = mult(a * a + b * b)
-    return quad[np.abs(np.fft.fftfreq(N, d=1.0 / N)).astype(np.intp)]
+    return quad
 
 
 def sup_norm(f: GridFunction) -> float:

@@ -402,27 +402,31 @@ def bmo_norm(f: GridFunction, J_max: int) -> float:
     """Dyadic mean-oscillation sup plus the global L2 norm.
 
     sup over dyadic cubes of levels 0..J_max of the L2 mean oscillation,
-    plus the L2 norm over the torus (its single unit cube).
+    plus the L2 norm over the torus (its single unit cube).  The squares are
+    the one full-size array; the sums start as the samples themselves.
     """
-    if J_max > f.J_grid:
-        raise ValueError(f"J_max={J_max} exceeds grid depth {f.J_grid}")
-    N = f.grid_size
+    if not 0 <= J_max <= f.J_grid:
+        raise ValueError(f"J_max={J_max} outside [0, {f.J_grid}]")
     best = 0.0
-    sums = f.samples.astype(float)
-    sqs = f.samples.astype(float) ** 2
+    sums = f.samples
+    sqs = f.samples**2
+    l2 = math.sqrt(float(sqs.mean()))
     count = 1
-    # walk levels J_grid .. 0; oscillation is meaningful once recorded levels <= J_max
+    # walk levels J_grid .. 0; oscillation is meaningful once recorded levels <= J_max.
+    # A single point oscillates by x^2 - x^2 = 0 (nan if x^2 overflows, which
+    # max(0.0, nan) drops), so the finest level is skipped: best stays 0.0 either way
     for j in range(f.J_grid, -1, -1):
-        if j <= J_max:
+        if j <= J_max and count > 1:
             mean = sums / count
-            meansq = sqs / count
-            osc_sq = np.maximum(meansq - mean**2, 0.0)
+            np.square(mean, out=mean)
+            osc_sq = sqs / count
+            osc_sq -= mean
+            np.maximum(osc_sq, 0.0, out=osc_sq)
             best = max(best, float(osc_sq.max()))
         if j > 0:
             sums = pool(sums, np.add, 2 ** (j - 1))
             sqs = pool(sqs, np.add, 2 ** (j - 1))
             count *= 2**f.n
-    l2 = math.sqrt(float((f.samples**2).mean()))
     return math.sqrt(best) + l2
 
 

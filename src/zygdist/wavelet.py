@@ -315,12 +315,8 @@ def jbmo_wavelet_norm(coeffs: WaveletCoefficients, s: float) -> float:
 def truncate_projection(coeffs: WaveletCoefficients, s: float, eps: float) -> WaveletCoefficients:
     """Keep every orientation on cubes whose threshold ratio exceeds eps,
     zero the rest, keep d.  The discarded part has coefficient smoothness
-    norm at most eps by construction."""
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
-    field = scale_ratio_field(coeffs, s)
-    out = coeffs.copy()
-    for j in range(coeffs.J_grid):
-        out.c[j] = np.where(field.values[j] > eps, coeffs.c[j], 0.0)
-    return out
+    norm at most eps by construction.  eps must be finite and >= 0."""
+    kept = scale_ratio_field(coeffs, s).threshold(eps)
+    c = {j: np.where(kept.mask(j), coeffs.c[j], 0.0) for j in range(coeffs.J_grid)}
+    return WaveletCoefficients(n=coeffs.n, J_grid=coeffs.J_grid, d=coeffs.d, c=c)
 

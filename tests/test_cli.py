@@ -1,12 +1,14 @@
 import json
 import math
 import re
+import tracemalloc
 
 import pytest
 
 import zygdist
 import zygdist.poisson
 from zygdist.cli import EXIT_OK, EXIT_VALIDATION, RunConfig, _content_hash, main
+from test_poisson import N2_FIELD_PEAK_MIB, N2_FIELD_PEAK_SLACK_MIB
 
 
 def run(argv):
@@ -85,6 +87,21 @@ class TestSeminorms:
         assert rep_a["config"]["out"] != rep_b["config"]["out"]
         assert rep_a["content_hash"] == rep_b["content_hash"]
         assert path_a.name == path_b.name
+
+    def test_n2_memory(self, tmp_path, monkeypatch):
+        # derivative_field sets the peak, with the samples (one 8 MiB grid) held
+        # beside it: 49.9-51.2 MiB in 10 runs; the wavelet table is freed before
+        # the spectral norms and the Bessel lift stays below the field's peak
+        monkeypatch.setattr(zygdist.poisson, "_CPUS", 2)
+        argv = ["seminorms", "--n", "2", "--jgrid", "10", "--s", "0.5",
+                "--spec", "weierstrass s=0.5 levels=8 signs=plus", "--out", str(tmp_path)]
+        tracemalloc.start()
+        try:
+            assert run(argv) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (N2_FIELD_PEAK_MIB + N2_FIELD_PEAK_SLACK_MIB + 8 + 0.5) * 2**20
 
     def test_version_enters_content_hash(self, monkeypatch):
         cfg = RunConfig()

@@ -201,18 +201,37 @@ class TestExactArguments:
         got = synthesize(spec, n, J).samples
         assert np.array_equal(got.view(np.int64), _pointwise(spec, n, J).view(np.int64))
 
-    @pytest.mark.parametrize("J", [4, 9, 10])
-    def test_bessel_n2_bitwise(self, J):
+    @pytest.mark.parametrize("n,J", [(1, 4), (1, 16), (2, 4), (2, 9), (2, 10)])
+    @pytest.mark.parametrize("row_block", [None, 3000])
+    def test_bessel_bitwise(self, n, J, row_block, monkeypatch):
+        # rfftn and irfftn on the whole grid with the pointwise multiplier;
+        # a row block of 3000 points leaves the last block partial at n=2 J=9
+        if row_block is not None:
+            monkeypatch.setattr(gridfn, "_ROW_BLOCK", row_block)
         rng = np.random.default_rng(J)
-        f = GridFunction(2, J, rng.standard_normal((2**J, 2**J)), label="r2")
+        f = GridFunction(n, J, rng.standard_normal((2**J,) * n), label="r")
         x = f.samples.astype(np.longdouble)
         spec = np.fft.rfftn(x)
-        ksq = _half_freq_sq(2, J).astype(np.longdouble)
+        ksq = _half_freq_sq(n, J).astype(np.longdouble)
         for r in (-1.0, -0.5, 0.5, 2.0):
             mult = (1.0 + 4.0 * np.longdouble(np.pi) ** 2 * ksq) ** np.longdouble(-r / 2.0)
-            want = np.fft.irfftn(spec * mult, s=x.shape, axes=(0, 1)).astype(float)
+            want = np.fft.irfftn(spec * mult, s=x.shape, axes=tuple(range(n))).astype(float)
             got = bessel_lift(f, r).samples
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_bessel_memory_n2(self):
+        # one clongdouble half spectrum (2 grids) is the only full-size buffer
+        # besides the samples out: 25.15 MiB (3.14 grids) at J=10, against
+        # 64.18 MiB (8.02 grids) for rfftn and irfftn on the whole grid
+        f = synthesize(parse_function_spec("weierstrass s=1 levels=8 signs=plus"), 2, 10)
+        for r in (-0.5, 2.0):
+            tracemalloc.start()
+            try:
+                bessel_lift(f, r)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 3.25 * f.samples.nbytes
 
     @pytest.mark.parametrize("text", [
         "weierstrass s=1 levels=9 signs=plus",
@@ -385,11 +404,24 @@ class TestBessel:
 
     @pytest.mark.parametrize("shape", [(64,), (16, 16)])
     def test_transform_keeps_extended_precision(self, shape):
-        # bessel_lift relies on numpy transforming longdouble in longdouble
-        spec = np.fft.rfftn(np.ones(shape, dtype=np.longdouble))
-        assert spec.dtype == np.clongdouble
-        back = np.fft.irfftn(spec, s=shape, axes=tuple(range(len(shape))))
+        # bessel_lift relies on numpy transforming longdouble in longdouble,
+        # also into out= buffers: rfft of longdouble rows, the first axis in
+        # place on clongdouble, and irfft into the float64 samples
+        x = np.random.default_rng(3).standard_normal(shape)
+        spec = np.empty(shape[:-1] + (shape[-1] // 2 + 1,), dtype=np.clongdouble)
+        np.fft.rfft(x.astype(np.longdouble), out=spec)
+        assert np.array_equal(spec, np.fft.rfft(x.astype(np.longdouble)))
+        for axis in range(len(shape) - 1):
+            assert np.fft.fft(spec, axis=axis, out=spec) is spec
+        for axis in range(len(shape) - 1):
+            assert np.fft.ifft(spec, axis=axis, out=spec) is spec
+        out = np.empty(shape)
+        np.fft.irfft(spec, n=shape[-1], out=out)
+        back = np.fft.irfft(spec, n=shape[-1])
         assert back.dtype == np.longdouble
+        assert np.array_equal(out.view(np.int64), back.astype(float).view(np.int64))
+        # longdouble roundoff is far below half a float64 ulp: x comes back exactly
+        assert np.array_equal(out, x)
 
     def test_no_scipy_import(self):
         # the package's one FFT library is numpy's; a fresh interpreter shows it

@@ -10,7 +10,7 @@ from conftest import is_subset
 from zygdist import (GridFunction, bessel_lift, parse_function_spec, sup_norm,
                      synthesize)
 import zygdist.poisson as poisson
-from zygdist.dyadic import LevelField, carleson_sup
+from zygdist.dyadic import LevelField, carleson_sup, pool
 from zygdist.gridfn import J_GRID_MIN, _half_freq_sq
 from zygdist.poisson import (bmo_norm, d2y_extension, derivative_field,
                              holder_poisson_norm, jbmo_direct_norm,
@@ -52,6 +52,11 @@ LIMIT_FIELD_PEAK_SLACK_MIB = 0.25
 # as the two threads' pooling overlaps; the slack was set before the latter ran
 N2_FIELD_PEAK_MIB = 43.66
 N2_FIELD_PEAK_SLACK_MIB = 0.5
+# tracemalloc peak of bmo_norm at n=2 J_grid=10, in grids of samples: the
+# squares plus the first pooling of the sums and of the squares, 16.13 MiB
+# (2.016 grids) at J_max = J_grid and J_grid - 3; the full-array body took 6
+BMO_PEAK_GRIDS = 2.0
+BMO_PEAK_SLACK_MIB = 0.25
 
 
 def complex_oracle(f, y, d2y):
@@ -108,6 +113,27 @@ def brute_interval_oscillation(samples):
         osc = sqs / width - (sums / width) ** 2
         best = max(best, float(osc.max()))
     return math.sqrt(max(best, 0.0))
+
+
+def full_array_bmo(f, J_max):
+    """bmo_norm with a full-size copy of the sums and the squares and every
+    level's temporaries: the bitwise oracle of the in-place body."""
+    best = 0.0
+    sums = f.samples.astype(float)
+    sqs = f.samples.astype(float) ** 2
+    count = 1
+    for j in range(f.J_grid, -1, -1):
+        if j <= J_max:
+            mean = sums / count
+            meansq = sqs / count
+            osc_sq = np.maximum(meansq - mean**2, 0.0)
+            best = max(best, float(osc_sq.max()))
+        if j > 0:
+            sums = pool(sums, np.add, 2 ** (j - 1))
+            sqs = pool(sqs, np.add, 2 ** (j - 1))
+            count *= 2**f.n
+    l2 = math.sqrt(float((f.samples**2).mean()))
+    return math.sqrt(best) + l2
 
 
 class TestExtension:
@@ -524,9 +550,35 @@ class TestBmo:
         assert dyadic_osc <= brute * (1 + 1e-12)
         assert dyadic_osc >= 0.7 * brute
 
-    def test_jmax_guard(self, cos_12):
-        with pytest.raises(ValueError):
-            bmo_norm(cos_12, J + 1)
+    @pytest.mark.parametrize("J_max", [J + 1, -1, -3])
+    def test_jmax_guard(self, cos_12, J_max):
+        # a negative J_max once returned the L2 part alone
+        with pytest.raises(ValueError, match=r"outside \[0, 12\]"):
+            bmo_norm(cos_12, J_max)
+
+    @pytest.mark.parametrize("n,Jg,text", [
+        (1, 12, "weierstrass s=1 levels=9 signs=plus"),
+        (1, 12, "sum lacunary-random s=0.5 levels=9 seed=3 + xlogx eps=0.1"),
+        (2, 9, "weierstrass s=0.7 levels=7 seed=11 signs=random"),
+        (2, 7, "sum weierstrass s=1 levels=5 signs=plus + wavelet-atom l=3 j=3 k=2,5"),
+    ])
+    def test_matches_full_array_oracle(self, n, Jg, text):
+        f = synthesize(parse_function_spec(text), n, Jg)
+        for g in (f, bessel_lift(f, -1.0)):
+            for J_max in (0, Jg - 3, Jg):
+                got, want = np.array([bmo_norm(g, J_max), full_array_bmo(g, J_max)])
+                assert got.view(np.int64) == want.view(np.int64)
+
+    def test_n2_grid_memory(self):
+        f = synthesize(parse_function_spec("weierstrass s=1 levels=8 signs=plus"), 2, 10)
+        for J_max in (10, 7):
+            tracemalloc.start()
+            try:
+                bmo_norm(f, J_max)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= BMO_PEAK_GRIDS * f.samples.nbytes + BMO_PEAK_SLACK_MIB * 2**20
 
 
 class TestJbmoDirect:

@@ -408,6 +408,12 @@ class TestTruncateProjection:
         for j in coeffs.c:
             assert np.array_equal(g.c[j], coeffs.c[j])
 
+    @pytest.mark.parametrize("eps", [-0.1, math.nan, math.inf])
+    def test_bad_eps_rejected(self, weier1_12, bank8, eps):
+        # nan once zeroed every detail coefficient and inf was accepted
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            truncate_projection(analyze(weier1_12, bank8), 1.0, eps)
+
     def test_eps_above_norm_zeroes_all_detail(self, weier1_12, bank8):
         coeffs = analyze(weier1_12, bank8)
         g = truncate_projection(coeffs, 1.0, lip_wavelet_norm(coeffs, 1.0))
