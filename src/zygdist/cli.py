@@ -91,14 +91,19 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "wavelet_p", None) is not None:
         cfg.wavelet_p = args.wavelet_p
     if getattr(args, "jrange", None) is not None:
-        lo, hi = args.jrange.split(":")
-        cfg.J_lo, cfg.J_hi = int(lo), int(hi)
+        try:
+            cfg.J_lo, cfg.J_hi = (int(v) for v in args.jrange.split(":"))
+        except ValueError:
+            raise SpecError(f"--jrange {args.jrange!r} must be two integers lo:hi") from None
     if getattr(args, "K", None) is not None:
         cfg.K = args.K
     if cfg.K < 0:
         raise SpecError(f"K={cfg.K} must be >= 0 (0 means the per-dimension default)")
     if not 0.0 < cfg.theta < math.inf:
         raise SpecError(f"theta={cfg.theta} must be finite and > 0")
+    # a J_hi deeper than the field is allowed: carleson_sup continues M_J past it
+    if not 0 <= cfg.J_lo <= cfg.J_hi:
+        raise SpecError(f"depth range {cfg.J_lo}:{cfg.J_hi} needs 0 <= J_lo <= J_hi")
     return cfg
 
 

@@ -5,17 +5,25 @@ All analysis in this package lives on [0,1)^n with a uniform dyadic grid of
 2^J_grid points per axis.  Frequencies are integers k, with the multiplier
 convention xi = 2*pi*k.
 
-The lacunary and log-kink kinds of synthesis evaluate each transcendental
-once per distinct exact argument (x1 + x2 on the grid, one coordinate axis)
-and lay the values out on the grid.  The Bessel multiplier is evaluated once
-per (|k1|, k2) with |k1| <= k2 (131,841 values at n=2 J_grid=10, where the
-distinct |k|^2 number 82,799) and read row by row.  The samples are bitwise
-those of a pointwise evaluation.
+The Weierstrass, lacunary and log-kink kinds of synthesis evaluate their
+transcendentals on one axis (per level, once per distinct exact x1 + x2 on
+the grid; once per coordinate for the log-kink) and lay the values out on
+the grid.  Weierstrass levels repeat arguments across levels: level j+1's
+argument at m is bitwise level j's at 2m.  The Bessel multiplier is
+evaluated once per (|k1|, k2) with |k1| <= k2 (131,841 values at n=2
+J_grid=10, where the distinct |k|^2 number 82,799) and read row by row.  The
+samples are bitwise those of a pointwise evaluation.
+
+_deal shares the work of one stage between the calling thread and one
+worker on grids of at least 2^16 points: the Bessel lift's transforms and
+multiplier table here, the Poisson heights and the Holder seminorm's probes.
 """
 
 from __future__ import annotations
 
+import os
 import re
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,9 +35,12 @@ J_GRID_MAX = {1: 20, 2: 11}
 # points per block of the Weierstrass level sum: its one scratch buffer is
 # 512 KiB however large the grid
 _LEVEL_BLOCK = 2**16
-# points per row block of the Bessel lift's real transforms: its longdouble
-# copy of the samples is 1 MiB at n=2 (a whole row at n=1)
+# points of the Bessel lift's real transforms in flight, half per thread: each
+# thread's longdouble copy of its row block is 512 KiB at n=2 (a whole row at
+# n=1)
 _ROW_BLOCK = 2**16
+_THREAD_MIN_POINTS = 2**16  # smaller grids run their work on the calling thread alone
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 # n=1 reference corpus used by the validation suite and the comparability
 # bands.  Rough (Weierstrass/lacunary) entries sit outside the bmo-Sobolev
@@ -59,6 +70,37 @@ def _check_grid(n: int, J_grid: int):
         raise ValueError(f"n must be 1 or 2, got {n}")
     if not J_GRID_MIN <= J_grid <= J_GRID_MAX[n]:
         raise ValueError(f"J_grid={J_grid} outside [{J_GRID_MIN}, {J_GRID_MAX[n]}] for n={n}")
+
+
+def _deal(run, items, points: int) -> list:
+    """Run run(share) over shares of items and return the results, the
+    calling thread's first.
+
+    On a grid of at least _THREAD_MIN_POINTS points, with two CPUs and two
+    items, items[0::2] run on the calling thread and items[1::2] on one
+    worker thread, whose exception is raised on the caller once both are
+    done; otherwise run(items) runs on the calling thread alone.  run must be
+    safe to call from both threads at once.
+    """
+    if len(items) < 2 or points < _THREAD_MIN_POINTS or _CPUS < 2:
+        return [run(items)]
+    results, errors = [None, None], []
+
+    def worker():
+        try:
+            results[1] = run(items[1::2])
+        except BaseException as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    thread = threading.Thread(target=worker)
+    thread.start()
+    try:
+        results[0] = run(items[0::2])
+    finally:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 @dataclass(frozen=True)
@@ -223,9 +265,12 @@ def _validate_params(kind: str, p: dict):
 def synthesize(spec: FunctionSpec, n: int, J_grid: int) -> GridFunction:
     """Evaluate a FunctionSpec pointwise on the 2^J_grid dyadic grid.
 
-    The Weierstrass, lacunary and log-kink kinds evaluate each
-    transcendental once per distinct exact argument, and the result is
-    bitwise what a pointwise evaluation over the full grid gives.  The
+    The Weierstrass, lacunary and log-kink kinds evaluate their
+    transcendentals on one axis, and the result is bitwise what a pointwise
+    evaluation over the full grid gives.  Each level evaluates one cosine per
+    distinct exact argument, but a Weierstrass level repeats the arguments of
+    the level below at every other point (17 * 2^20 cosines for 9 * 2^20
+    distinct arguments at n=1 J_grid=20, levels=16).  The
     Weierstrass and lacunary terms depend on x1 + x2 only, and on the grid
     that sum is exactly m/N, m = 0..2N-2 (i1/N + i2/N and (i1+i2)/N are the
     same double), so the level sum runs on that one axis and is laid out on
@@ -359,44 +404,74 @@ def bessel_lift(f: GridFunction, r: float) -> GridFunction:
     _bessel_multiplier, transformed back in place, and inverted row block by
     row block straight into the float64 samples.  These are the 1-D
     transforms rfftn and irfftn make, so the samples are bitwise theirs.
+    The row blocks, and the two column halves of the first-axis transforms
+    and the multiply, are dealt to two threads by _deal.
     """
     N = f.grid_size
     # the table first: its temporaries are gone before the spectrum exists
     quad = _bessel_multiplier(f.n, f.J_grid, r)
     rows = f.samples.reshape(-1, N)
-    step = max(1, _ROW_BLOCK // N)
+    blocks = range(0, rows.shape[0], max(1, _ROW_BLOCK // (2 * N)))
+    step = blocks.step
     spec = np.empty((rows.shape[0], N // 2 + 1), dtype=np.clongdouble)
-    for i in range(0, rows.shape[0], step):
-        np.fft.rfft(rows[i:i + step].astype(np.longdouble), out=spec[i:i + step])
-    for axis in range(f.n - 1):  # as rfftn: the other axes after the last
-        np.fft.fft(spec, axis=axis, out=spec)
-    # row k1 >= 0 is quadrant row k1; row N + k1 (k1 < 0) is quadrant row -k1
-    spec[:N // 2 + 1] *= quad
-    spec[N // 2 + 1:] *= quad[N // 2 - 1:0:-1]
-    del quad
-    for axis in range(f.n - 1):  # as irfftn: complex inverses first
-        np.fft.ifft(spec, axis=axis, out=spec)
+
+    def forward(share):
+        for i in share:
+            np.fft.rfft(rows[i:i + step].astype(np.longdouble), out=spec[i:i + step])
+
+    def columns(share):
+        for c in share:
+            half = spec[:, c]
+            for axis in range(f.n - 1):  # as rfftn: the other axes after the last
+                np.fft.fft(half, axis=axis, out=half)
+            # row k1 >= 0 is quadrant row k1; row N + k1 (k1 < 0) is quadrant row -k1
+            half[:N // 2 + 1] *= quad[:, c]
+            half[N // 2 + 1:] *= quad[N // 2 - 1:0:-1, c]
+            for axis in range(f.n - 1):  # as irfftn: complex inverses first
+                np.fft.ifft(half, axis=axis, out=half)
+
+    def inverse(share):
+        for i in share:
+            np.fft.irfft(spec[i:i + step], n=N, out=out[i:i + step])
+
+    cols = N // 2 + 1
+    _deal(forward, blocks, f.samples.size)
+    _deal(columns, (slice(0, cols // 2), slice(cols // 2, cols)), f.samples.size)
+    del quad  # before the samples are allocated
     samples = np.empty(f.samples.shape)
     out = samples.reshape(-1, N)
-    for i in range(0, rows.shape[0], step):
-        np.fft.irfft(spec[i:i + step], n=N, out=out[i:i + step])
+    _deal(inverse, blocks, f.samples.size)
     return GridFunction(f.n, f.J_grid, samples, label=f"{f.label}|bessel{r:+g}")
 
 
 def _bessel_multiplier(n: int, J: int, r: float) -> np.ndarray:
     """(1 + 4 pi^2 (k1^2 + k2^2))^(-r/2) in longdouble for 0 <= k1, k2 <= N/2,
-    shape (N/2 + 1,) * 2; at n=1 the single row k1 = 0 (the half spectrum)."""
-    def mult(ksq):
-        ksq = ksq.astype(np.longdouble)
-        return (1.0 + 4.0 * np.longdouble(np.pi) ** 2 * ksq) ** np.longdouble(-r / 2.0)
+    shape (N/2 + 1,) * 2; at n=1 the single row k1 = 0 (the half spectrum).
 
-    if n == 1:
-        return mult(_half_freq_sq(1, J))[None]
-    # |k|^2 is symmetric in (k1, k2): evaluate the upper triangle and mirror it
+    The powers are taken in place, in two halves of the entries dealt to two
+    threads by _deal, so that the worker allocates nothing: temporaries of
+    its own stayed in its malloc arena and raised the peak of a later stage.
+    """
     N = 2**J
-    a, b = np.triu_indices(N // 2 + 1)
+    if n == 1:
+        ksq = _half_freq_sq(1, J)
+    else:  # |k|^2 is symmetric in (k1, k2): evaluate the upper triangle and mirror it
+        a, b = np.triu_indices(N // 2 + 1)
+        ksq = a * a + b * b
+    m = ksq.astype(np.longdouble)
+    del ksq
+    m *= 4.0 * np.longdouble(np.pi) ** 2
+    m += 1.0
+
+    def power(share):
+        for part in share:
+            np.power(m[part], np.longdouble(-r / 2.0), out=m[part])
+
+    _deal(power, (slice(0, m.size // 2), slice(m.size // 2, m.size)), N**n)
+    if n == 1:
+        return m[None]
     quad = np.empty((N // 2 + 1,) * 2, dtype=np.longdouble)
-    quad[a, b] = quad[b, a] = mult(a * a + b * b)
+    quad[a, b] = quad[b, a] = m
     return quad
 
 

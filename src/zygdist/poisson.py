@@ -14,28 +14,27 @@ spectrum; any other sums L segments of M entries into each phase (Bailey's
 four-step transform), and L = 2 is the even/odd fold.  Only exact zeros are
 dropped, so the phases change roundoff alone: each level of a field stays
 within 1e-12 of its maximum of one full-length inverse per height.  On grids
-of at least 2^16 points the heights are shared between two threads, each
-with its own buffers; the results do not depend on the schedule.  Fields are
-restricted to y <= 1; the lowest frequencies dominate above that and carry no
-scale information.
+of at least 2^16 points the heights are shared between two threads
+(gridfn._deal), each with its own buffers, as are the Bessel lift of
+jbmo_direct_norm and the probes of secdiff.holder_seminorm; the results do
+not depend on the schedule.  second_diff_field, bmo_norm and synthesis run
+on the calling thread alone.  Fields are restricted to y <= 1; the lowest
+frequencies dominate above that and carry no scale information.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dyadic import LevelField, pool
-from .gridfn import GridFunction, bessel_lift, sup_norm, _half_freq_sq
+from .gridfn import GridFunction, bessel_lift, sup_norm, _deal, _half_freq_sq
 from .secdiff import CELL_FRACS
 
 _DEFAULT_FIELD_MARGIN = 2  # deepest field level is J_grid - margin, as for second differences
-_THREAD_MIN_POINTS = 2**16  # smaller grids run their heights on the calling thread alone
-_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _TWIDDLE_LENGTH = 2**12  # entries of the fine twiddle table, exp(2 pi i t / N) for t < this
 _SEGMENT_LENGTH = 2**14  # longest inverse transform; 2^13 and 2^15 measured alike
 
@@ -106,10 +105,9 @@ def _extension_blocks(f: GridFunction, heights, d2y: bool, consume):
 
     block is a scratch buffer that the next transform overwrites; consume may
     modify it.  Each thread allocates two buffers once: the phases, and the
-    decays, which later hold the stage twiddles and the inverses.  On grids
-    of at least _THREAD_MIN_POINTS points the heights are dealt round-robin
-    to the calling thread and one worker thread, so consume must be safe to
-    call from both.
+    decays, which later hold the stage twiddles and the inverses.  The
+    heights are dealt round-robin to two threads by gridfn._deal, so consume
+    must be safe to call from both.
     """
     N = f.grid_size
     lead = f.samples.shape[:-1]
@@ -194,26 +192,7 @@ def _extension_blocks(f: GridFunction, heights, d2y: bool, consume):
             np.fft.irfft(phases[B:], n=M, out=out)
             consume(i, B, out)
 
-    order = range(len(heights))
-    if len(heights) < 2 or f.samples.size < _THREAD_MIN_POINTS or _CPUS < 2:
-        run(order)
-        return
-    errors = []
-
-    def worker():
-        try:
-            run(order[1::2])
-        except BaseException as exc:  # re-raised on the calling thread
-            errors.append(exc)
-
-    thread = threading.Thread(target=worker)
-    thread.start()
-    try:
-        run(order[0::2])
-    finally:
-        thread.join()
-    if errors:
-        raise errors[0]
+    _deal(run, range(len(heights)), f.samples.size)
 
 
 def _single_height(f: GridFunction, y: float, d2y: bool) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import LevelField, pool
-from .gridfn import GridFunction
+from .gridfn import GridFunction, _deal
 
 # probe heights inside a Whitney cell, as fractions of the cube side
 CELL_FRACS = (0.625, 0.75, 0.875, 1.0)
@@ -106,7 +106,8 @@ def holder_seminorm(f: GridFunction, s: float, K: int | None = None, refine: int
 
     refine=1 probes the dyadic scales y = 2^-j, j = 1..J_grid-1; refine=r
     subdivides each octave into r scales (the declared resolution bias of the
-    probe maximum shrinks as r grows).
+    probe maximum shrinks as r grows).  The probes are dealt to two threads
+    by gridfn._deal, each with its own stencil buffer.
     """
     if not 0.0 < s <= 1.0:
         raise ValueError("s must lie in (0, 1]")
@@ -114,20 +115,22 @@ def holder_seminorm(f: GridFunction, s: float, K: int | None = None, refine: int
         raise ValueError("refine must be >= 1")
     K = _default_K(f.n) if K is None else K
     N = f.grid_size
-    twice_center = 2.0 * f.samples
-    buf = np.empty_like(twice_center)
-    best = 0.0
+    probes = []  # (y, h) per probe scale and direction
     for j in range(1, f.J_grid):
         base = 2 ** (f.J_grid - j)
         ms = sorted({int(round(base * (0.5 + q / (2.0 * refine)))) for q in range(1, refine + 1)})
-        for m in ms:
-            if m < 1 or m >= N:
-                continue
-            y = m / N
-            for h in _directions(f.n, m, K):
-                val = float(_d2_lattice(f.samples, h, 1, twice_center, buf).max())
-                best = max(best, val / y**s)
-    return best
+        probes += [(m / N, h) for m in ms if 1 <= m < N for h in _directions(f.n, m, K)]
+    twice_center = 2.0 * f.samples
+
+    def run(share):
+        buf = np.empty_like(twice_center)
+        best = 0.0
+        for y, h in share:
+            val = float(_d2_lattice(f.samples, h, 1, twice_center, buf).max())
+            best = max(best, val / y**s)
+        return best
+
+    return max(_deal(run, probes, f.samples.size))
 
 
 def second_diff_field(f: GridFunction, s: float, J_max: int, K: int | None = None) -> LevelField:

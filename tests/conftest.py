@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,21 @@ def is_subset(A, B):
         return False
     return all(not A.mask(j).any() if j > B.J_max else not np.any(A.mask(j) & ~B.mask(j))
                for j in range(A.J_max + 1))
+
+
+def spy_deal(monkeypatch, module):
+    """Wrap module._deal; returns a list that gets, per share run, whether it
+    ran off the calling thread."""
+    deal, caller, off_caller = module._deal, threading.get_ident(), []
+
+    def spy(run, items, points):
+        def traced(share):
+            off_caller.append(threading.get_ident() != caller)
+            return run(share)
+        return deal(traced, items, points)
+
+    monkeypatch.setattr(module, "_deal", spy)
+    return off_caller
 
 
 @pytest.fixture(scope="session")

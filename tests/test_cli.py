@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 
 import zygdist
+import zygdist.gridfn
 import zygdist.poisson
 from zygdist.cli import EXIT_OK, EXIT_VALIDATION, RunConfig, _content_hash, main
 from test_poisson import N2_FIELD_PEAK_MIB, N2_FIELD_PEAK_SLACK_MIB
@@ -92,7 +93,7 @@ class TestSeminorms:
         # derivative_field sets the peak, with the samples (one 8 MiB grid) held
         # beside it: 49.9-51.2 MiB in 10 runs; the wavelet table is freed before
         # the spectral norms and the Bessel lift stays below the field's peak
-        monkeypatch.setattr(zygdist.poisson, "_CPUS", 2)
+        monkeypatch.setattr(zygdist.gridfn, "_CPUS", 2)
         argv = ["seminorms", "--n", "2", "--jgrid", "10", "--s", "0.5",
                 "--spec", "weierstrass s=0.5 levels=8 signs=plus", "--out", str(tmp_path)]
         tracemalloc.start()
@@ -329,6 +330,39 @@ class TestConfigFile:
         assert run(argv) == EXIT_VALIDATION
         assert "must be finite and > 0" in capsys.readouterr().err
         assert not list(tmp_path.glob("distance_*.json"))
+
+    @pytest.mark.parametrize("where", ["flag", "file"])
+    @pytest.mark.parametrize("lo,hi", [(5, 3), (-1, 5)])
+    def test_bad_jrange_rejected(self, tmp_path, capsys, monkeypatch, where, lo, hi):
+        # rejected before the function is synthesized
+        def no_work(*args):
+            raise AssertionError("the function was synthesized")
+
+        monkeypatch.setattr(zygdist.cli, "synthesize", no_work)
+        argv = ["distance", "--spec", "weierstrass s=1 levels=6 signs=plus", "--jgrid", "8",
+                "--out", str(tmp_path)]
+        if where == "flag":
+            argv += [f"--jrange={lo}:{hi}"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"J_lo = {lo}\nJ_hi = {hi}\n")
+            argv += ["--config", str(cfg)]
+        assert run(argv) == EXIT_VALIDATION
+        assert f"depth range {lo}:{hi} needs 0 <= J_lo <= J_hi" in capsys.readouterr().err
+        assert not list(tmp_path.glob("distance_*.json"))
+
+    @pytest.mark.parametrize("jrange", ["5", "a:b", "3:4:5", "3.5:6"])
+    def test_malformed_jrange_rejected(self, tmp_path, capsys, jrange):
+        argv = ["distance", "--spec", "weierstrass s=1 levels=6 signs=plus", "--jgrid", "8",
+                f"--jrange={jrange}", "--out", str(tmp_path)]
+        assert run(argv) == EXIT_VALIDATION
+        assert f"--jrange {jrange!r} must be two integers lo:hi" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jrange", ["0:0", "3:12"])
+    def test_jrange_edges_accepted(self, tmp_path, jrange):
+        # one level, and a J_hi deeper than every field (J_max = 6 at --jgrid 8)
+        assert run(["distance", "--spec", "weierstrass s=1 levels=6 signs=plus", "--jgrid", "8",
+                    "--jrange", jrange, "--out", str(tmp_path)]) == EXIT_OK
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -2,12 +2,14 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import zygdist
+from conftest import spy_deal
 from zygdist import (GridFunction, SpecError, bessel_lift, parse_function_spec,
                      poisson_extend, sup_norm, synthesize)
 from zygdist import gridfn
@@ -219,6 +221,24 @@ class TestExactArguments:
             got = bessel_lift(f, r).samples
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
+    @pytest.mark.parametrize("J", [9, 10])
+    @pytest.mark.parametrize("row_block", [None, 3000])
+    def test_bessel_threads_bitwise(self, J, row_block, monkeypatch):
+        # the row blocks, column halves and triangle halves, serial and on two threads
+        if row_block is not None:
+            monkeypatch.setattr(gridfn, "_ROW_BLOCK", row_block)
+        monkeypatch.setattr(gridfn, "_CPUS", 2)
+        off_caller = spy_deal(monkeypatch, gridfn)
+        f = GridFunction(2, J, np.random.default_rng(J).standard_normal((2**J,) * 2))
+        runs = []
+        for min_points in (2**62, 0):  # serial, then threaded
+            monkeypatch.setattr(gridfn, "_THREAD_MIN_POINTS", min_points)
+            runs.append([bessel_lift(f, r).samples for r in (-1.0, 0.5)])
+            assert any(off_caller) == (min_points == 0)
+            off_caller.clear()
+        for serial, threaded in zip(*runs):
+            assert np.array_equal(serial.view(np.int64), threaded.view(np.int64))
+
     def test_bessel_memory_n2(self):
         # one clongdouble half spectrum (2 grids) is the only full-size buffer
         # besides the samples out: 25.15 MiB (3.14 grids) at J=10, against
@@ -360,6 +380,44 @@ class TestSpectral:
             assert abs(lhs - _half_energy(f, 0.0)) / lhs < 1e-10
             g = bessel_lift(f, 0.0)
             assert np.max(np.abs(g.samples - f.samples)) / sup_norm(f) < 1e-12
+
+
+class TestDeal:
+    @staticmethod
+    def record(share):
+        return list(share), threading.get_ident()
+
+    def test_two_threads(self, monkeypatch):
+        monkeypatch.setattr(gridfn, "_CPUS", 2)
+        (first, caller), (second, worker) = gridfn._deal(self.record, range(5),
+                                                         gridfn._THREAD_MIN_POINTS)
+        assert (first, second) == ([0, 2, 4], [1, 3])
+        assert caller == threading.get_ident() != worker
+
+    @pytest.mark.parametrize("cpus,items,points", [
+        (2, range(5), 2**16 - 1),  # a grid under _THREAD_MIN_POINTS
+        (1, range(5), 2**16),
+        (2, range(1), 2**16),
+    ])
+    def test_caller_alone(self, monkeypatch, cpus, items, points):
+        monkeypatch.setattr(gridfn, "_CPUS", cpus)
+        monkeypatch.setattr(gridfn, "_THREAD_MIN_POINTS", 2**16)
+        assert gridfn._deal(self.record, items, points) == [(list(items), threading.get_ident())]
+
+    def test_worker_error_reaches_caller(self, monkeypatch):
+        monkeypatch.setattr(gridfn, "_CPUS", 2)
+        caller, done = threading.get_ident(), []
+
+        def run(share):
+            if threading.get_ident() != caller:
+                raise RuntimeError("worker failed")
+            done.extend(share)
+
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="worker failed"):
+            gridfn._deal(run, range(4), 2**20)
+        assert done == [0, 2]  # the caller's share ran to the end
+        assert threading.active_count() == threads  # and the worker was joined
 
 
 class TestBessel:

@@ -9,6 +9,7 @@ import pytest
 from conftest import is_subset
 from zygdist import (GridFunction, bessel_lift, parse_function_spec, sup_norm,
                      synthesize)
+import zygdist.gridfn as gridfn
 import zygdist.poisson as poisson
 from zygdist.dyadic import LevelField, carleson_sup, pool
 from zygdist.gridfn import J_GRID_MIN, _half_freq_sq
@@ -273,10 +274,10 @@ class TestHalfLengthTransforms:
             return pool(arr, op, cells)
 
         monkeypatch.setattr(poisson, "pool", spy)
-        monkeypatch.setattr(poisson, "_CPUS", 2)
+        monkeypatch.setattr(gridfn, "_CPUS", 2)
         runs = []
         for min_points in (2**62, 0):  # serial, then threaded
-            monkeypatch.setattr(poisson, "_THREAD_MIN_POINTS", min_points)
+            monkeypatch.setattr(gridfn, "_THREAD_MIN_POINTS", min_points)
             runs.append((derivative_field(f, 1.0, Jg - 2),
                          lipschitz_check(f, 1.0, 2000, seed=5),
                          poisson_extend(f, 0.01)))
@@ -290,7 +291,7 @@ class TestHalfLengthTransforms:
 
     def test_level_updates_survive_thread_switches(self, monkeypatch):
         # both threads pool into the same levels; a lost update changes a maximum
-        monkeypatch.setattr(poisson, "_CPUS", 2)
+        monkeypatch.setattr(gridfn, "_CPUS", 2)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -298,9 +299,9 @@ class TestHalfLengthTransforms:
                 f = synthesize(parse_function_spec("weierstrass s=1 levels=12 signs=random seed=6"), 1, Jg)
                 probes = [frac * 2.0**-j for j in range(Jg + 1) for frac in CELL_FRACS]
                 assert any(L >= 4 for _, L in poisson._phase_plan(2**Jg, probes))
-                monkeypatch.setattr(poisson, "_THREAD_MIN_POINTS", 2**62)
+                monkeypatch.setattr(gridfn, "_THREAD_MIN_POINTS", 2**62)
                 serial = derivative_field(f, 1.0, Jg)
-                monkeypatch.setattr(poisson, "_THREAD_MIN_POINTS", 0)
+                monkeypatch.setattr(gridfn, "_THREAD_MIN_POINTS", 0)
                 for _ in range(repeats):
                     threaded = derivative_field(f, 1.0, Jg)
                     for j, level in serial.values.items():
@@ -319,8 +320,8 @@ class TestHalfLengthTransforms:
             return pool(arr, op, cells)
 
         monkeypatch.setattr(poisson, "pool", fail_off_caller)
-        monkeypatch.setattr(poisson, "_CPUS", 2)
-        monkeypatch.setattr(poisson, "_THREAD_MIN_POINTS", 0)
+        monkeypatch.setattr(gridfn, "_CPUS", 2)
+        monkeypatch.setattr(gridfn, "_THREAD_MIN_POINTS", 0)
         with pytest.raises(RuntimeError, match="worker failed"):
             derivative_field(f, 1.0, 8)
 
@@ -395,7 +396,7 @@ class TestPhaseSplit:
         assert limit_field[2] <= (LIMIT_FIELD_PEAK_MIB + LIMIT_FIELD_PEAK_SLACK_MIB) * 2**20
 
     def test_n2_grid_memory(self, monkeypatch):
-        monkeypatch.setattr(poisson, "_CPUS", 2)
+        monkeypatch.setattr(gridfn, "_CPUS", 2)
         spec = "sum weierstrass s=1 levels=8 signs=plus + wavelet-atom l=3 j=4 k=5,9"
         f = synthesize(parse_function_spec(spec), 2, 10)
         tracemalloc.start()

@@ -3,14 +3,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import is_subset
-from zygdist import GridFunction, parse_function_spec, synthesize
+from conftest import is_subset, spy_deal
+from zygdist import GridFunction, gridfn, parse_function_spec, synthesize
+import zygdist.secdiff as secdiff
 from zygdist.dyadic import carleson_sup
 from zygdist.secdiff import (_d2_lattice, _d2_vector, _default_K, _directions,
                              continuity_check, holder_seminorm, second_diff_field)
 
 J = 12
 N = 2**J
+# tracemalloc peak of holder_seminorm at n=2 J=10 on two threads, see test_memory_n2
+HOLDER_N2_PEAK_MIB = 24.41
+HOLDER_N2_PEAK_SLACK_MIB = 0.25
 
 
 def second_difference(f, x, y, K=None):
@@ -179,6 +183,35 @@ class TestHolderSeminorm:
         a = holder_seminorm(weier05_12, 0.5)
         b = holder_seminorm(weier05_12.scaled(4.0), 0.5)
         assert b == 4.0 * a  # powers of two scale exactly
+
+    @pytest.mark.parametrize("n,Jg", [(1, 16), (2, 10)])
+    @pytest.mark.parametrize("refine", [1, 2])
+    @pytest.mark.parametrize("K", [1, 8])
+    def test_threads_do_not_change_the_value(self, n, Jg, refine, K, monkeypatch):
+        f = synthesize(parse_function_spec("weierstrass s=1 levels=8 signs=random seed=2"), n, Jg)
+        monkeypatch.setattr(gridfn, "_CPUS", 2)
+        off_caller = spy_deal(monkeypatch, secdiff)
+        values = []
+        for min_points in (2**62, 0):  # serial, then threaded
+            monkeypatch.setattr(gridfn, "_THREAD_MIN_POINTS", min_points)
+            values.append(holder_seminorm(f, 0.5, K=K, refine=refine))
+            assert any(off_caller) == (min_points == 0)
+            off_caller.clear()
+        assert values[0].hex() == values[1].hex()
+
+    def test_memory_n2(self, monkeypatch):
+        # 2 f and one stencil buffer per thread: 24.40-24.41 MiB in 6 runs on
+        # two threads (16.21 MiB on one)
+        monkeypatch.setattr(gridfn, "_CPUS", 2)
+        spec = "sum weierstrass s=1 levels=8 signs=plus + wavelet-atom l=3 j=4 k=5,9"
+        f = synthesize(parse_function_spec(spec), 2, 10)
+        tracemalloc.start()
+        try:
+            holder_seminorm(f, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (HOLDER_N2_PEAK_MIB + HOLDER_N2_PEAK_SLACK_MIB) * 2**20
 
 
 class TestBuildS:
