@@ -166,6 +166,9 @@ def cmd_seminorms(args) -> int:
     spec = parse_function_spec(args.spec)
     f = synthesize(spec, cfg.n, cfg.J_grid)
     s = cfg.s
+    # the Poisson field first: its buffers, the peak of the command, then lie
+    # on a heap that no earlier stage has left fragmented
+    poisson_norm = _poisson.holder_poisson_norm(f, s)
     holder_semi = _secdiff.holder_seminorm(f, s, K=_k_or_none(cfg))
     coeffs = _wavelet.analyze(f, _wavelet.filter_bank(cfg.wavelet_p))
     norms = {
@@ -174,10 +177,10 @@ def cmd_seminorms(args) -> int:
         "wavelet_lip": _wavelet.lip_wavelet_norm(coeffs, s),
         "wavelet_jbmo": _wavelet.jbmo_wavelet_norm(coeffs, s),
     }
-    del coeffs  # the coefficient table is a grid's worth: free it before the spectral norms
+    del coeffs  # the coefficient table is a grid's worth: free it before the Bessel lift
     norms |= {
         "jbmo_direct": _poisson.jbmo_direct_norm(f, s, cfg.J_grid),
-        "poisson": _poisson.holder_poisson_norm(f, s),
+        "poisson": poisson_norm,
     }
     ratios = {}
     for a, b in (("holder_direct", "wavelet_lip"), ("holder_direct", "poisson"),

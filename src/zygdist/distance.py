@@ -144,6 +144,8 @@ def epsilon_star(
     a warning names the fitted slope.  Without the certificate a range that
     stops above J_max keeps its finite-depth bias.
     """
+    if iterations < 0:
+        raise ValueError(f"iterations={iterations} must be >= 0")
     eps_hi = fld.max_value
     warnings: list[str] = []
     trace: list[ProbeRecord] = []

@@ -121,19 +121,20 @@ def box_sup(levels, n: int) -> float:
     return best
 
 
-def pool(arr: np.ndarray, op, cells: int) -> np.ndarray:
+def pool(arr: np.ndarray, op, cells) -> np.ndarray:
     """Reduce each of the cells^n equal dyadic blocks of arr with the binary
-    ufunc op (np.add or np.maximum).  The axes are halved pairwise in memory
-    order, smallest stride first, and the root's 2^n children are one
-    op.reduce: the order numpy's reshape(h/2, 2, w/2, 2).sum(axis=(1, 3))
-    adds in, so one level of sums is bitwise equal to it, (a00 + a01) +
-    (a10 + a11) on a C-ordered table and ((a00 + a01) + a10) + a11 on the
-    root's."""
+    ufunc op (np.add or np.maximum); cells may also be a tuple, one count
+    per axis.  The axes are halved pairwise in memory order, smallest
+    stride first, and the root's 2^n children are one op.reduce: the order
+    numpy's reshape(h/2, 2, w/2, 2).sum(axis=(1, 3)) adds in, so one level
+    of sums is bitwise equal to it, (a00 + a01) + (a10 + a11) on a C-ordered
+    table and ((a00 + a01) + a10) + a11 on the root's."""
     if cells == 1 and arr.size == 2**arr.ndim:
         return op.reduce(arr, axis=None, keepdims=True)
+    counts = cells if isinstance(cells, tuple) else (cells,) * arr.ndim
     for axis in sorted(range(arr.ndim), key=arr.strides.__getitem__):
         lead = (slice(None),) * axis
-        while arr.shape[axis] > cells:
+        while arr.shape[axis] > counts[axis]:
             arr = op(arr[lead + (slice(0, None, 2),)], arr[lead + (slice(1, None, 2),)])
     return arr
 

@@ -17,6 +17,7 @@ samples are bitwise those of a pointwise evaluation.
 _deal shares the work of one stage between the calling thread and one
 worker on grids of at least 2^16 points: the Bessel lift's transforms and
 multiplier table here, the Poisson heights and the Holder seminorm's probes.
+Each share's buffers are allocated on the calling thread (_share_count).
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ def _deal(run, items, points: int) -> list:
     done; otherwise run(items) runs on the calling thread alone.  run must be
     safe to call from both threads at once.
     """
-    if len(items) < 2 or points < _THREAD_MIN_POINTS or _CPUS < 2:
+    if _share_count(items, points) == 1:
         return [run(items)]
     results, errors = [None, None], []
 
@@ -101,6 +102,15 @@ def _deal(run, items, points: int) -> list:
     if errors:
         raise errors[0]
     return results
+
+
+def _share_count(items, points: int) -> int:
+    """How many shares _deal makes of items: 2 where it starts a worker, else
+    1.  A stage allocates that many per-share buffers on the calling thread
+    and hands them in, so that the worker's malloc arena stays empty: memory
+    a worker allocates can stay there after the stage and raise a later
+    stage's process peak."""
+    return 2 if len(items) >= 2 and points >= _THREAD_MIN_POINTS and _CPUS >= 2 else 1
 
 
 @dataclass(frozen=True)
@@ -405,7 +415,9 @@ def bessel_lift(f: GridFunction, r: float) -> GridFunction:
     row block straight into the float64 samples.  These are the 1-D
     transforms rfftn and irfftn make, so the samples are bitwise theirs.
     The row blocks, and the two column halves of the first-axis transforms
-    and the multiply, are dealt to two threads by _deal.
+    and the multiply, are dealt to two threads by _deal; each share's
+    longdouble row block, the input of its forward and the output of its
+    inverse transforms, is allocated here, on the calling thread.
     """
     N = f.grid_size
     # the table first: its temporaries are gone before the spectrum exists
@@ -414,10 +426,16 @@ def bessel_lift(f: GridFunction, r: float) -> GridFunction:
     blocks = range(0, rows.shape[0], max(1, _ROW_BLOCK // (2 * N)))
     step = blocks.step
     spec = np.empty((rows.shape[0], N // 2 + 1), dtype=np.clongdouble)
+    row_blocks = [np.empty((min(step, rows.shape[0]), N), dtype=np.longdouble)
+                  for _ in range(_share_count(blocks, f.samples.size))]
+    free = list(row_blocks)
 
     def forward(share):
+        block = free.pop()
         for i in share:
-            np.fft.rfft(rows[i:i + step].astype(np.longdouble), out=spec[i:i + step])
+            part = block[:len(rows[i:i + step])]
+            part[...] = rows[i:i + step]
+            np.fft.rfft(part, out=spec[i:i + step])
 
     def columns(share):
         for c in share:
@@ -431,8 +449,13 @@ def bessel_lift(f: GridFunction, r: float) -> GridFunction:
                 np.fft.ifft(half, axis=axis, out=half)
 
     def inverse(share):
+        block = free.pop()
         for i in share:
-            np.fft.irfft(spec[i:i + step], n=N, out=out[i:i + step])
+            part = block[:len(out[i:i + step])]
+            # into longdouble, then rounded: an irfft straight into float64
+            # allocates that longdouble block itself
+            np.fft.irfft(spec[i:i + step], n=N, out=part)
+            out[i:i + step] = part
 
     cols = N // 2 + 1
     _deal(forward, blocks, f.samples.size)
@@ -440,6 +463,7 @@ def bessel_lift(f: GridFunction, r: float) -> GridFunction:
     del quad  # before the samples are allocated
     samples = np.empty(f.samples.shape)
     out = samples.reshape(-1, N)
+    free = row_blocks  # the inverse pops them all: none is held past it
     _deal(inverse, blocks, f.samples.size)
     return GridFunction(f.n, f.J_grid, samples, label=f"{f.label}|bessel{r:+g}")
 

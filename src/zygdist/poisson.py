@@ -8,14 +8,19 @@ field takes one forward real (half-spectrum) transform of the function and,
 per height, inverts the last axis as L interleaved phases (the columns
 L r + p, p < L) of length M = N / L.  K counts the entries of the last axis
 whose decay is not exactly 0.0 in float64, and M is the smallest power of two
-with M/2 >= K, capped at min(N/2, 2^14) so that every inverse is cache-sized.
+with M/2 >= K, capped at min(N, 2^14) so that every inverse is cache-sized.
 A height within the cap keeps its first K entries, one segment of the
-spectrum; any other sums L segments of M entries into each phase (Bailey's
-four-step transform), and L = 2 is the even/odd fold.  Only exact zeros are
-dropped, so the phases change roundoff alone: each level of a field stays
-within 1e-12 of its maximum of one full-length inverse per height.  On grids
-of at least 2^16 points the heights are shared between two threads
-(gridfn._deal), each with its own buffers, as are the Bessel lift of
+spectrum; on grids of at most 2^14 points per axis (every n=2 grid) any other
+height is one full-length inverse (L = 1), and on larger n=1 grids it sums L
+segments of M entries into each phase (Bailey's four-step transform), L = 2
+being the even/odd fold.  Only exact zeros are dropped, so the phases change
+roundoff alone: each level of a field stays within 1e-12 of its maximum of
+one full-length inverse per height.  Each thread holds one spectrum buffer
+and a scratch of about a quarter grid at n=2, both allocated on the calling
+thread; the decay is evaluated on the rows k1 >= 0 only, and the inverses
+are taken in blocks of rows (n=2) or phases (n=1) of a quarter of the grid
+(all of it up to 2^16 points), each pooled as it is made.  On grids of at least 2^16 points the heights are
+shared between two threads (gridfn._deal), as are the Bessel lift of
 jbmo_direct_norm and the probes of secdiff.holder_seminorm; the results do
 not depend on the schedule.  second_diff_field, bmo_norm and synthesis run
 on the calling thread alone.  Fields are restricted to y <= 1; the lowest
@@ -31,12 +36,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import LevelField, pool
-from .gridfn import GridFunction, bessel_lift, sup_norm, _deal, _half_freq_sq
+from .gridfn import GridFunction, bessel_lift, sup_norm, _deal, _half_freq_sq, _share_count
 from .secdiff import CELL_FRACS
 
 _DEFAULT_FIELD_MARGIN = 2  # deepest field level is J_grid - margin, as for second differences
 _TWIDDLE_LENGTH = 2**12  # entries of the fine twiddle table, exp(2 pi i t / N) for t < this
 _SEGMENT_LENGTH = 2**14  # longest inverse transform; 2^13 and 2^15 measured alike
+# an inverse block holds a quarter of the grid, or all of it up to this many
+# points, so that small grids make few transform and pooling calls per height
+_BLOCK_POINTS = 2**16
 
 
 def _phase_plan(N: int, heights) -> list[tuple[int, int]]:
@@ -46,9 +54,10 @@ def _phase_plan(N: int, heights) -> list[tuple[int, int]]:
 
     K counts the entries k whose decay exp(-2 pi k y) is not exactly 0.0; in
     float64 it underflows to zero once 2 pi k y passes about 745.  M is the
-    smallest power of two with M/2 >= K, capped at min(N/2, _SEGMENT_LENGTH):
+    smallest power of two with M/2 >= K, capped at min(N, _SEGMENT_LENGTH):
     a height with K <= M/2 inverts one segment of the spectrum, and any other
-    sums L segments of M points into each phase.
+    is one full-length inverse (L = 1) where N <= _SEGMENT_LENGTH and sums L
+    segments of M points into each phase where N is larger.
     """
     y = np.asarray(heights, dtype=float)
     # exp(-x) is at least the smallest subnormal below x = 744 and exactly 0.0
@@ -60,7 +69,7 @@ def _phase_plan(N: int, heights) -> list[tuple[int, int]]:
     height = np.repeat(np.arange(y.size), size)
     k = np.arange(height.size) + np.repeat(lo + size - np.cumsum(size), size)
     kept = lo + np.bincount(height[np.exp(2.0 * np.pi * k * -y[height]) != 0], minlength=y.size)
-    top = min(N // 2, _SEGMENT_LENGTH)
+    top = min(N, _SEGMENT_LENGTH)
     return [(K, N // min(2 << (K - 1).bit_length(), top)) for K in kept.tolist()]
 
 
@@ -80,60 +89,88 @@ def _stage_twiddle(step: int, K: int, fine: np.ndarray, coarse: np.ndarray, out:
     return out[:K]
 
 
+def _block_points(n: int, N: int) -> int:
+    """Points of each inverse block: a quarter of the grid, or all of it up
+    to _BLOCK_POINTS; never fewer than one phase, M <= min(N, _SEGMENT_LENGTH)."""
+    return max(N**n // 4, min(N**n, _BLOCK_POINTS))
+
+
+def _inverse_block(n: int, N: int, L: int) -> tuple[int, int]:
+    """(B, R) for a height of L phases of length M = N / L: each inverse block
+    holds B phases of R rows (R = 1 at n=1), _block_points in all; at n=2 all
+    L phases of R rows."""
+    points = _block_points(n, N)
+    B = min(L, points * L // N)
+    return B, min(N if n == 2 else 1, points * L // (B * N))
+
+
 def _extension_blocks(f: GridFunction, heights, d2y: bool, consume):
-    """Call consume(i, start, block) for each height y = heights[i] and
-    start in (0, B): block has shape (B,) + lead + (M,), and block[q, ..., r]
-    is d^2/dy^2 u(., y) (u itself if not d2y) at last-axis column
-    L r + start + q, with L = 2 B = N / M from _phase_plan.
+    """Call consume(i, p, r, block) for each height y = heights[i] and each
+    inverse block of _inverse_block: block has shape (B, R, M), and
+    block[q, a, c] is d^2/dy^2 u(., y) (u itself if not d2y) at row r + a
+    (n=2) and last-axis column L c + p + q, with L = N / M from _phase_plan.
 
     One forward half-spectrum transform of f and one table w = 2 pi |k| serve
     every height; P = spec * exp(-w y).  Phase p has the half spectrum
 
         sum over m < L of P_{k+mM} exp(2 pi i (k + mM) p / N),   k <= M/2,
 
-    with P_{k+N/2} = conj P_{N/2-k} (for n=2 with the first axis negated).
-    The spectrum is laid out once as segments T[m, k] = P_{k+m Ms}, m < N / Ms,
-    k <= Ms/2, at the segment length Ms = min(N/2, _SEGMENT_LENGTH).  If
-    K <= M/2, only m = 0 is nonzero: phase 0 is P_k, k < K, and phases
-    h..2h-1 are phases 0..h-1 times exp(2 pi i k h / N).  Otherwise M = Ms,
-    and phase p is the inverse transform over m of the segments, times
-    exp(2 pi i k p / N), one factor per bit h of p (the four-step transform);
-    only the segments holding a nonzero decay are evaluated, the others are
-    zero.  L = 2 is the even/odd fold: phase 0 is T[0] + T[1] and phase 1
-    (T[0] - T[1]) exp(2 pi i k / N).  Each half of the phases is then one
-    batched inverse at length M.
+    with P_{k+N/2} = conj P_{N/2-k}.  The spectrum is laid out once as
+    segments T[m, k] = P_{k+m Ms}, m < Ls = N / Ms, k <= Ms/2, at the segment
+    length Ms = min(N, _SEGMENT_LENGTH).  On grids of at most 2^14 points per
+    axis (every n=2 grid) Ms = N: T is the half spectrum itself, and a height
+    whose decay is nonzero beyond N/4 last-axis entries is one full-length
+    inverse, L = 1.  If K <= M/2, only m = 0 is nonzero: phase 0 is P_k,
+    k < K, and phases h..2h-1 are phases 0..h-1 times exp(2 pi i k h / N).
+    Otherwise (n=1 grids above 2^14 points) M = Ms, and phase p is the
+    inverse transform over m of the segments, times exp(2 pi i k p / N), one
+    factor per bit h of p (the four-step transform); only the segments
+    holding a nonzero decay are evaluated, the others are zero.  Ls = 2 is
+    the even/odd fold: phase 0 is T[0] + T[1] and phase 1 (T[0] - T[1])
+    exp(2 pi i k / N).  The decay exp(-w y) is evaluated on rows k1 = 0..N/2
+    only: w is even in k1, and rows k1 < 0 read it reversed.
 
     block is a scratch buffer that the next transform overwrites; consume may
-    modify it.  Each thread allocates two buffers once: the phases, and the
-    decays, which later hold the stage twiddles and the inverses.  The
-    heights are dealt round-robin to two threads by gridfn._deal, so consume
-    must be safe to call from both.
+    modify it.  Each thread works in two buffers, allocated here on the
+    calling thread: the phases (one spectrum) and a scratch of about a
+    quarter grid at n=2, which holds the decays, the stage twiddles and each
+    inverse block in turn.  The heights are dealt round-robin to two threads
+    by gridfn._deal, so consume must be safe to call from both.
     """
-    N = f.grid_size
-    lead = f.samples.shape[:-1]
-    rows = N if f.n == 2 else 1
+    N, n = f.grid_size, f.n
+    rows = N if n == 2 else 1
+    wrows = N // 2 + 1 if n == 2 else 1  # rows k1 = 0..N/2 of the decay
     plan = _phase_plan(N, heights)
-    Ms = min(N // 2, _SEGMENT_LENGTH)
+    Ms = min(N, _SEGMENT_LENGTH)
     Ls, half = N // Ms, Ms // 2 + 1
-    spec = np.fft.rfftn(f.samples).reshape(rows, -1)
-    w = 2.0 * np.pi * np.sqrt(_half_freq_sq(f.n, f.J_grid)).reshape(rows, -1)
+    spec = np.fft.rfft(f.samples).reshape(rows, -1)
+    if n == 2:  # as rfftn: the first axis after the last, here in place
+        np.fft.fft(spec, axis=0, out=spec)
+    ksq = _half_freq_sq(1, f.J_grid)  # k^2, k = 0..N/2
+    w = 2.0 * np.pi * np.sqrt(ksq if n == 1 else ksq[:, None] + ksq).reshape(wrows, -1)
     # 1/Ls: a length-Ms inverse divides by Ms where the full one divides by N
-    spec *= w * w / Ls if d2y else 1.0 / Ls
-    # segments below N/2 directly; the rest, entry k + N/2, as conj of row -k1,
-    # column N/2 - k; w is even in k1, and conjugation commutes with the real decay
-    def segments(a, mirror):
-        a = a[:, N // 2:0:-1] if mirror else a[:, :N // 2]
-        return a.reshape(a.shape[0], Ls // 2, Ms)[..., :half].swapaxes(0, 1)
+    if d2y:
+        scale = w * w / Ls
+        spec[:wrows] *= scale
+        if n == 2:  # rows k1 = -N/2+1..-1 read rows N/2-1..1 of the table
+            spec[wrows:] *= scale[wrows - 2:0:-1]
+        del scale
+    elif Ls > 1:
+        spec *= 1.0 / Ls
+    if Ls == 1:
+        table, table_w = spec[None], w[None]
+    else:  # n=1: segments below N/2 directly; the rest, entry k + N/2, as
+        # conj of entry N/2 - k; conjugation commutes with the real decay
+        def segments(a, mirror):
+            a = a[:, N // 2:0:-1] if mirror else a[:, :N // 2]
+            return a.reshape(1, Ls // 2, Ms)[..., :half].swapaxes(0, 1)
 
-    table = np.empty((Ls, rows, half), dtype=complex)
-    table_w = np.empty((Ls, rows, half))
-    table[:Ls // 2] = segments(spec, False)
-    np.conjugate(segments(spec[:1], True), out=table[Ls // 2:, :1])  # row 0 is its own negation
-    np.conjugate(segments(spec[:0:-1], True), out=table[Ls // 2:, 1:])
-    table_w[:Ls // 2] = segments(w, False)
-    table_w[Ls // 2:] = segments(w, True)
-    shape = (Ls,) + lead + (half,)
-    table, table_w = table.reshape(shape), table_w.reshape(shape)
+        table = np.empty((Ls, 1, half), dtype=complex)
+        table_w = np.empty((Ls, 1, half))
+        table[:Ls // 2] = segments(spec, False)
+        np.conjugate(segments(spec, True), out=table[Ls // 2:])
+        table_w[:Ls // 2] = segments(w, False)
+        table_w[Ls // 2:] = segments(w, True)
     del spec, w
     # exp(2 pi i k / N) for k = c S + t: twiddle[t] times shifts[c]
     cols = N // 4 + 1
@@ -143,32 +180,41 @@ def _extension_blocks(f: GridFunction, heights, d2y: bool, consume):
     # exp(2 pi i k h / N), k <= Ms/2, for the phases with bit h of p set
     bits = [(1 << b, _stage_twiddle(1 << b, half, twiddle, shifts, np.empty(half, dtype=complex)))
             for b in range(Ls.bit_length() - 1)]
+    # the scratch holds an inverse block, the decay of the rows k1 = 0..N/2
+    # and the fold's difference (Ls = 2), in whole complex entries
+    size = max(_block_points(n, N), wrows * half, 2 * half)
+    buffers = [(np.empty(Ls * rows * half, dtype=complex), np.empty(-(-size // 2), dtype=complex))
+               for _ in range(_share_count(heights, f.samples.size))]
 
     def run(share):
-        buffer = np.empty(shape, dtype=complex)
-        decay = np.empty(shape)  # N/2 + Ls entries per row
-        buffer_flat, decay_flat = buffer.reshape(-1), decay.reshape(-1)
-        scratch = decay_flat.view(complex)
-        diff = scratch[:rows * half].reshape(lead + (half,))  # phase 1 before its twiddle, Ls = 2
+        buffer, scratch = buffers.pop()
+        flat = scratch.view(float)
         for i in share:
             y = heights[i]
             K, L = plan[i]
-            if K > N // L // 2:  # Ls segments; those m < a and m >= b hold nonzero decays
+            if Ls > 1 and K > N // L // 2:  # Ls segments; those m < a and m >= b hold nonzero decays
                 a = min((K - 1) // Ms + 1, Ls // 2)
                 b = max((N - Ms // 2 - K) // Ms + 1, Ls // 2)
                 K, seeds = half, Ls
             else:  # one segment
                 a, b, seeds = 1, 1, 1
-            phases = buffer_flat[:L * rows * K].reshape((L,) + lead + (K,))
+            phases = buffer[:L * rows * K].reshape(L, rows, K)
             live = ((0, seeds),)
             if a < b:
                 phases[a:b] = 0.0
                 live = ((0, a), (b, seeds))
+            step = flat.size // (wrows * K)  # segments per decay
             for lo, hi in live:
-                d = decay_flat[lo * rows * K:hi * rows * K].reshape((hi - lo,) + lead + (K,))
-                np.exp(np.multiply(table_w[lo:hi, ..., :K], -y, out=d), out=d)
-                np.multiply(table[lo:hi, ..., :K], d, out=phases[lo:hi])
+                for m in range(lo, hi, step):
+                    top = min(m + step, hi)
+                    d = flat[:(top - m) * wrows * K].reshape(top - m, wrows, K)
+                    np.exp(np.multiply(table_w[m:top, :, :K], -y, out=d), out=d)
+                    np.multiply(table[m:top, :wrows, :K], d, out=phases[m:top, :wrows])
+                    if n == 2:  # rows k1 = -N/2+1..-1 read rows N/2-1..1 of the decay
+                        np.multiply(table[m:top, wrows:, :K], d[:, wrows - 2:0:-1],
+                                    out=phases[m:top, wrows:])
             if seeds == 2:  # the ifft and twiddle below, bitwise, at a fifth of the ifft cost
+                diff = scratch[:K].reshape(1, K)  # phase 1 before its twiddle
                 np.subtract(phases[0], phases[1], out=diff)
                 phases[0] += phases[1]
                 np.multiply(diff, bits[0][1], out=phases[1])
@@ -178,19 +224,20 @@ def _extension_blocks(f: GridFunction, heights, d2y: bool, consume):
                     phases.reshape((L // (2 * h), 2, h) + phases.shape[1:])[:, 1] *= tw
             elif L > Ls:
                 phases[0] *= Ls / L  # the table carries 1/Ls; length N / L needs 1/L
-            for axis in range(1, f.n):  # as irfftn: complex inverses first, in place
-                np.fft.ifft(phases[:seeds], axis=axis, out=phases[:seeds])
+            if n == 2:  # as irfftn: the complex first-axis inverse first, in place
+                np.fft.ifft(phases[:seeds], axis=1, out=phases[:seeds])
             h = seeds  # the first-axis inverses commute with the last-axis twiddles
             while h < L:  # phases h..2h-1 from 0..h-1
                 tw = _stage_twiddle(h, K, twiddle, shifts, scratch)
                 np.multiply(phases[:h], tw, out=phases[h:2 * h])
                 h *= 2
-            B, M = L // 2, N // L
-            out = decay_flat[:B * rows * M].reshape((B,) + lead + (M,))
-            np.fft.irfft(phases[:B], n=M, out=out)
-            consume(i, 0, out)
-            np.fft.irfft(phases[B:], n=M, out=out)
-            consume(i, B, out)
+            M = N // L
+            B, R = _inverse_block(n, N, L)
+            for p in range(0, L, B):
+                for r in range(0, rows, R):
+                    block = flat[:B * R * M].reshape(B, R, M)
+                    np.fft.irfft(phases[p:p + B, r:r + R], n=M, out=block)
+                    consume(i, p, r, block)
 
     _deal(run, range(len(heights)), f.samples.size)
 
@@ -200,10 +247,10 @@ def _single_height(f: GridFunction, y: float, d2y: bool) -> np.ndarray:
         raise ValueError("height must be finite and > 0")
     out = np.empty(f.samples.shape)
 
-    def place(i, start, block):
-        B, M = block.shape[0], block.shape[-1]
-        columns = out.reshape(out.shape[:-1] + (M, 2 * B))  # [..., r, p] is column 2 B r + p
-        columns[..., start:start + B] = np.moveaxis(block, 0, -1)
+    def place(i, p, r, block):
+        B, R, M = block.shape
+        columns = out.reshape(-1, M, f.grid_size // M)  # [row, c, p] is column L c + p
+        columns[r:r + R, :, p:p + B] = np.moveaxis(block, 0, -1)
 
     _extension_blocks(f, (y,), d2y, place)
     return out
@@ -226,27 +273,36 @@ def derivative_field(f: GridFunction, s: float, J_max: int) -> LevelField:
     grid columns of the cell."""
     if not 0.0 < s <= 1.0:
         raise ValueError("s must lie in (0, 1]")
-    if J_max > f.J_grid:
-        raise ValueError(f"J_max={J_max} exceeds grid depth {f.J_grid}")
+    if not 0 <= J_max <= f.J_grid:
+        raise ValueError(f"J_max={J_max} outside [0, {f.J_grid}]")
     probes = [(j, frac * 2.0**-j) for j in range(J_max + 1) for frac in CELL_FRACS]
     values = {j: np.zeros((2**j,) * f.n) for j in range(J_max + 1)}
     lock = threading.Lock()
 
-    def consume(i, start, block):
+    def consume(i, p, r, block):
         j, y = probes[i]
-        a, level = np.abs(block, out=block), values[j]
-        # a cell of W = N / 2^j columns holds all L = 2B phases of its columns
-        # if W >= L; otherwise groups g of W phases, one cell per group and r
-        B, M, W = block.shape[0], block.shape[-1], f.grid_size >> j
-        if W < 2 * B:  # [..., r, g]: the cell of columns L r + W g .. L r + W g + W - 1
-            level = level.reshape(level.shape[:-1] + (M, 2 * B // W))
-            level = level[..., start // W:(start + B) // W]
-            a = a.reshape((B // W, W) + a.shape[1:]).transpose((*range(1, block.ndim + 1), 0))
-        h = a.shape[0]
-        while h > 1:  # the maximum over the phases of each cell, in place
-            h //= 2
-            np.maximum(a[:h], a[h:2 * h], out=a[:h])
-        a = pool(a[0], np.maximum, 2**j)
+        a = np.abs(block, out=block)
+        B, R, M = block.shape
+        L, W = f.grid_size // M, f.grid_size >> j  # phases; columns (and rows) per cell
+        # the block's rows fall in the cells of rows r // W .., min(W, R) each
+        level = values[j].reshape(-1, 2**j)[r // W:(r + R - 1) // W + 1]
+        # column L c + p lies in cell c // (W / L) if W >= L; otherwise the
+        # cell of columns L c + W g .. L c + W g + W - 1 holds phases W g ..
+        # W g + W - 1, and the block's B phases fill groups of min(W, B)
+        a = a.reshape(B // min(W, B), min(W, B), level.shape[0], min(W, R), M)
+        for axis in (1, 3):  # the maximum over each group's phases and rows, in place
+            h = a.shape[axis]
+            while h > 1:
+                h //= 2
+                head = a[(slice(None),) * axis + (slice(h),)]
+                np.maximum(head, a[(slice(None),) * axis + (slice(h, 2 * h),)], out=head)
+        a = a[:, 0, :, 0]
+        if W < L:  # [row, c, g]
+            level = level.reshape(level.shape[0], M, L // W)[..., p // W:p // W + a.shape[0]]
+            a = a.transpose(1, 2, 0)
+        else:
+            a = a[0]
+        a = pool(a, np.maximum, level.shape)  # W / L columns c per cell, if W >= L
         # scaling by y^(2-s) > 0 after the max rounds exactly as before it
         a *= y ** (2.0 - s)
         with lock:  # both threads pool into the same levels
@@ -283,6 +339,8 @@ def lipschitz_check(f: GridFunction, s: float, sample_count: int, seed: int) -> 
     larger sample count extend the same sequence, so ratios[:k].max() is the
     max_ratio of the same-seed check at k samples.
     """
+    if sample_count < 0:
+        raise ValueError(f"sample_count={sample_count} must be >= 0")
     norm = holder_poisson_norm(f, s)
     if norm == 0.0:
         raise ValueError("degenerate function: zero norm")
@@ -322,9 +380,9 @@ def lipschitz_check(f: GridFunction, s: float, sample_count: int, seed: int) -> 
         tb = np.minimum(np.abs(dxb) % N, N - np.abs(dxb) % N) / N
         dist_sq = ta**2 + tb**2
 
-    # one derivative slice per quantized height in use, streamed in two blocks
-    # of phases; each endpoint set is sorted once by the key 2 * position of its
-    # height in `used` + block, so every block reads its samples as one
+    # one derivative slice per quantized height in use, streamed in inverse
+    # blocks; each endpoint set is sorted once by its block's number, counted
+    # over the heights in `used`, so every block reads its samples as one
     # contiguous run of the sort, at flat indices into the block computed here
     hid1 = lev1 * fracs.size + fr1
     hid2 = lev2 * fracs.size + fr2
@@ -332,31 +390,41 @@ def lipschitz_check(f: GridFunction, s: float, sample_count: int, seed: int) -> 
     g2 = np.empty(sample_count)
     used = np.union1d(hid1, hid2)
     heights = [float(fracs[h % fracs.size] * 2.0 ** -(h // fracs.size)) for h in used.tolist()]
-    block_phases = np.array([L // 2 for _, L in _phase_plan(N, heights)], dtype=np.int32)
+    rows = N if f.n == 2 else 1
+    # per height: phases L, and B phases of R rows per block
+    LBR = np.array([(L,) + _inverse_block(f.n, N, L) for _, L in _phase_plan(N, heights)],
+                   dtype=np.int32).reshape(-1, 3)
+    row_blocks = rows // LBR[:, 2]
+    count = LBR[:, 0] // LBR[:, 1] * row_blocks
+    first = np.cumsum(count) - count  # the number of each height's first block
     slot = np.empty(fracs.size * (J_top + 1), dtype=np.int32)  # one entry per quantized height
     slot[used] = np.arange(used.size)
-    keys = np.arange(2 * used.size)
+    keys = np.arange(count.sum())
     ends = []
     for g, hid, at in ((g1, hid1, at1), (g2, hid2, at2)):
         pos = slot[hid]
-        B = block_phases[pos]
-        # column x = 2 B r + start + q is block[q, ..., r], r < M = N / (2 B)
-        c, index = np.divmod(at[-1].astype(np.int32), B)  # x // B and q
-        if f.n == 2:
-            index *= N
-            index += at[0]
-        index *= N // (2 * B)
-        index += c >> 1
-        key = 2 * pos + (c & 1)
+        L, B, R = LBR[pos].T
+        # column x = L c + p is block[q, a, c] of the b-th block of phases, q = p - b B
+        c, p = np.divmod(at[-1].astype(np.int32), L)
+        b, q = np.divmod(p, B)
+        key = first[pos] + b * row_blocks[pos]
+        index = q * R
+        if f.n == 2:  # and rows r..r+R-1
+            r, a = np.divmod(at[0].astype(np.int32), R)
+            key += r
+            index += a
+        index *= N // L
+        index += c
         order = np.argsort(key).astype(np.int32)
         key = key[order]
         ends.append((g, order, index[order],
                      np.searchsorted(key, keys), np.searchsorted(key, keys, "right")))
-    del pos, B, c, index, key  # the slices stream with only the sort orders and indices held
+    del pos, L, B, R, c, p, b, q, index, key  # the slices stream with the sort orders and indices held
 
-    def gather(i, start, block):
+    def gather(i, p, r, block):
         scale = heights[i] ** (2.0 - s)
-        b = 2 * i + start // block.shape[0]
+        B, R = block.shape[:2]
+        b = first[i] + p // B * row_blocks[i] + r // R
         flat = block.reshape(-1)
         for g, order, index, lo, hi in ends:
             g[order[lo[b]:hi[b]]] = flat[index[lo[b]:hi[b]]] * scale

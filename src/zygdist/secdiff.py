@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import LevelField, pool
-from .gridfn import GridFunction, _deal
+from .gridfn import GridFunction, _deal, _share_count
 
 # probe heights inside a Whitney cell, as fractions of the cube side
 CELL_FRACS = (0.625, 0.75, 0.875, 1.0)
@@ -107,7 +107,8 @@ def holder_seminorm(f: GridFunction, s: float, K: int | None = None, refine: int
     refine=1 probes the dyadic scales y = 2^-j, j = 1..J_grid-1; refine=r
     subdivides each octave into r scales (the declared resolution bias of the
     probe maximum shrinks as r grows).  The probes are dealt to two threads
-    by gridfn._deal, each with its own stencil buffer.
+    by gridfn._deal, each with its own stencil buffer, allocated on the
+    calling thread.
     """
     if not 0.0 < s <= 1.0:
         raise ValueError("s must lie in (0, 1]")
@@ -121,9 +122,10 @@ def holder_seminorm(f: GridFunction, s: float, K: int | None = None, refine: int
         ms = sorted({int(round(base * (0.5 + q / (2.0 * refine)))) for q in range(1, refine + 1)})
         probes += [(m / N, h) for m in ms if 1 <= m < N for h in _directions(f.n, m, K)]
     twice_center = 2.0 * f.samples
+    free = [np.empty_like(twice_center) for _ in range(_share_count(probes, f.samples.size))]
 
     def run(share):
-        buf = np.empty_like(twice_center)
+        buf = free.pop()
         best = 0.0
         for y, h in share:
             val = float(_d2_lattice(f.samples, h, 1, twice_center, buf).max())
@@ -143,8 +145,8 @@ def second_diff_field(f: GridFunction, s: float, J_max: int, K: int | None = Non
     """
     if not 0.0 < s <= 1.0:
         raise ValueError("s must lie in (0, 1]")
-    if J_max > f.J_grid - 2:
-        raise ValueError(f"J_max={J_max} too deep, need J_max <= J_grid-2={f.J_grid - 2}")
+    if not 0 <= J_max <= f.J_grid - 2:
+        raise ValueError(f"J_max={J_max} outside [0, J_grid-2={f.J_grid - 2}]")
     K = _default_K(f.n) if K is None else K
     values = {j: _level_probe_max(f, s, j, K) for j in range(J_max + 1)}
     return LevelField("secdiff", f.n, J_max, values)
@@ -211,6 +213,8 @@ def continuity_check(f: GridFunction, s: float, sample_count: int, seed: int) ->
     Drawing more samples with the same seed extends the same sequence, so
     ratios[:k].max() is the max_ratio of the same-seed check at k samples.
     """
+    if sample_count < 0:
+        raise ValueError(f"sample_count={sample_count} must be >= 0")
     norm = holder_seminorm(f, s)
     if norm == 0.0:
         raise ValueError("degenerate function: zero seminorm")

@@ -91,8 +91,9 @@ class TestSeminorms:
 
     def test_n2_memory(self, tmp_path, monkeypatch):
         # derivative_field sets the peak, with the samples (one 8 MiB grid) held
-        # beside it: 49.9-51.2 MiB in 10 runs; the wavelet table is freed before
-        # the spectral norms and the Bessel lift stays below the field's peak
+        # beside it: 39.31-39.59 MiB in 6 runs (49.9-51.2 MiB before the field's
+        # buffers shrank); the wavelet table is freed before the Bessel lift, and
+        # the other stages stay below the field's peak
         monkeypatch.setattr(zygdist.gridfn, "_CPUS", 2)
         argv = ["seminorms", "--n", "2", "--jgrid", "10", "--s", "0.5",
                 "--spec", "weierstrass s=0.5 levels=8 signs=plus", "--out", str(tmp_path)]
@@ -103,6 +104,22 @@ class TestSeminorms:
         finally:
             tracemalloc.stop()
         assert peak <= (N2_FIELD_PEAK_MIB + N2_FIELD_PEAK_SLACK_MIB + 8 + 0.5) * 2**20
+
+    @pytest.mark.parametrize("s", ["1", "0.5"])
+    def test_norm_order(self, tmp_path, s):
+        # the Poisson norm is computed first; the report keeps its key order
+        # (sorted in the JSON, the order of computation before that in the CSV)
+        assert run(["seminorms", "--spec", "trig k=1 a=1", "--jgrid", "8", "--s", s,
+                    "--out", str(tmp_path)]) == EXIT_OK
+        path, _ = load_report(tmp_path, "seminorms")
+        order = ["holder_direct", "zygmund_seminorm", "wavelet_lip", "wavelet_jbmo",
+                 "jbmo_direct", "poisson"]
+        assert list(json.loads(path.read_text())["norms"]) == sorted(order)
+        rows = path.with_suffix(".csv").read_text().splitlines()
+        assert rows[0] == "norm,value"
+        if s != "1":  # the Zygmund seminorm is None, and None is not written
+            order.remove("zygmund_seminorm")
+        assert [row.split(",")[0] for row in rows[1:]] == order
 
     def test_version_enters_content_hash(self, monkeypatch):
         cfg = RunConfig()

@@ -47,11 +47,13 @@ HALF_LENGTH_RTOL = 1e-12
 # size as the fold's spectrum pair, measured 41.2 MiB
 LIMIT_FIELD_PEAK_MIB = 46.72
 LIMIT_FIELD_PEAK_SLACK_MIB = 0.25
-# the same at n=2 J_grid=10 J_max=8, where a height with K > N/4 holds its
-# whole (2, N, N/4 + 1) spectrum pair at once: 40.6-43.66 MiB in 63 runs when
-# the fold went in chunks, 40.3-43.08 MiB in 36 runs of the whole-array fold,
-# as the two threads' pooling overlaps; the slack was set before the latter ran
-N2_FIELD_PEAK_MIB = 43.66
+# the same at n=2 J_grid=10 J_max=8: the half spectrum and the decay table of
+# its rows k1 >= 0 (1.25 grids), and per thread one spectrum buffer and a
+# quarter-grid scratch that each block is pooled out of in place (2.5 grids
+# on two threads): 31.25-31.51 MiB in 40 runs, against 40.3-43.66 MiB when a
+# height with K > N/4 folded into a (2, N, N/4 + 1) spectrum pair and each
+# thread held a half-grid decay and output buffer
+N2_FIELD_PEAK_MIB = 31.51
 N2_FIELD_PEAK_SLACK_MIB = 0.5
 # tracemalloc peak of bmo_norm at n=2 J_grid=10, in grids of samples: the
 # squares plus the first pooling of the sums and of the squares, 16.13 MiB
@@ -246,6 +248,8 @@ class TestHalfLengthTransforms:
     @pytest.mark.parametrize("n,Jg,text", [
         (1, 16, "weierstrass s=1 levels=13 signs=plus"),
         (2, 9, "sum weierstrass s=1 levels=6 signs=plus + wavelet-atom l=3 j=3 k=2,5"),
+        # the benchmark's grid: heights of one full-length inverse in row blocks
+        (2, 10, "sum weierstrass s=1 levels=8 signs=plus + wavelet-atom l=3 j=4 k=5,9"),
     ])
     def test_levels_match_full_length_inverse(self, n, Jg, text):
         f = synthesize(parse_function_spec(text), n, Jg)
@@ -341,16 +345,18 @@ def limit_field():
 
 class TestPhaseSplit:
     """Heights are inverted as L = N / M interleaved phases of length
-    M <= 2^14: one segment of the spectrum where the decay is exactly zero
-    beyond K <= M/2 last-axis entries, L segments summed otherwise."""
+    M <= max(N, 2^14): one segment of the spectrum where the decay is exactly
+    zero beyond K <= M/2 last-axis entries, one full-length inverse (L = 1)
+    otherwise on grids of at most 2^14 points per axis, and L segments
+    summed on larger ones."""
 
     @pytest.mark.parametrize("n,Jg,one,wide", [
-        (1, 12, 13, 9), (1, 17, 25, 64), (1, 20, 25, 76), (2, 10, 5, 1), (2, 11, 9, 5),
+        (1, 12, 17, 9), (1, 17, 25, 64), (1, 20, 25, 76), (2, 10, 9, 1), (2, 11, 13, 5),
     ])
     def test_only_exact_zeros_are_cut(self, n, Jg, one, wide):
-        # one: heights with one segment, K <= M/2; wide: those with L >= 4
+        # one: heights with K <= M/2; wide: those with L >= 4
         N = 2**Jg
-        top = min(N // 2, 2**14)
+        top = min(N, 2**14)
         w = 2.0 * np.pi * np.sqrt(_half_freq_sq(n, Jg))
         probes = [frac * 2.0**-j for j in range(Jg - 1) for frac in CELL_FRACS]
         plan = poisson._phase_plan(N, probes)
@@ -363,6 +369,8 @@ class TestPhaseSplit:
             M_K = 2 << (K - 1).bit_length()  # the smallest power of two with M/2 >= K
             assert (K <= M // 2) == (M_K <= top)
             assert M == min(M_K, top)
+            if N <= 2**14:  # the whole half spectrum in one inverse once K > N/4
+                assert (L == 1) == (K > N // 4)
         assert sum(K <= N // L // 2 for K, L in plan) == one
         assert sum(L >= 4 for _, L in plan) == wide
 
@@ -410,12 +418,13 @@ class TestPhaseSplit:
     @pytest.mark.parametrize("n,Jg", [(1, 12), (2, 7), (1, J_GRID_MIN), (2, J_GRID_MIN)])
     @pytest.mark.parametrize("y,kept,M", [(1e3, 1, 2), (3.0, 40, 128)])
     def test_edge_heights_match_complex_oracle(self, n, Jg, y, kept, M):
-        # y = 1e3 keeps only k = 0, y = 3 keeps k = 0..39, one segment where N/2 allows
+        # y = 1e3 keeps only k = 0, y = 3 keeps k = 0..39: phases of length M,
+        # or one full-length inverse where N <= M
         N = 2**Jg
         g = synthesize(parse_function_spec("weierstrass s=1 levels=2 signs=random seed=2"), n, Jg)
         f = GridFunction(n, Jg, g.samples + 1.5)  # a mean for u at y = 1e3
         [plan] = poisson._phase_plan(N, [y])
-        assert plan == (min(kept, N // 2 + 1), N // min(M, N // 2))
+        assert plan == (min(kept, N // 2 + 1), N // min(M, N))
         for got, d2y in ((poisson_extend(f, y), False), (d2y_extension(f, y), True)):
             want = complex_oracle(f, y, d2y)
             assert np.max(np.abs(got.samples - want)) <= SPECTRAL_RTOL * np.max(np.abs(want))
@@ -434,6 +443,13 @@ class TestPoissonNorm:
 
 class TestBuildD:
     """The Poisson sets D(s, f, eps) = derivative_field(...).threshold(eps)."""
+
+    @pytest.mark.parametrize("J_max", [J + 1, -1, -3])
+    def test_jmax_guard(self, cos_12, J_max):
+        # a negative J_max once gave an empty field, so the norm read sup|f| alone
+        for build in (derivative_field, holder_poisson_norm):
+            with pytest.raises(ValueError, match=r"outside \[0, 12\]"):
+                build(cos_12, 1.0, J_max)
 
     def test_constant_empty_for_positive_eps(self):
         f = GridFunction(1, J, np.full(N, 2.0))
@@ -512,6 +528,15 @@ class TestLipschitzCheck:
         f = synthesize(parse_function_spec("weierstrass s=1 levels=4"), 2, 8)
         rep = lipschitz_check(f, 1.0, 3000, seed=2)
         assert 0.0 < rep.max_ratio < 50.0
+
+    def test_negative_sample_count_rejected(self, cos_12, monkeypatch):
+        # before the norm: numpy's own error came only after it
+        def fail(*args, **kwargs):
+            raise AssertionError("the norm was computed")
+
+        monkeypatch.setattr(poisson, "holder_poisson_norm", fail)
+        with pytest.raises(ValueError, match="sample_count=-1 must be >= 0"):
+            lipschitz_check(cos_12, 1.0, -1, seed=0)
 
     @pytest.mark.parametrize("n,Jg", [(1, 8), (2, 6)])
     def test_zero_samples_empty_report(self, n, Jg):

@@ -268,6 +268,12 @@ class TestBuildS:
         with pytest.raises(ValueError):
             second_diff_field(cos_12, 1.0, J - 1)
 
+    @pytest.mark.parametrize("J_max", [J - 1, -1, -3])
+    def test_jmax_guard(self, cos_12, J_max):
+        # a negative J_max once gave an empty field, whose max_value is 0.0
+        with pytest.raises(ValueError, match=r"outside \[0, J_grid-2=10\]"):
+            second_diff_field(cos_12, 1.0, J_max)
+
     def test_field_csv(self, tmp_path, cos_12):
         field = second_diff_field(cos_12, 1.0, 3)
         path = tmp_path / "field.csv"
@@ -309,6 +315,15 @@ class TestContinuity:
         rep = continuity_check(f, 1.0, 2000, seed=5)
         assert np.isfinite(rep.max_ratio)
         assert rep.max_ratio > 0.0
+
+    def test_negative_sample_count_rejected(self, cos_12, monkeypatch):
+        # before the seminorm: numpy's own error came only after it
+        def fail(*args, **kwargs):
+            raise AssertionError("the seminorm was computed")
+
+        monkeypatch.setattr(secdiff, "holder_seminorm", fail)
+        with pytest.raises(ValueError, match="sample_count=-1 must be >= 0"):
+            continuity_check(cos_12, 1.0, -1, seed=0)
 
     @pytest.mark.parametrize("n,Jg", [(1, 8), (2, 6)])
     def test_zero_samples_empty_report(self, n, Jg):
