@@ -166,8 +166,8 @@ def cmd_seminorms(args) -> int:
     spec = parse_function_spec(args.spec)
     f = synthesize(spec, cfg.n, cfg.J_grid)
     s = cfg.s
-    # the Poisson field first: its buffers, the peak of the command, then lie
-    # on a heap that no earlier stage has left fragmented
+    # the Poisson field first: its buffers then lie on a heap that no earlier
+    # stage has left fragmented
     poisson_norm = _poisson.holder_poisson_norm(f, s)
     holder_semi = _secdiff.holder_seminorm(f, s, K=_k_or_none(cfg))
     coeffs = _wavelet.analyze(f, _wavelet.filter_bank(cfg.wavelet_p))

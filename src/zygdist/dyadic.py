@@ -22,14 +22,18 @@ LOG2 = math.log(2.0)
 class HalfSpaceSet:
     """Finite union of Whitney cells, stored as per-level boolean masks."""
 
-    def __init__(self, n: int, J_max: int):
+    def __init__(self, n: int, J_max: int, masks: dict[int, np.ndarray] | None = None):
+        """The cells of masks[j] at each level j <= J_max; a level that masks
+        lacks (all of them if masks is None) is empty."""
         if n not in (1, 2):
             raise ValueError("n must be 1 or 2")
         if J_max < 0:
             raise ValueError("J_max must be >= 0")
         self.n = n
         self.J_max = J_max
-        self._masks = {j: np.zeros((2**j,) * n, dtype=bool) for j in range(J_max + 1)}
+        masks = masks or {}
+        self._masks = {j: masks[j] if j in masks else np.zeros((2**j,) * n, dtype=bool)
+                       for j in range(J_max + 1)}
 
     @classmethod
     def full_stack(cls, n: int, J_max: int) -> "HalfSpaceSet":
@@ -72,11 +76,7 @@ def threshold_set(values: dict[int, np.ndarray], eps: float, n: int, J_max: int)
     """Cells whose per-cell value strictly exceeds eps (ties excluded)."""
     if not 0.0 <= eps < math.inf:
         raise ValueError(f"eps={eps} must be finite and >= 0")
-    out = HalfSpaceSet(n, J_max)
-    for j in range(J_max + 1):
-        if j in values:
-            out._masks[j] = values[j] > eps
-    return out
+    return HalfSpaceSet(n, J_max, {j: values[j] > eps for j in range(J_max + 1) if j in values})
 
 
 @dataclass

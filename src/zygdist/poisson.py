@@ -15,16 +15,18 @@ height is one full-length inverse (L = 1), and on larger n=1 grids it sums L
 segments of M entries into each phase (Bailey's four-step transform), L = 2
 being the even/odd fold.  Only exact zeros are dropped, so the phases change
 roundoff alone: each level of a field stays within 1e-12 of its maximum of
-one full-length inverse per height.  Each thread holds one spectrum buffer
-and a scratch of about a quarter grid at n=2, both allocated on the calling
-thread; the decay is evaluated on the rows k1 >= 0 only, and the inverses
-are taken in blocks of rows (n=2) or phases (n=1) of a quarter of the grid
-(all of it up to 2^16 points), each pooled as it is made.  On grids of at least 2^16 points the heights are
-shared between two threads (gridfn._deal), as are the Bessel lift of
-jbmo_direct_norm and the probes of secdiff.holder_seminorm; the results do
-not depend on the schedule.  second_diff_field, bmo_norm and synthesis run
-on the calling thread alone.  Fields are restricted to y <= 1; the lowest
-frequencies dominate above that and carry no scale information.
+one full-length inverse per height.  The heights run one at a time in one
+spectrum buffer and one scratch of a quarter grid at n=2, both allocated on
+the calling thread; the decay is evaluated on the rows k1 >= 0 only, and the
+inverses are taken in blocks of rows (n=2) or phases (n=1) of an eighth of
+the grid (up to 2^16 points, all of it), each pooled as it is made.  On
+grids of at least 2^16 points the transforms of each height's columns,
+then its inverse blocks, are shared between two threads (gridfn._deal),
+as are the Bessel lift of jbmo_direct_norm and the probes of
+secdiff.holder_seminorm; the results do not depend on the schedule.
+second_diff_field, bmo_norm and synthesis run on the calling thread alone.
+Fields are restricted to y <= 1; the lowest frequencies dominate above
+that and carry no scale information.
 """
 
 from __future__ import annotations
@@ -42,8 +44,9 @@ from .secdiff import CELL_FRACS
 _DEFAULT_FIELD_MARGIN = 2  # deepest field level is J_grid - margin, as for second differences
 _TWIDDLE_LENGTH = 2**12  # entries of the fine twiddle table, exp(2 pi i t / N) for t < this
 _SEGMENT_LENGTH = 2**14  # longest inverse transform; 2^13 and 2^15 measured alike
-# an inverse block holds a quarter of the grid, or all of it up to this many
-# points, so that small grids make few transform and pooling calls per height
+# an inverse block holds an eighth of the grid, or up to this many points all
+# of it (half on each thread), so that small grids make few transform and
+# pooling calls per height
 _BLOCK_POINTS = 2**16
 
 
@@ -73,26 +76,37 @@ def _phase_plan(N: int, heights) -> list[tuple[int, int]]:
     return [(K, N // min(2 << (K - 1).bit_length(), top)) for K in kept.tolist()]
 
 
-def _stage_twiddle(step: int, K: int, fine: np.ndarray, coarse: np.ndarray, out: np.ndarray):
-    """exp(2 pi i k step / N) for k < K, from fine[t] = exp(2 pi i t / N) for
-    t < S and coarse[c] = exp(2 pi i c S / N): a strided view of one of them,
-    or their outer product written to out[:K]."""
+def _stage_twiddle(step: int, K: int, cols: slice, fine: np.ndarray, coarse: np.ndarray,
+                   out: np.ndarray):
+    """exp(2 pi i k step / N) for k in the slice cols of range(K), from
+    fine[t] = exp(2 pi i t / N) for t < S and coarse[c] = exp(2 pi i c S / N):
+    a strided view of one of them, or their outer product written to out.
+    K alone picks which, so a slice reads the same entries as the whole."""
     S = fine.size
     if (K - 1) * step < S:
-        return fine[::step][:K]
+        return fine[::step][cols]
     if step >= S:
-        return coarse[::step // S][:K]
+        return coarse[::step // S][cols]
     width = S // step
-    full, rest = divmod(K, width)
-    np.multiply(coarse[:full, None], fine[::step], out=out[:full * width].reshape(full, width))
-    np.multiply(coarse[full], fine[::step][:rest], out=out[full * width:K])
-    return out[:K]
+    fine = fine[::step]
+    lo, hi = cols.start, cols.stop
+    # entry k is coarse[k // width] fine[k % width]: the rest of lo's row,
+    # whole rows from a to b, and the start of hi's row
+    a = min(hi, -(-lo // width) * width)
+    b = max(a, hi // width * width)
+    np.multiply(coarse[lo // width], fine[lo % width:lo % width + a - lo], out=out[:a - lo])
+    np.multiply(coarse[a // width:b // width, None], fine,
+                out=out[a - lo:b - lo].reshape(-1, width))
+    np.multiply(coarse[b // width], fine[:hi - b], out=out[b - lo:hi - lo])
+    return out[:hi - lo]
 
 
 def _block_points(n: int, N: int) -> int:
-    """Points of each inverse block: a quarter of the grid, or all of it up
-    to _BLOCK_POINTS; never fewer than one phase, M <= min(N, _SEGMENT_LENGTH)."""
-    return max(N**n // 4, min(N**n, _BLOCK_POINTS))
+    """Points of each inverse block: an eighth of the grid, or up to
+    _BLOCK_POINTS all of it, split between the shares of _deal; never fewer
+    than one phase, M <= min(N, _SEGMENT_LENGTH)."""
+    shares = _share_count(range(2), N**n)
+    return max(N**n // 8, min(N**n, _BLOCK_POINTS) // shares, min(N, _SEGMENT_LENGTH))
 
 
 def _inverse_block(n: int, N: int, L: int) -> tuple[int, int]:
@@ -130,12 +144,19 @@ def _extension_blocks(f: GridFunction, heights, d2y: bool, consume):
     exp(2 pi i k / N).  The decay exp(-w y) is evaluated on rows k1 = 0..N/2
     only: w is even in k1, and rows k1 < 0 read it reversed.
 
-    block is a scratch buffer that the next transform overwrites; consume may
-    modify it.  Each thread works in two buffers, allocated here on the
-    calling thread: the phases (one spectrum) and a scratch of about a
-    quarter grid at n=2, which holds the decays, the stage twiddles and each
-    inverse block in turn.  The heights are dealt round-robin to two threads
-    by gridfn._deal, so consume must be safe to call from both.
+    The heights run one at a time in two buffers, allocated here on the
+    calling thread: the phases (one spectrum) and a scratch of a quarter
+    grid at n=2.  The calling thread seeds a height's phases: the decays, in
+    the scratch, their products with the table and the even/odd fold.  Two
+    stages follow, each dealt by gridfn._deal to up to two shares.  The
+    column stage finishes the phases on slices of the K kept columns (one
+    slice for a height of one segment and L > 1 phases): the segment sum,
+    the twiddles and (n=2) the first-axis inverses are all per column, and
+    each share's twiddles live in its columns' entries of the scratch.  The
+    block stage deals the inverse blocks; each share takes one block's worth
+    of the scratch and hands its blocks to consume in turn.  block is that
+    buffer, which the next transform overwrites; consume may modify it, and
+    must be safe to call from both threads.
     """
     N, n = f.grid_size, f.n
     rows = N if n == 2 else 1
@@ -178,68 +199,86 @@ def _extension_blocks(f: GridFunction, heights, d2y: bool, consume):
     twiddle = np.exp(2j * np.pi / N * np.arange(S))
     shifts = np.exp(2j * np.pi / N * S * np.arange(-(-cols // S)))
     # exp(2 pi i k h / N), k <= Ms/2, for the phases with bit h of p set
-    bits = [(1 << b, _stage_twiddle(1 << b, half, twiddle, shifts, np.empty(half, dtype=complex)))
+    bits = [(1 << b, _stage_twiddle(1 << b, half, slice(0, half), twiddle, shifts,
+                                    np.empty(half, dtype=complex)))
             for b in range(Ls.bit_length() - 1)]
-    # the scratch holds an inverse block, the decay of the rows k1 = 0..N/2
-    # and the fold's difference (Ls = 2), in whole complex entries
-    size = max(_block_points(n, N), wrows * half, 2 * half)
-    buffers = [(np.empty(Ls * rows * half, dtype=complex), np.empty(-(-size // 2), dtype=complex))
-               for _ in range(_share_count(heights, f.samples.size))]
+    shares = _share_count(range(2), f.samples.size)
+    points = _block_points(n, N)
+    # the scratch holds an inverse block per share, the decay of the rows
+    # k1 = 0..N/2, the fold's difference or the twiddles, in whole complex
+    # entries
+    buffer = np.empty(Ls * rows * half, dtype=complex)
+    scratch = np.empty(max(shares * points // 2, -(-wrows // 2) * half), dtype=complex)
+    flat = scratch.view(float)
+    slots = [flat[s * points:(s + 1) * points] for s in range(shares)]
 
-    def run(share):
-        buffer, scratch = buffers.pop()
-        flat = scratch.view(float)
-        for i in share:
-            y = heights[i]
-            K, L = plan[i]
-            if Ls > 1 and K > N // L // 2:  # Ls segments; those m < a and m >= b hold nonzero decays
-                a = min((K - 1) // Ms + 1, Ls // 2)
-                b = max((N - Ms // 2 - K) // Ms + 1, Ls // 2)
-                K, seeds = half, Ls
-            else:  # one segment
-                a, b, seeds = 1, 1, 1
-            phases = buffer[:L * rows * K].reshape(L, rows, K)
-            live = ((0, seeds),)
-            if a < b:
-                phases[a:b] = 0.0
-                live = ((0, a), (b, seeds))
-            step = flat.size // (wrows * K)  # segments per decay
-            for lo, hi in live:
-                for m in range(lo, hi, step):
-                    top = min(m + step, hi)
-                    d = flat[:(top - m) * wrows * K].reshape(top - m, wrows, K)
-                    np.exp(np.multiply(table_w[m:top, :, :K], -y, out=d), out=d)
-                    np.multiply(table[m:top, :wrows, :K], d, out=phases[m:top, :wrows])
-                    if n == 2:  # rows k1 = -N/2+1..-1 read rows N/2-1..1 of the decay
-                        np.multiply(table[m:top, wrows:, :K], d[:, wrows - 2:0:-1],
-                                    out=phases[m:top, wrows:])
-            if seeds == 2:  # the ifft and twiddle below, bitwise, at a fifth of the ifft cost
-                diff = scratch[:K].reshape(1, K)  # phase 1 before its twiddle
-                np.subtract(phases[0], phases[1], out=diff)
-                phases[0] += phases[1]
-                np.multiply(diff, bits[0][1], out=phases[1])
-            elif seeds > 2:  # sum over the segments, then each phase's twiddle
-                np.fft.ifft(phases, axis=0, norm="forward", out=phases)
-                for h, tw in bits:
-                    phases.reshape((L // (2 * h), 2, h) + phases.shape[1:])[:, 1] *= tw
-            elif L > Ls:
-                phases[0] *= Ls / L  # the table carries 1/Ls; length N / L needs 1/L
-            if n == 2:  # as irfftn: the complex first-axis inverse first, in place
-                np.fft.ifft(phases[:seeds], axis=1, out=phases[:seeds])
-            h = seeds  # the first-axis inverses commute with the last-axis twiddles
-            while h < L:  # phases h..2h-1 from 0..h-1
-                tw = _stage_twiddle(h, K, twiddle, shifts, scratch)
-                np.multiply(phases[:h], tw, out=phases[h:2 * h])
-                h *= 2
-            M = N // L
-            B, R = _inverse_block(n, N, L)
-            for p in range(0, L, B):
-                for r in range(0, rows, R):
-                    block = flat[:B * R * M].reshape(B, R, M)
-                    np.fft.irfft(phases[p:p + B, r:r + R], n=M, out=block)
-                    consume(i, p, r, block)
+    for i, y in enumerate(heights):
+        K, L = plan[i]
+        if Ls > 1 and K > N // L // 2:  # Ls segments; those m < a and m >= b hold nonzero decays
+            a = min((K - 1) // Ms + 1, Ls // 2)
+            b = max((N - Ms // 2 - K) // Ms + 1, Ls // 2)
+            K, seeds = half, Ls
+        else:  # one segment
+            a, b, seeds = 1, 1, 1
+        phases = buffer[:L * rows * K].reshape(L, rows, K)
+        live = ((0, seeds),)
+        if a < b:
+            phases[a:b] = 0.0
+            live = ((0, a), (b, seeds))
+        # the decays and their products with the table, on whole rows on this
+        # thread: on column halves numpy copies short strided rows through
+        # buffers, and two threads took more CPU time and no less wall time
+        step = flat.size // (wrows * K)  # segments per decay
+        for lo, hi in live:
+            for m in range(lo, hi, step):
+                top = min(m + step, hi)
+                d = flat[:(top - m) * wrows * K].reshape(top - m, wrows, K)
+                np.exp(np.multiply(table_w[m:top, :, :K], -y, out=d), out=d)
+                np.multiply(table[m:top, :wrows, :K], d, out=phases[m:top, :wrows])
+                if n == 2:  # rows k1 = -N/2+1..-1 read rows N/2-1..1 of the decay
+                    np.multiply(table[m:top, wrows:, :K], d[:, wrows - 2:0:-1],
+                                out=phases[m:top, wrows:])
+        if seeds == 2:  # the ifft and twiddle below, bitwise, at a fifth of the ifft cost
+            diff = scratch[:K].reshape(1, K)  # phase 1 before its twiddle
+            np.subtract(phases[0], phases[1], out=diff)
+            phases[0] += phases[1]
+            np.multiply(diff, bits[0][1], out=phases[1])
+        elif L > Ls and seeds == 1:
+            phases[0] *= Ls / L  # the table carries 1/Ls; length N / L needs 1/L
 
-    _deal(run, range(len(heights)), f.samples.size)
+        def columns(share):
+            for c in share:
+                part = phases[..., c]
+                if seeds > 2:  # sum over the segments, then each phase's twiddle
+                    np.fft.ifft(part, axis=0, norm="forward", out=part)
+                    for h, tw in bits:
+                        part.reshape((L // (2 * h), 2, h) + part.shape[1:])[:, 1] *= tw[c]
+                if n == 2:  # as irfftn: the complex first-axis inverse first, in place
+                    np.fft.ifft(part[:seeds], axis=1, out=part[:seeds])
+                h = seeds  # the first-axis inverses commute with the last-axis twiddles
+                while h < L:  # phases h..2h-1 from 0..h-1
+                    tw = _stage_twiddle(h, K, c, twiddle, shifts, scratch[c])
+                    np.multiply(part[:h], tw, out=part[h:2 * h])
+                    h *= 2
+
+        # a height of one segment and L > 1 phases spends this stage mostly
+        # twiddling phase 0, which two threads on column halves (short strided
+        # rows, that numpy copies through buffers) did no faster than one
+        # thread on whole rows
+        piece = -(-K // (shares if seeds > 1 or L == 1 else 1))
+        _deal(columns, [slice(c, min(c + piece, K)) for c in range(0, K, piece)], f.samples.size)
+        M = N // L
+        B, R = _inverse_block(n, N, L)
+
+        def blocks(share):
+            block = free.pop()[:B * R * M].reshape(B, R, M)
+            for p, r in share:
+                np.fft.irfft(phases[p:p + B, r:r + R], n=M, out=block)
+                consume(i, p, r, block)
+
+        free = list(slots)
+        _deal(blocks, [(p, r) for p in range(0, L, B) for r in range(0, rows, R)],
+              f.samples.size)
 
 
 def _single_height(f: GridFunction, y: float, d2y: bool) -> np.ndarray:

@@ -365,6 +365,23 @@ class TestHalfSpaceSet:
         assert S.mask(1)[0]
         assert S.cell_count == 1
 
+    def test_threshold_builds_each_mask_once(self):
+        # the masks are the comparisons themselves, and a level missing from
+        # values is one empty mask
+        rng = np.random.default_rng(3)
+        values = {j: rng.random((2**j, 2**j)) for j in range(10)}
+        threshold_set(values, 0.5, 2, 10)  # imports done
+        tracemalloc.start()
+        try:
+            S = threshold_set(values, 0.5, 2, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for j in range(10):
+            assert np.array_equal(S.mask(j), values[j] > 0.5)
+        assert not S.mask(10).any()
+        assert peak <= sum(4**j for j in range(11)) + 2**14
+
     @pytest.mark.parametrize("eps", [-1.0, math.nan, math.inf])
     def test_threshold_eps_must_be_finite_and_nonnegative(self, eps):
         with pytest.raises(ValueError, match="must be finite and >= 0"):

@@ -293,11 +293,18 @@ class TestGridFunctionInvariants:
             tracemalloc.stop()
         assert peak < 2**20
 
-    def test_finite_required(self):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [3, -1])
+    def test_finite_required(self, bad, at):
         samples = np.zeros(256)
-        samples[3] = np.inf
-        with pytest.raises(ValueError):
+        samples[at] = bad
+        with pytest.raises(ValueError, match="finite"):
             GridFunction(1, 8, samples)
+
+    def test_large_finite_accepted(self):
+        # a sum of these samples would overflow; the check does not add them
+        samples = np.full((16, 16), 1e308)
+        assert np.array_equal(GridFunction(2, 4, samples).samples, samples)
 
 
 def _full_energy(f: GridFunction, r: float) -> float:

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import is_subset
+from conftest import is_subset, spy_deal
 from zygdist import (GridFunction, bessel_lift, parse_function_spec, sup_norm,
                      synthesize)
 import zygdist.gridfn as gridfn
@@ -41,19 +41,18 @@ ORACLE_CASES = [
 # per height, relative to each level's maximum; measured at most 6e-16 at n=1
 # J=20 and 4e-16 at J=17, as the even/odd fold did
 HALF_LENGTH_RTOL = 1e-12
-# tracemalloc peak of derivative_field at n=1 J_grid=20 J_max=18 on two
-# threads, measured when heights with K > N/4 still folded in chunks
-# (46.72 MiB); the spectrum's set-up sets it.  The segment layout, the same
-# size as the fold's spectrum pair, measured 41.2 MiB
-LIMIT_FIELD_PEAK_MIB = 46.72
+# tracemalloc peak of derivative_field at n=1 J_grid=20 J_max=18: the
+# spectrum's set-up sets it, 32.13 MiB on one thread or two, against 41.1 MiB
+# on two threads when each held a spectrum buffer and a scratch
+LIMIT_FIELD_PEAK_MIB = 32.13
 LIMIT_FIELD_PEAK_SLACK_MIB = 0.25
 # the same at n=2 J_grid=10 J_max=8: the half spectrum and the decay table of
-# its rows k1 >= 0 (1.25 grids), and per thread one spectrum buffer and a
-# quarter-grid scratch that each block is pooled out of in place (2.5 grids
-# on two threads): 31.25-31.51 MiB in 40 runs, against 40.3-43.66 MiB when a
-# height with K > N/4 folded into a (2, N, N/4 + 1) spectrum pair and each
-# thread held a half-grid decay and output buffer
-N2_FIELD_PEAK_MIB = 31.51
+# its rows k1 >= 0 (1.25 grids), one spectrum buffer and a quarter-grid
+# scratch that holds the decays of each height and then its inverse blocks,
+# an eighth of the grid per thread, each pooled in place: 21.23-21.36 MiB on
+# two threads and 21.10 MiB on one, against 31.25-31.51 MiB when each thread
+# held a spectrum buffer and a scratch
+N2_FIELD_PEAK_MIB = 21.36
 N2_FIELD_PEAK_SLACK_MIB = 0.5
 # tracemalloc peak of bmo_norm at n=2 J_grid=10, in grids of samples: the
 # squares plus the first pooling of the sums and of the squares, 16.13 MiB
@@ -266,18 +265,13 @@ class TestHalfLengthTransforms:
         for j, level in full_length_field(f, 1.0, Jg).items():
             assert np.max(np.abs(field.values[j] - level)) <= HALF_LENGTH_RTOL * level.max()
 
-    # n=1 J=16: the heights of levels 0-5 split into L >= 2 phases
-    @pytest.mark.parametrize("n,Jg", [(1, 12), (1, 16), (2, 7)])
+    # n=1 J=16: the heights of levels 0-5 split into L >= 2 phases; n=1 J=17:
+    # segment heights of L = 8; n=2 J=9: level-0 heights of L = 2.  At n=1
+    # J=12 a height is one inverse block, so only the column stage is shared
+    @pytest.mark.parametrize("n,Jg", [(1, 12), (1, 16), (1, 17), (2, 7), (2, 9)])
     def test_threads_do_not_change_the_numbers(self, n, Jg, monkeypatch):
         f = synthesize(parse_function_spec("weierstrass s=1 levels=5 signs=random seed=4"), n, Jg)
-        caller, off_caller = threading.get_ident(), []
-        pool = poisson.pool
-
-        def spy(arr, op, cells):
-            off_caller.append(threading.get_ident() != caller)
-            return pool(arr, op, cells)
-
-        monkeypatch.setattr(poisson, "pool", spy)
+        off_caller = spy_deal(monkeypatch, poisson)
         monkeypatch.setattr(gridfn, "_CPUS", 2)
         runs = []
         for min_points in (2**62, 0):  # serial, then threaded
@@ -299,7 +293,9 @@ class TestHalfLengthTransforms:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for Jg, repeats in ((14, 10), (16, 3)):  # both split coarse heights into L >= 4
+            # both split coarse heights into L >= 4, and their heights into two
+            # inverse blocks, one pooled on each thread
+            for Jg, repeats in ((15, 6), (16, 3)):
                 f = synthesize(parse_function_spec("weierstrass s=1 levels=12 signs=random seed=6"), 1, Jg)
                 probes = [frac * 2.0**-j for j in range(Jg + 1) for frac in CELL_FRACS]
                 assert any(L >= 4 for _, L in poisson._phase_plan(2**Jg, probes))
@@ -314,7 +310,8 @@ class TestHalfLengthTransforms:
             sys.setswitchinterval(interval)
 
     def test_worker_error_reaches_caller(self, monkeypatch):
-        f = synthesize(parse_function_spec("weierstrass s=1 levels=6"), 1, 10)
+        # two inverse blocks per height, one pooled on the worker
+        f = synthesize(parse_function_spec("weierstrass s=1 levels=5"), 2, 7)
         caller = threading.get_ident()
         pool = poisson.pool
 
@@ -327,7 +324,7 @@ class TestHalfLengthTransforms:
         monkeypatch.setattr(gridfn, "_CPUS", 2)
         monkeypatch.setattr(gridfn, "_THREAD_MIN_POINTS", 0)
         with pytest.raises(RuntimeError, match="worker failed"):
-            derivative_field(f, 1.0, 8)
+            derivative_field(f, 1.0, 5)
 
 
 @pytest.fixture(scope="module")
@@ -400,20 +397,30 @@ class TestPhaseSplit:
             assert field.threshold(eps) == oracle.threshold(eps)
 
     def test_limit_grid_memory(self, limit_field):
-        # every height's arrays live in the two buffers each thread allocates once
+        # every height's arrays live in the two buffers allocated once
         assert limit_field[2] <= (LIMIT_FIELD_PEAK_MIB + LIMIT_FIELD_PEAK_SLACK_MIB) * 2**20
 
-    def test_n2_grid_memory(self, monkeypatch):
-        monkeypatch.setattr(gridfn, "_CPUS", 2)
+    @staticmethod
+    def n2_field_peak(monkeypatch, cpus):
+        monkeypatch.setattr(gridfn, "_CPUS", cpus)
         spec = "sum weierstrass s=1 levels=8 signs=plus + wavelet-atom l=3 j=4 k=5,9"
         f = synthesize(parse_function_spec(spec), 2, 10)
         tracemalloc.start()
         try:
             derivative_field(f, 1.0, 8)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    def test_n2_grid_memory(self, monkeypatch):
+        peak = self.n2_field_peak(monkeypatch, 2)
         assert peak <= (N2_FIELD_PEAK_MIB + N2_FIELD_PEAK_SLACK_MIB) * 2**20
+
+    def test_second_thread_holds_no_buffer(self, monkeypatch):
+        # both threads share the one spectrum buffer and scratch, so the second
+        # thread adds only what numpy allocates within a call
+        one, two = (self.n2_field_peak(monkeypatch, cpus) for cpus in (1, 2))
+        assert abs(two - one) <= N2_FIELD_PEAK_SLACK_MIB * 2**20
 
     @pytest.mark.parametrize("n,Jg", [(1, 12), (2, 7), (1, J_GRID_MIN), (2, J_GRID_MIN)])
     @pytest.mark.parametrize("y,kept,M", [(1e3, 1, 2), (3.0, 40, 128)])
