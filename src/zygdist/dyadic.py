@@ -22,16 +22,18 @@ LOG2 = math.log(2.0)
 class HalfSpaceSet:
     """Finite union of Whitney cells, stored as per-level boolean masks."""
 
-    def __init__(self, n: int, J_max: int, masks: dict[int, np.ndarray] | None = None):
-        """The cells of masks[j] at each level j <= J_max; a level that masks
-        lacks (all of them if masks is None) is empty."""
+    def __init__(self, n: int, J_max: int):
+        self._set_masks(n, J_max, {})
+
+    def _set_masks(self, n: int, J_max: int, masks: dict[int, np.ndarray]):
+        """The cells of masks[j] at each level j <= J_max, held as given; a
+        level that masks lacks is empty."""
         if n not in (1, 2):
             raise ValueError("n must be 1 or 2")
         if J_max < 0:
             raise ValueError("J_max must be >= 0")
         self.n = n
         self.J_max = J_max
-        masks = masks or {}
         self._masks = {j: masks[j] if j in masks else np.zeros((2**j,) * n, dtype=bool)
                        for j in range(J_max + 1)}
 
@@ -76,7 +78,9 @@ def threshold_set(values: dict[int, np.ndarray], eps: float, n: int, J_max: int)
     """Cells whose per-cell value strictly exceeds eps (ties excluded)."""
     if not 0.0 <= eps < math.inf:
         raise ValueError(f"eps={eps} must be finite and >= 0")
-    return HalfSpaceSet(n, J_max, {j: values[j] > eps for j in range(J_max + 1) if j in values})
+    out = HalfSpaceSet.__new__(HalfSpaceSet)  # each mask made once, by the comparison
+    out._set_masks(n, J_max, {j: values[j] > eps for j in range(J_max + 1) if j in values})
+    return out
 
 
 @dataclass

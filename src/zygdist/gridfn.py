@@ -40,9 +40,6 @@ _LEVEL_BLOCK = 2**16
 # thread's longdouble copy of its row block is 512 KiB at n=2 (a whole row at
 # n=1)
 _ROW_BLOCK = 2**16
-# clongdouble entries (32 KiB) per thread that the Bessel lift's multiplier is
-# cast into, a row at a time: a whole row of a column half at n=2
-_CAST_BLOCK = 2**10
 _THREAD_MIN_POINTS = 2**16  # smaller grids run their work on the calling thread alone
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
@@ -422,9 +419,7 @@ def bessel_lift(f: GridFunction, r: float) -> GridFunction:
     The row blocks, and the two column halves of the first-axis transforms
     and the multiply, are dealt to two threads by _deal; each share's
     longdouble row block, the input of its forward and the output of its
-    inverse transforms, and its clongdouble buffer for the multiplier are
-    allocated here, on the calling thread; only pocketfft's own working
-    memory comes from the thread that transforms.
+    inverse transforms, is allocated here, on the calling thread.
     """
     N = f.grid_size
     # the table first: its temporaries are gone before the spectrum exists
@@ -445,23 +440,13 @@ def bessel_lift(f: GridFunction, r: float) -> GridFunction:
             np.fft.rfft(part, out=spec[i:i + step])
 
     def columns(share):
-        cast = casts.pop()
         for c in share:
             half = spec[:, c]
             for axis in range(f.n - 1):  # as rfftn: the other axes after the last
                 np.fft.fft(half, axis=axis, out=half)
-            # row k1 >= 0 is quadrant row k1; row N + k1 (k1 < 0) is quadrant row -k1.
-            # A longdouble factor, or a block of rows, would make the multiply
-            # allocate a buffer on this thread: the factor is cast into the
-            # share's buffer and multiplied one row (a chunk of it at n=1) at a time
-            for target, table in ((half[:N // 2 + 1], quad[:, c]),
-                                  (half[N // 2 + 1:], quad[N // 2 - 1:0:-1, c])):
-                for row, factors in zip(target, table):
-                    for j in range(0, row.size, cast.size):
-                        part = row[j:j + cast.size]
-                        factor = cast[:part.size]
-                        factor[...] = factors[j:j + cast.size]
-                        part *= factor
+            # row k1 >= 0 is quadrant row k1; row N + k1 (k1 < 0) is quadrant row -k1
+            half[:N // 2 + 1] *= quad[:, c]
+            half[N // 2 + 1:] *= quad[N // 2 - 1:0:-1, c]
             for axis in range(f.n - 1):  # as irfftn: complex inverses first
                 np.fft.ifft(half, axis=axis, out=half)
 
@@ -476,11 +461,8 @@ def bessel_lift(f: GridFunction, r: float) -> GridFunction:
 
     cols = N // 2 + 1
     _deal(forward, blocks, f.samples.size)
-    halves = (slice(0, cols // 2), slice(cols // 2, cols))
-    casts = [np.empty(_CAST_BLOCK, dtype=np.clongdouble)
-             for _ in range(_share_count(halves, f.samples.size))]
-    _deal(columns, halves, f.samples.size)
-    del quad, casts  # before the samples are allocated
+    _deal(columns, (slice(0, cols // 2), slice(cols // 2, cols)), f.samples.size)
+    del quad  # before the samples are allocated
     samples = np.empty(f.samples.shape)
     out = samples.reshape(-1, N)
     free = row_blocks  # the inverse pops them all: none is held past it

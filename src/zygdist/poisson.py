@@ -15,15 +15,15 @@ height is one full-length inverse (L = 1), and on larger n=1 grids it sums L
 segments of M entries into each phase (Bailey's four-step transform), L = 2
 being the even/odd fold.  Only exact zeros are dropped, so the phases change
 roundoff alone: each level of a field stays within 1e-12 of its maximum of
-one full-length inverse per height.  The heights run one at a time in one
-spectrum buffer and one scratch of a quarter grid at n=2, both allocated on
-the calling thread; the decay is evaluated on the rows k1 >= 0 only, and the
-inverses are taken in blocks of rows (n=2) or phases (n=1) of an eighth of
-the grid (up to 2^16 points, all of it), each pooled as it is made.  On
-grids of at least 2^16 points the transforms of each height's columns,
-then its inverse blocks, are shared between two threads (gridfn._deal),
-as are the Bessel lift of jbmo_direct_norm and the probes of
-secdiff.holder_seminorm; the results do not depend on the schedule.
+one full-length inverse per height.  The decay is evaluated on the rows
+k1 >= 0 only, and the inverses are taken in blocks of rows (n=2) or phases
+(n=1) of an eighth of the grid (up to 2^16 points, all of it), each pooled
+as it is made.  On grids of at least 2^16 points two threads share the work
+(gridfn._deal), as they share the Bessel lift of jbmo_direct_norm and the
+probes of secdiff.holder_seminorm: at n=1 each takes whole heights in its
+own spectrum buffer and scratch; at n=2 the heights run one at a time in
+one spectrum buffer, and the threads share each height's stages.  The
+results do not depend on the schedule.
 second_diff_field, bmo_norm and synthesis run on the calling thread alone.
 Fields are restricted to y <= 1; the lowest frequencies dominate above
 that and carry no scale information.
@@ -76,29 +76,20 @@ def _phase_plan(N: int, heights) -> list[tuple[int, int]]:
     return [(K, N // min(2 << (K - 1).bit_length(), top)) for K in kept.tolist()]
 
 
-def _stage_twiddle(step: int, K: int, cols: slice, fine: np.ndarray, coarse: np.ndarray,
-                   out: np.ndarray):
-    """exp(2 pi i k step / N) for k in the slice cols of range(K), from
-    fine[t] = exp(2 pi i t / N) for t < S and coarse[c] = exp(2 pi i c S / N):
-    a strided view of one of them, or their outer product written to out.
-    K alone picks which, so a slice reads the same entries as the whole."""
+def _stage_twiddle(step: int, K: int, fine: np.ndarray, coarse: np.ndarray, out: np.ndarray):
+    """exp(2 pi i k step / N) for k < K, from fine[t] = exp(2 pi i t / N) for
+    t < S and coarse[c] = exp(2 pi i c S / N): a strided view of one of them,
+    or their outer product written to out[:K]."""
     S = fine.size
     if (K - 1) * step < S:
-        return fine[::step][cols]
+        return fine[::step][:K]
     if step >= S:
-        return coarse[::step // S][cols]
+        return coarse[::step // S][:K]
     width = S // step
-    fine = fine[::step]
-    lo, hi = cols.start, cols.stop
-    # entry k is coarse[k // width] fine[k % width]: the rest of lo's row,
-    # whole rows from a to b, and the start of hi's row
-    a = min(hi, -(-lo // width) * width)
-    b = max(a, hi // width * width)
-    np.multiply(coarse[lo // width], fine[lo % width:lo % width + a - lo], out=out[:a - lo])
-    np.multiply(coarse[a // width:b // width, None], fine,
-                out=out[a - lo:b - lo].reshape(-1, width))
-    np.multiply(coarse[b // width], fine[:hi - b], out=out[b - lo:hi - lo])
-    return out[:hi - lo]
+    full, rest = divmod(K, width)
+    np.multiply(coarse[:full, None], fine[::step], out=out[:full * width].reshape(full, width))
+    np.multiply(coarse[full], fine[::step][:rest], out=out[full * width:K])
+    return out[:K]
 
 
 def _block_points(n: int, N: int) -> int:
@@ -144,19 +135,21 @@ def _extension_blocks(f: GridFunction, heights, d2y: bool, consume):
     exp(2 pi i k / N).  The decay exp(-w y) is evaluated on rows k1 = 0..N/2
     only: w is even in k1, and rows k1 < 0 read it reversed.
 
-    The heights run one at a time in two buffers, allocated here on the
-    calling thread: the phases (one spectrum) and a scratch of a quarter
-    grid at n=2.  The calling thread seeds a height's phases: the decays, in
-    the scratch, their products with the table and the even/odd fold.  Two
-    stages follow, each dealt by gridfn._deal to up to two shares.  The
-    column stage finishes the phases on slices of the K kept columns (one
-    slice for a height of one segment and L > 1 phases): the segment sum,
-    the twiddles and (n=2) the first-axis inverses are all per column, and
-    each share's twiddles live in its columns' entries of the scratch.  The
-    block stage deals the inverse blocks; each share takes one block's worth
-    of the scratch and hands its blocks to consume in turn.  block is that
-    buffer, which the next transform overwrites; consume may modify it, and
-    must be safe to call from both threads.
+    Each height runs in a spectrum buffer (its phases) and a scratch, both
+    allocated here on the calling thread, in three stages: the seeding (the
+    decays, in the scratch, and their products with the table), the column
+    stage (the segment sum, the twiddles and, at n=2, the first-axis
+    inverses) and the block stage (the inverse blocks, each made in the
+    scratch and handed to consume).  At n=1 gridfn._deal deals whole
+    heights to up to two threads, each with its own buffer and scratch.  At
+    n=2 the heights run one at a time in one buffer and scratch, and _deal
+    shares each stage between the threads: the seeding by halves of the
+    rows k1 = 0..N/2, the column stage by halves of the K kept columns
+    (whole columns for a height of one segment and L > 1 phases), each
+    stage's twiddles made beforehand in the scratch, and the block stage by
+    blocks, each share taking an inverse block's worth of the scratch.
+    block is that scratch, which the next transform overwrites; consume may
+    modify it, and must be safe to call from both threads.
     """
     N, n = f.grid_size, f.n
     rows = N if n == 2 else 1
@@ -199,45 +192,56 @@ def _extension_blocks(f: GridFunction, heights, d2y: bool, consume):
     twiddle = np.exp(2j * np.pi / N * np.arange(S))
     shifts = np.exp(2j * np.pi / N * S * np.arange(-(-cols // S)))
     # exp(2 pi i k h / N), k <= Ms/2, for the phases with bit h of p set
-    bits = [(1 << b, _stage_twiddle(1 << b, half, slice(0, half), twiddle, shifts,
-                                    np.empty(half, dtype=complex)))
+    bits = [(1 << b, _stage_twiddle(1 << b, half, twiddle, shifts, np.empty(half, dtype=complex)))
             for b in range(Ls.bit_length() - 1)]
-    shares = _share_count(range(2), f.samples.size)
-    points = _block_points(n, N)
-    # the scratch holds an inverse block per share, the decay of the rows
-    # k1 = 0..N/2, the fold's difference or the twiddles, in whole complex
-    # entries
-    buffer = np.empty(Ls * rows * half, dtype=complex)
-    scratch = np.empty(max(shares * points // 2, -(-wrows // 2) * half), dtype=complex)
-    flat = scratch.view(float)
-    slots = [flat[s * points:(s + 1) * points] for s in range(shares)]
-
-    for i, y in enumerate(heights):
-        K, L = plan[i]
+    # per height: the kept entries K, the phases L, the segments seeded, and
+    # the ranges of segments whose decays are nonzero
+    layouts = []
+    for K, L in plan:
         if Ls > 1 and K > N // L // 2:  # Ls segments; those m < a and m >= b hold nonzero decays
             a = min((K - 1) // Ms + 1, Ls // 2)
             b = max((N - Ms // 2 - K) // Ms + 1, Ls // 2)
-            K, seeds = half, Ls
+            layouts.append((half, L, Ls, ((0, a), (b, Ls)) if a < b else ((0, Ls),)))
         else:  # one segment
-            a, b, seeds = 1, 1, 1
+            layouts.append((K, L, 1, ((0, 1),)))
+    shares = _share_count(range(2), f.samples.size)
+    shared = n == 2  # the heights share one buffer set, else each thread holds one
+    slots = shares if shared else 1  # inverse blocks per buffer set
+    points = _block_points(n, N)
+    # the scratch holds the decay of the rows k1 = 0..N/2, then the fold's
+    # difference or a height's stage twiddles (one row of K entries per
+    # stage), then the inverse blocks, in whole complex entries
+    twiddles = max((K * ((L // seeds).bit_length() - 1) for K, L, seeds, _ in layouts), default=0)
+    size = max(slots * points // 2, -(-wrows // 2) * half, twiddles)
+
+    def height(i, buffer, scratch, deal):
+        """Height i in buffer and scratch; deal(run, items) runs each stage."""
+        y = heights[i]
+        K, L, seeds, live = layouts[i]
+        flat = scratch.view(float)
         phases = buffer[:L * rows * K].reshape(L, rows, K)
-        live = ((0, seeds),)
-        if a < b:
-            phases[a:b] = 0.0
-            live = ((0, a), (b, seeds))
-        # the decays and their products with the table, on whole rows on this
-        # thread: on column halves numpy copies short strided rows through
-        # buffers, and two threads took more CPU time and no less wall time
+        if len(live) == 2:
+            phases[live[0][1]:live[1][0]] = 0.0
         step = flat.size // (wrows * K)  # segments per decay
-        for lo, hi in live:
-            for m in range(lo, hi, step):
-                top = min(m + step, hi)
-                d = flat[:(top - m) * wrows * K].reshape(top - m, wrows, K)
-                np.exp(np.multiply(table_w[m:top, :, :K], -y, out=d), out=d)
-                np.multiply(table[m:top, :wrows, :K], d, out=phases[m:top, :wrows])
-                if n == 2:  # rows k1 = -N/2+1..-1 read rows N/2-1..1 of the decay
-                    np.multiply(table[m:top, wrows:, :K], d[:, wrows - 2:0:-1],
-                                out=phases[m:top, wrows:])
+
+        def seed(share):  # the decays of rows k1 = a..b-1 and their products with the table
+            for a, b in share:
+                for lo, hi in live:
+                    for m in range(lo, hi, step):
+                        top = min(m + step, hi)
+                        d = flat[:(top - m) * wrows * K].reshape(top - m, wrows, K)
+                        np.exp(np.multiply(table_w[m:top, a:b, :K], -y, out=d[:, a:b]),
+                               out=d[:, a:b])
+                        np.multiply(table[m:top, a:b, :K], d[:, a:b], out=phases[m:top, a:b])
+                        # rows k1 = -N/2+1..-1 read rows N/2-1..1 of the decay
+                        c, e = max(a, 1), min(b, N // 2)
+                        if n == 2 and c < e:
+                            np.multiply(table[m:top, N - e + 1:N - c + 1, :K], d[:, e - 1:c - 1:-1],
+                                        out=phases[m:top, N - e + 1:N - c + 1])
+
+        # by halves of whole rows: on column halves numpy copies short strided
+        # rows through buffers, and two threads were no faster than one
+        deal(seed, [(0, wrows // 2), (wrows // 2, wrows)] if shared and wrows > 1 else [(0, wrows)])
         if seeds == 2:  # the ifft and twiddle below, bitwise, at a fifth of the ifft cost
             diff = scratch[:K].reshape(1, K)  # phase 1 before its twiddle
             np.subtract(phases[0], phases[1], out=diff)
@@ -245,6 +249,12 @@ def _extension_blocks(f: GridFunction, heights, d2y: bool, consume):
             np.multiply(diff, bits[0][1], out=phases[1])
         elif L > Ls and seeds == 1:
             phases[0] *= Ls / L  # the table carries 1/Ls; length N / L needs 1/L
+        # exp(2 pi i k h / N) for the phases h..2h-1, made from 0..h-1
+        stages = []
+        h = seeds
+        while h < L:
+            stages.append((h, _stage_twiddle(h, K, twiddle, shifts, scratch[len(stages) * K:])))
+            h *= 2
 
         def columns(share):
             for c in share:
@@ -255,20 +265,18 @@ def _extension_blocks(f: GridFunction, heights, d2y: bool, consume):
                         part.reshape((L // (2 * h), 2, h) + part.shape[1:])[:, 1] *= tw[c]
                 if n == 2:  # as irfftn: the complex first-axis inverse first, in place
                     np.fft.ifft(part[:seeds], axis=1, out=part[:seeds])
-                h = seeds  # the first-axis inverses commute with the last-axis twiddles
-                while h < L:  # phases h..2h-1 from 0..h-1
-                    tw = _stage_twiddle(h, K, c, twiddle, shifts, scratch[c])
-                    np.multiply(part[:h], tw, out=part[h:2 * h])
-                    h *= 2
+                # the first-axis inverses commute with the last-axis twiddles
+                for h, tw in stages:
+                    np.multiply(part[:h], tw[c], out=part[h:2 * h])
 
-        # a height of one segment and L > 1 phases spends this stage mostly
-        # twiddling phase 0, which two threads on column halves (short strided
-        # rows, that numpy copies through buffers) did no faster than one
-        # thread on whole rows
-        piece = -(-K // (shares if seeds > 1 or L == 1 else 1))
-        _deal(columns, [slice(c, min(c + piece, K)) for c in range(0, K, piece)], f.samples.size)
+        # an n=2 height of L > 1 phases spends this stage mostly twiddling
+        # phase 0, which two threads on column halves (short strided rows,
+        # that numpy copies through buffers) did no faster than one on whole rows
+        piece = -(-K // (shares if shared and L == 1 else 1))
+        deal(columns, [slice(c, min(c + piece, K)) for c in range(0, K, piece)])
         M = N // L
         B, R = _inverse_block(n, N, L)
+        free = [flat[s * points:(s + 1) * points] for s in range(slots)]
 
         def blocks(share):
             block = free.pop()[:B * R * M].reshape(B, R, M)
@@ -276,9 +284,25 @@ def _extension_blocks(f: GridFunction, heights, d2y: bool, consume):
                 np.fft.irfft(phases[p:p + B, r:r + R], n=M, out=block)
                 consume(i, p, r, block)
 
-        free = list(slots)
-        _deal(blocks, [(p, r) for p in range(0, L, B) for r in range(0, rows, R)],
-              f.samples.size)
+        deal(blocks, [(p, r) for p in range(0, L, B) for r in range(0, rows, R)])
+
+    def sets(count):
+        return [(np.empty(Ls * rows * half, dtype=complex), np.empty(size, dtype=complex))
+                for _ in range(count)]
+
+    if shared:
+        [(buffer, scratch)] = sets(1)
+        for i in range(len(heights)):
+            height(i, buffer, scratch, lambda stage, items: _deal(stage, items, f.samples.size))
+    else:
+        free_sets = sets(_share_count(heights, f.samples.size))
+
+        def run(share):
+            buffer, scratch = free_sets.pop()
+            for i in share:
+                height(i, buffer, scratch, lambda stage, items: stage(items))
+
+        _deal(run, range(len(heights)), f.samples.size)
 
 
 def _single_height(f: GridFunction, y: float, d2y: bool) -> np.ndarray:
