@@ -252,6 +252,9 @@ def _validate_params(kind: str, p: dict):
         _require(0.0 < p["s"] <= 1.0, f"{kind}: s must lie in (0, 1], got {p['s']}")
         _require(isinstance(p["levels"], int) and p["levels"] >= 1,
                  f"{kind}: levels must be an integer >= 1")
+        if "seed" in p:  # numpy would read seed=1,2 as a sequence seed
+            _require(isinstance(p["seed"], int) and p["seed"] >= 0,
+                     f"{kind}: seed must be an integer >= 0")
         if kind == "lacunary-random":
             _require("seed" in p, "lacunary-random requires seed=<int> (random kinds are seeded)")
         else:
@@ -269,7 +272,8 @@ def _validate_params(kind: str, p: dict):
         _require(isinstance(p["j"], int) and p["j"] >= 0, "wavelet-atom: j must be >= 0")
         _require_index(p, kind)
         p.setdefault("p", 8)
-        _require(p["p"] in range(2, 11), "wavelet-atom: p must be in 2..10")
+        _require(isinstance(p["p"], int) and 2 <= p["p"] <= 10,
+                 "wavelet-atom: p must be an integer in 2..10")
     elif kind == "file":
         _require("path" in p, "file requires path=<path>")
 

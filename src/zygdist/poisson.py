@@ -33,13 +33,12 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
 from .dyadic import LevelField, pool
 from .gridfn import GridFunction, bessel_lift, sup_norm, _deal, _half_freq_sq, _share_count
-from .secdiff import CELL_FRACS
+from .secdiff import CELL_FRACS, ContinuityReport, _pair_report
 
 _DEFAULT_FIELD_MARGIN = 2  # deepest field level is J_grid - margin, as for second differences
 _TWIDDLE_LENGTH = 2**12  # entries of the fine twiddle table, exp(2 pi i t / N) for t < this
@@ -92,28 +91,15 @@ def _stage_twiddle(step: int, K: int, fine: np.ndarray, coarse: np.ndarray, out:
     return out[:K]
 
 
-def _block_points(n: int, N: int) -> int:
-    """Points of each inverse block: an eighth of the grid, or up to
-    _BLOCK_POINTS all of it, split between the shares of _deal; never fewer
-    than one phase, M <= min(N, _SEGMENT_LENGTH)."""
-    shares = _share_count(range(2), N**n)
-    return max(N**n // 8, min(N**n, _BLOCK_POINTS) // shares, min(N, _SEGMENT_LENGTH))
-
-
-def _inverse_block(n: int, N: int, L: int) -> tuple[int, int]:
-    """(B, R) for a height of L phases of length M = N / L: each inverse block
-    holds B phases of R rows (R = 1 at n=1), _block_points in all; at n=2 all
-    L phases of R rows."""
-    points = _block_points(n, N)
-    B = min(L, points * L // N)
-    return B, min(N if n == 2 else 1, points * L // (B * N))
-
-
 def _extension_blocks(f: GridFunction, heights, d2y: bool, consume):
     """Call consume(i, p, r, block) for each height y = heights[i] and each
-    inverse block of _inverse_block: block has shape (B, R, M), and
-    block[q, a, c] is d^2/dy^2 u(., y) (u itself if not d2y) at row r + a
-    (n=2) and last-axis column L c + p + q, with L = N / M from _phase_plan.
+    of its inverse blocks: block has shape (B, R, M), and block[q, a, c] is
+    d^2/dy^2 u(., y) (u itself if not d2y) at row r + a (n=2) and last-axis
+    column L c + p + q, with L = N / M from _phase_plan.  A block holds B
+    phases of R rows (R = 1 at n=1; at n=2 all L phases of R rows), an eighth
+    of the grid or, up to _BLOCK_POINTS, all of it split between the shares
+    of _deal, and never less than one phase.  consume reads the layout from
+    block.shape alone.
 
     One forward half-spectrum transform of f and one table w = 2 pi |k| serve
     every height; P = spec * exp(-w y).  Phase p has the half spectrum
@@ -207,7 +193,7 @@ def _extension_blocks(f: GridFunction, heights, d2y: bool, consume):
     shares = _share_count(range(2), f.samples.size)
     shared = n == 2  # the heights share one buffer set, else each thread holds one
     slots = shares if shared else 1  # inverse blocks per buffer set
-    points = _block_points(n, N)
+    points = max(N**n // 8, min(N**n, _BLOCK_POINTS) // shares, Ms)  # per inverse block
     # the scratch holds the decay of the rows k1 = 0..N/2, then the fold's
     # difference or a height's stage twiddles (one row of K entries per
     # stage), then the inverse blocks, in whole complex entries
@@ -275,7 +261,8 @@ def _extension_blocks(f: GridFunction, heights, d2y: bool, consume):
         piece = -(-K // (shares if shared and L == 1 else 1))
         deal(columns, [slice(c, min(c + piece, K)) for c in range(0, K, piece)])
         M = N // L
-        B, R = _inverse_block(n, N, L)
+        B = min(L, points * L // N)
+        R = min(rows, points * L // (B * N))
         free = [flat[s * points:(s + 1) * points] for s in range(slots)]
 
         def blocks(share):
@@ -383,17 +370,7 @@ def holder_poisson_norm(f: GridFunction, s: float, J_max: int | None = None) -> 
     return sup_norm(f) + field.max_value
 
 
-@dataclass
-class LipschitzReport:
-    max_ratio: float
-    pairs_used: int
-    sample_count: int
-    norm: float
-    s: float
-    ratios: np.ndarray  # per sample, 0 where the pair is not used
-
-
-def lipschitz_check(f: GridFunction, s: float, sample_count: int, seed: int) -> LipschitzReport:
+def lipschitz_check(f: GridFunction, s: float, sample_count: int, seed: int) -> ContinuityReport:
     """Hyperbolic Lipschitz constant of g = y^(2-s) d2y u, empirically.
 
     Samples point pairs at hyperbolic distance <= 2 (heights quantized to a
@@ -444,68 +421,36 @@ def lipschitz_check(f: GridFunction, s: float, sample_count: int, seed: int) -> 
         dist_sq = ta**2 + tb**2
 
     # one derivative slice per quantized height in use, streamed in inverse
-    # blocks; each endpoint set is sorted once by its block's number, counted
-    # over the heights in `used`, so every block reads its samples as one
-    # contiguous run of the sort, at flat indices into the block computed here
-    hid1 = lev1 * fracs.size + fr1
-    hid2 = lev2 * fracs.size + fr2
-    g1 = np.empty(sample_count)
-    g2 = np.empty(sample_count)
-    used = np.union1d(hid1, hid2)
+    # blocks; both endpoint sets are sorted once by height, so each block
+    # picks its endpoints from its height's contiguous run of the sort
+    hid = np.concatenate((lev1, lev2)) * fracs.size + np.concatenate((fr1, fr2))
+    order = np.argsort(hid)
+    used, start = np.unique(hid[order], return_index=True)
+    start = np.append(start, hid.size)
     heights = [float(fracs[h % fracs.size] * 2.0 ** -(h // fracs.size)) for h in used.tolist()]
-    rows = N if f.n == 2 else 1
-    # per height: phases L, and B phases of R rows per block
-    LBR = np.array([(L,) + _inverse_block(f.n, N, L) for _, L in _phase_plan(N, heights)],
-                   dtype=np.int32).reshape(-1, 3)
-    row_blocks = rows // LBR[:, 2]
-    count = LBR[:, 0] // LBR[:, 1] * row_blocks
-    first = np.cumsum(count) - count  # the number of each height's first block
-    slot = np.empty(fracs.size * (J_top + 1), dtype=np.int32)  # one entry per quantized height
-    slot[used] = np.arange(used.size)
-    keys = np.arange(count.sum())
-    ends = []
-    for g, hid, at in ((g1, hid1, at1), (g2, hid2, at2)):
-        pos = slot[hid]
-        L, B, R = LBR[pos].T
-        # column x = L c + p is block[q, a, c] of the b-th block of phases, q = p - b B
-        c, p = np.divmod(at[-1].astype(np.int32), L)
-        b, q = np.divmod(p, B)
-        key = first[pos] + b * row_blocks[pos]
-        index = q * R
-        if f.n == 2:  # and rows r..r+R-1
-            r, a = np.divmod(at[0].astype(np.int32), R)
-            key += r
-            index += a
-        index *= N // L
-        index += c
-        order = np.argsort(key).astype(np.int32)
-        key = key[order]
-        ends.append((g, order, index[order],
-                     np.searchsorted(key, keys), np.searchsorted(key, keys, "right")))
-    del pos, L, B, R, c, p, b, q, index, key  # the slices stream with the sort orders and indices held
+    cols = np.concatenate((at1[-1], at2[-1]))[order]
+    if f.n == 2:
+        rows = np.concatenate((at1[0], at2[0]))[order]
+    g = np.empty(2 * sample_count)
 
     def gather(i, p, r, block):
-        scale = heights[i] ** (2.0 - s)
-        B, R = block.shape[:2]
-        b = first[i] + p // B * row_blocks[i] + r // R
-        flat = block.reshape(-1)
-        for g, order, index, lo, hi in ends:
-            g[order[lo[b]:hi[b]]] = flat[index[lo[b]:hi[b]]] * scale
+        # column L c + p + q and row r + a are block[q, a, c]
+        B, R, M = block.shape
+        run = slice(start[i], start[i + 1])
+        c, q = np.divmod(cols[run], N // M)
+        q -= p
+        keep = (q >= 0) & (q < B)
+        a = 0
+        if f.n == 2:
+            a = rows[run] - r
+            keep &= (a >= 0) & (a < R)
+            a = a[keep]
+        g[order[run][keep]] = block[q[keep], a, c[keep]] * heights[i] ** (2.0 - s)
 
     _extension_blocks(f, heights, True, gather)
 
     rho = np.arccosh(1.0 + (dist_sq + (y1 - y2) ** 2) / (2.0 * y1 * y2))
-    ok = (rho > 0) & (rho <= 2.0)
-    ratios = np.zeros(sample_count)
-    ratios[ok] = np.abs(g1 - g2)[ok] / (norm * rho[ok])
-    return LipschitzReport(
-        max_ratio=float(ratios.max()) if ratios.size else 0.0,
-        pairs_used=int(ok.sum()),
-        sample_count=sample_count,
-        norm=norm,
-        s=s,
-        ratios=ratios,
-    )
+    return _pair_report(g[:sample_count], g[sample_count:], norm, rho, (rho > 0) & (rho <= 2.0), s)
 
 
 def bmo_norm(f: GridFunction, J_max: int) -> float:

@@ -195,12 +195,30 @@ def _d2_vector(samples: np.ndarray, pos, m: np.ndarray, K: int) -> np.ndarray:
 
 @dataclass
 class ContinuityReport:
+    """The empirical constant of continuity_check and poisson.lipschitz_check:
+    the max over sampled pairs of |g(p) - g(q)| / (norm * modulus(p, q))."""
     max_ratio: float
     pairs_used: int
     sample_count: int
-    seminorm: float
+    norm: float
     s: float
     ratios: np.ndarray  # per sample, 0 where the pair is not admissible
+
+
+def _pair_report(g1: np.ndarray, g2: np.ndarray, norm: float, distance: np.ndarray,
+                 ok: np.ndarray, s: float) -> ContinuityReport:
+    """Ratios |g1 - g2| / (norm * distance) on the admissible pairs ok, one
+    per sample, and their max."""
+    ratios = np.zeros(ok.size)
+    ratios[ok] = np.abs(g1 - g2)[ok] / (norm * distance[ok])
+    return ContinuityReport(
+        max_ratio=float(ratios.max()) if ratios.size else 0.0,
+        pairs_used=int(ok.sum()),
+        sample_count=ok.size,
+        norm=norm,
+        s=s,
+        ratios=ratios,
+    )
 
 
 def continuity_check(f: GridFunction, s: float, sample_count: int, seed: int) -> ContinuityReport:
@@ -263,14 +281,4 @@ def continuity_check(f: GridFunction, s: float, sample_count: int, seed: int) ->
     else:
         modulus = dist_x**s + dy**s
     ok &= modulus > 0
-
-    ratios = np.zeros(sample_count)
-    ratios[ok] = np.abs(d2_1 - d2_2)[ok] / (norm * modulus[ok])
-    return ContinuityReport(
-        max_ratio=float(ratios.max()) if ratios.size else 0.0,
-        pairs_used=int(ok.sum()),
-        sample_count=sample_count,
-        seminorm=norm,
-        s=s,
-        ratios=ratios,
-    )
+    return _pair_report(d2_1, d2_2, norm, modulus, ok, s)

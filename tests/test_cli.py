@@ -53,6 +53,19 @@ class TestSeminorms:
         assert code == EXIT_VALIDATION
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec,message", [
+        ("wavelet-atom l=1 j=3 k=2 p=8.0", "wavelet-atom: p must be an integer in 2..10"),
+        ("weierstrass s=1 levels=4 signs=random seed=1.5", "weierstrass: seed must be an integer >= 0"),
+        ("lacunary-random s=1 levels=4 seed=abc", "lacunary-random: seed must be an integer >= 0"),
+        ("weierstrass s=1 levels=4 signs=random seed=-3", "weierstrass: seed must be an integer >= 0"),
+        ("weierstrass s=1 levels=4 signs=random seed=1,2", "weierstrass: seed must be an integer >= 0"),
+    ])
+    def test_spec_integers_checked(self, tmp_path, capsys, spec, message):
+        # README's grammar says p=<int> and seed=<int>; the validator names the key
+        code = run(["seminorms", "--spec", spec, "--jgrid", "8", "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("args", [
         ["seminorms", "--spec", "trig k=1 a=1", "--jgrid", "8"],
         ["validate", "--criteria", "1"],

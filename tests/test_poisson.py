@@ -524,6 +524,9 @@ class TestLipschitzCheck:
         (2, 7, 5, 0.5945834914129349, 368.0531144630453),
         # heights of 4 segments; measured when they folded to two inverses of N/2
         (1, 16, 13, 0.6326618135714732, 526.2393981103787),
+        # heights of 64-row blocks on two threads, and segment heights of B < L phases
+        (2, 9, 7, 0.5770444370969062, 374.00028734902577),
+        (1, 17, 14, 0.6224270461843233, 530.4448301461262),
     ])
     def test_ratios_pinned(self, n, Jg, levels, max_ratio, ratio_sum):
         # the first two measured with one full-length inverse per height; reading
