@@ -30,7 +30,7 @@ import numpy as np
 from . import poisson as _poisson
 from . import secdiff as _secdiff
 from . import wavelet as _wavelet
-from .dyadic import LOG2, HalfSpaceSet, LevelField, carleson_sup, enlarge
+from .dyadic import LOG2, HalfSpaceSet, LevelField, carleson_sup, enlarge, threshold_set
 from .gridfn import GridFunction
 
 METHODS = ("secdiff", "wavelet", "poisson")
@@ -167,8 +167,11 @@ def epsilon_star(
             f"-(2-s) = {c2_rate:.4f}; every superlevel set ends at finite depth, so no "
             "probe diverges")
 
+    # carleson_sup reads no level deeper than min(J_hi, J_max)
+    depth = max(min(int(J_range[1]), fld.J_max), 0)
+
     def probe(eps: float) -> ProbeRecord:
-        report = carleson_sup(fld.threshold(eps), J_range, theta)
+        report = carleson_sup(threshold_set(fld.values, eps, fld.n, depth), J_range, theta)
         rec = ProbeRecord(eps=eps, m_values=report.m_values, slope=report.slope,
                           diverging=report.diverging and not certified)
         trace.append(rec)

@@ -166,6 +166,14 @@ def carleson_sup(A: HalfSpaceSet, J_range: tuple[int, int], theta: float) -> Car
 
     Depths beyond A.J_max are allowed: truncation there already includes every
     cell, so M_J continues with its final value.
+
+    All depths share one bottom-up pass over a stack of box sums, one row per
+    distinct truncation depth top = min(J, A.J_max); a row starts at level
+    top, and each level j adds its cells to every row with top >= j.
+    A level-j cell's mass is its volume 2^(-n j), so in units of 2^(-n top)
+    every partial sum is an integer below 2^53: the sums are exact and their
+    order is free, and each row is bitwise what a pass of box_sup from its top
+    gives.
     """
     j_lo, j_hi = int(J_range[0]), int(J_range[1])
     if j_lo < 0 or j_hi < j_lo:
@@ -174,12 +182,18 @@ def carleson_sup(A: HalfSpaceSet, J_range: tuple[int, int], theta: float) -> Car
         raise ValueError(f"theta={theta} must be finite and > 0")
     js = list(range(j_lo, j_hi + 1))
 
-    # a level-j cell's mass is its volume; depths beyond J_max share one pass
+    # depths beyond J_max share the row of top = J_max
     tops = [min(J, A.J_max) for J in js]
-    mass = [A._masks[j].astype(float) * 2.0 ** (-A.n * j) for j in range(tops[-1] + 1)]
-    sups = {top: box_sup(((j, mass[j]) for j in range(top, -1, -1)), A.n) * LOG2
-            for top in set(tops)}
-    m_values = [sups[top] for top in tops]
+    acc = np.empty((0,) + (2 ** tops[-1],) * A.n)  # row i has top = tops[-1] - i
+    best = np.zeros(tops[-1] - tops[0] + 1)
+    for j in range(tops[-1], -1, -1):
+        own = A._masks[j] * 2.0 ** (-A.n * j)
+        acc = pool(acc, np.add, (len(acc),) + (2**j,) * A.n) + own
+        if j >= tops[0]:
+            acc = np.concatenate([acc, own[None]])
+        rows = best[:len(acc)]
+        np.maximum(rows, acc.reshape(len(acc), -1).max(axis=1) * 2.0 ** (A.n * j), out=rows)
+    m_values = [float(best[tops[-1] - top]) * LOG2 for top in tops]
 
     fit_j = js[len(js) // 2:]
     if len(fit_j) < 2:

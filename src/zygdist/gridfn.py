@@ -6,13 +6,12 @@ All analysis in this package lives on [0,1)^n with a uniform dyadic grid of
 convention xi = 2*pi*k.
 
 The Weierstrass, lacunary and log-kink kinds of synthesis evaluate their
-transcendentals on one axis (per level, once per distinct exact x1 + x2 on
-the grid; once per coordinate for the log-kink) and lay the values out on
-the grid.  Weierstrass levels repeat arguments across levels: level j+1's
-argument at m is bitwise level j's at 2m.  The Bessel multiplier is
-evaluated once per (|k1|, k2) with |k1| <= k2 (131,841 values at n=2
-J_grid=10, where the distinct |k|^2 number 82,799) and read row by row.  The
-samples are bitwise those of a pointwise evaluation.
+transcendentals on one axis, once per distinct argument (the Weierstrass
+levels share half of theirs; the log-kink is evaluated once per coordinate),
+and lay the values out on the grid.  The Bessel multiplier is evaluated
+once per (|k1|, k2) with |k1| <= k2 (131,841 values at n=2 J_grid=10, where
+the distinct |k|^2 number 82,799) and read row by row.  The samples are
+bitwise those of a pointwise evaluation.
 
 _deal shares the work of one stage between the calling thread and one
 worker on grids of at least 2^16 points: the Bessel lift's transforms and
@@ -33,8 +32,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 J_GRID_MIN = 4
 J_GRID_MAX = {1: 20, 2: 11}
 
-# points per block of the Weierstrass level sum: its one scratch buffer is
-# 512 KiB however large the grid
+# points per block of the Weierstrass level sum: its scratch buffer and the
+# steps k/N of a block are 512 KiB each however large the grid
 _LEVEL_BLOCK = 2**16
 # points of the Bessel lift's real transforms in flight, half per thread: each
 # thread's longdouble copy of its row block is 512 KiB at n=2 (a whole row at
@@ -262,6 +261,8 @@ def _validate_params(kind: str, p: dict):
             _require(p["signs"] in ("plus", "random"), "signs must be 'plus' or 'random'")
             if p["signs"] == "random":
                 _require("seed" in p, "weierstrass signs=random requires seed=<int>")
+            else:  # the seed would enter the label but draw nothing
+                _require("seed" not in p, "weierstrass signs=plus draws no sign, so it takes no seed")
     elif kind == "xlogx":
         p.setdefault("eps", 0.0)
         p["eps"] = _as_float(p, "eps", kind)
@@ -283,15 +284,22 @@ def synthesize(spec: FunctionSpec, n: int, J_grid: int) -> GridFunction:
 
     The Weierstrass, lacunary and log-kink kinds evaluate their
     transcendentals on one axis, and the result is bitwise what a pointwise
-    evaluation over the full grid gives.  Each level evaluates one cosine per
-    distinct exact argument, but a Weierstrass level repeats the arguments of
-    the level below at every other point (17 * 2^20 cosines for 9 * 2^20
-    distinct arguments at n=1 J_grid=20, levels=16).  The
-    Weierstrass and lacunary terms depend on x1 + x2 only, and on the grid
-    that sum is exactly m/N, m = 0..2N-2 (i1/N + i2/N and (i1+i2)/N are the
-    same double), so the level sum runs on that one axis and is laid out on
-    the grid as row i1 = profile[i1:i1+N].  The log-kink is a sum of one
-    function per coordinate, evaluated on one axis.
+    evaluation over the full grid gives.  The Weierstrass and lacunary terms
+    depend on x1 + x2 only, and on the grid that sum is exactly m/N,
+    m = 0..M-1 with M = n(N-1)+1 (i1/N + i2/N and (i1+i2)/N are the same
+    double), so the level sum runs on that one axis and is laid out on the
+    grid as row i1 = profile[i1:i1+N].  The log-kink is a sum of one function
+    per coordinate, evaluated on one axis.
+
+    The level sum adds w_j * cos(2 pi 2^j m/N + phase_j) into the profile
+    one level at a time, in blocks of _LEVEL_BLOCK points, and keeps the
+    unscaled cosines of the last level.  Scaling by 2 is exact, so level j's
+    argument at m is bitwise level j-1's at 2m; where neither level has a
+    phase (every Weierstrass level) the cosines at m < ceil(M/2) are read
+    from the last level's at 2m, and cos runs on [ceil(M/2), M) only: one
+    cosine per distinct argument, 9 * 2^20 for the 17 * 2^20 terms at n=1
+    J_grid=20, levels=16.  The lacunary kind has a phase at every level and
+    evaluates every term.
     """
     _check_grid(n, J_grid)  # before the grid is allocated
     N = 2**J_grid
@@ -316,8 +324,7 @@ def synthesize(spec: FunctionSpec, n: int, J_grid: int) -> GridFunction:
                 f"{kind}: levels={levels} under-resolved at J_grid={J_grid} (need levels <= J_grid-2)"
             )
         s = p["s"]
-        base = np.arange(n * (N - 1) + 1, dtype=float)  # x1 + ... + xn: the exact m/N
-        base /= N
+        M = n * (N - 1) + 1  # x1 + ... + xn: the exact m/N, m < M
         if kind == "weierstrass":
             if p.get("signs", "plus") == "random":
                 rng = np.random.default_rng(p["seed"])
@@ -329,18 +336,30 @@ def synthesize(spec: FunctionSpec, n: int, J_grid: int) -> GridFunction:
             rng = np.random.default_rng(p["seed"])
             signs = rng.choice((-1.0, 1.0), size=levels + 1)
             phases = rng.uniform(0.0, 2 * np.pi, size=levels + 1)
-        samples = np.zeros_like(base)
-        scratch = np.empty(min(base.size, _LEVEL_BLOCK))
-        for lo in range(0, base.size, scratch.size):
-            b, acc = base[lo:lo + scratch.size], samples[lo:lo + scratch.size]
-            arg = scratch[:b.size]
-            for j in range(levels + 1):
-                np.multiply(2 * np.pi * 2**j, b, out=arg)
-                if phases[j] != 0.0:  # b holds no -0.0, so adding 0.0 would change nothing
+        # the unscaled cosines of the level last summed.  Allocated before the
+        # samples, the cosines and x leave one two-array hole below the
+        # samples when freed, which later stages fill; allocated after, they
+        # raised the peak RSS of distance at n=1 J_grid=20 from 94 to 101 MB
+        cosines = np.empty(M)
+        samples = np.zeros(M)
+        steps = np.arange(min(M, _LEVEL_BLOCK)) / N  # lo/N + k/N is m/N exactly
+        scratch = np.empty_like(steps)
+        for j in range(levels + 1):
+            # level j's argument at m is level j-1's at 2m when neither has a phase
+            shared = (M + 1) // 2 if j and phases[j] == phases[j - 1] == 0.0 else 0
+            for lo in range(0, M, scratch.size):
+                hi = min(lo + scratch.size, M)
+                c, mid = scratch[:hi - lo], min(max(shared, lo), hi)
+                c[:mid - lo] = cosines[2 * lo:2 * mid:2]  # read before the block is overwritten
+                arg = c[mid - lo:]
+                np.add(steps[:hi - mid], mid / N, out=arg)
+                arg *= 2 * np.pi * 2**j
+                if phases[j] != 0.0:  # arg holds no -0.0, so adding 0.0 would change nothing
                     arg += phases[j]
                 np.cos(arg, out=arg)
-                arg *= signs[j] * 2.0 ** (-j * s)
-                acc += arg
+                cosines[lo:hi] = c  # later blocks read only indices from 2 * hi on
+                c *= signs[j] * 2.0 ** (-j * s)
+                samples[lo:hi] += c
         if n == 2:  # row i1 is profile[i1:i1+N]
             samples = sliding_window_view(samples, N)
     elif kind == "xlogx":

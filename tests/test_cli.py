@@ -66,6 +66,18 @@ class TestSeminorms:
         assert code == EXIT_VALIDATION
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("spec", [
+        "weierstrass s=1 levels=4 seed=3 signs=plus",
+        "weierstrass s=1 levels=4 seed=3",  # signs=plus is the default
+    ])
+    def test_unused_seed_rejected(self, tmp_path, capsys, spec):
+        # an unused seed would give one function two labels and two content hashes
+        code = run(["seminorms", "--spec", spec, "--jgrid", "8", "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: weierstrass signs=plus draws no sign, so it takes no seed\n")
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("args", [
         ["seminorms", "--spec", "trig k=1 a=1", "--jgrid", "8"],
         ["validate", "--criteria", "1"],

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import is_subset
-from zygdist.dyadic import (LOG2, HalfSpaceSet, carleson_sup, cell_diameter_bound,
+from zygdist.dyadic import (LOG2, HalfSpaceSet, box_sup, carleson_sup, cell_diameter_bound,
                             enlarge, pool, threshold_set)
 
 
@@ -43,6 +43,15 @@ def brute_m_value(cells, n, J):
                 idx = (flat // 2**q, flat % 2**q)
             best = max(best, brute_box_value(cells, q, idx, n, J))
     return best
+
+
+def per_top_m_values(A, J_range):
+    """M_J by one box_sup pass from each distinct depth top = min(J, J_max)."""
+    tops = [min(J, A.J_max) for J in range(J_range[0], J_range[1] + 1)]
+    mass = [A.mask(j).astype(float) * 2.0 ** (-A.n * j) for j in range(tops[-1] + 1)]
+    sups = {top: box_sup(((j, mass[j]) for j in range(top, -1, -1)), A.n) * LOG2
+            for top in set(tops)}
+    return [sups[top] for top in tops]
 
 
 def hyperbolic_distance(p, q):
@@ -188,6 +197,28 @@ class TestCarlesonSup:
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError):
             carleson_sup(HalfSpaceSet(1, 4), (3, 2), 0.1)
+
+    @pytest.mark.parametrize("n,J_max", [(1, 12), (2, 6)])
+    @pytest.mark.parametrize("J_range", [
+        (2, 9), (0, 6), (4, 6),   # inside J_max, and ending on it
+        (3, 14), (6, 9),          # straddling it
+        (8, 15), (7, 7),          # beyond it, and a single depth beyond it
+        (5, 5), (0, 0),           # single depths
+    ])
+    @pytest.mark.parametrize("density", [0.0, 0.05, 0.5, 1.0])
+    def test_matches_per_top_passes_bitwise(self, n, J_max, J_range, density):
+        # the one stacked pass against one box_sup pass per distinct top, on
+        # random masks, the empty set (density 0) and full_stack (density 1)
+        rng = np.random.default_rng([n, J_max, *J_range, int(100 * density)])
+        if density == 1.0:
+            A = HalfSpaceSet.full_stack(n, J_max)
+        else:
+            A = HalfSpaceSet(n, J_max)
+            for j in range(J_max + 1):
+                A.mask(j)[...] = rng.random(A.mask(j).shape) < density
+        got = np.array(carleson_sup(A, J_range, 0.1).m_values)
+        want = np.array(per_top_m_values(A, J_range))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("theta", [math.nan, math.inf, 0.0, -1.0])
     def test_theta_must_be_finite_and_positive(self, theta):

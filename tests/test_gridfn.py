@@ -43,6 +43,7 @@ class TestParse:
         "weierstrass s=0.5",                 # missing levels
         "weierstrass s=0.5 levels=0",
         "weierstrass s=0.5 levels=3 signs=random",   # random without seed
+        "weierstrass s=0.5 levels=3 seed=3 signs=plus",  # seed that draws nothing
         "lacunary-random s=0.5 levels=3",
         "sum trig k=1 a=1",                  # single term
         "sum sum trig k=1 a=1 + trig k=2 a=1 + trig k=3 a=1",
@@ -184,11 +185,15 @@ class TestExactArguments:
         "sum lacunary-random s=1 levels={L} seed=5 + xlogx eps=0.1 + wavelet-atom {atom} p=2",
     )
 
-    @pytest.mark.parametrize("n,J", [(1, 4), (1, 12), (1, 16), (2, 4), (2, 8), (2, 10)])
-    @pytest.mark.parametrize("text", SPECS)
+    # n=1 J=20 levels=16, for the Weierstrass specs only: the one grid where
+    # the arguments shared with the level below span 8 of the 16 blocks
+    @pytest.mark.parametrize("text,n,J", [
+        (text, n, J) for text in SPECS
+        for n, J in [(1, 4), (1, 12), (1, 16), (2, 4), (2, 8), (2, 10)]
+    ] + [(text, 1, 20) for text in SPECS[:2]])
     def test_synthesize_bitwise(self, n, J, text):
         atom = "l=1 j=2 k=1" if n == 1 else "l=3 j=2 k=1,3"
-        spec = parse_function_spec(text.format(L=J - 2, atom=atom))
+        spec = parse_function_spec(text.format(L=min(J - 2, 16), atom=atom))
         got = synthesize(spec, n, J).samples
         want = _pointwise(spec, n, J)
         assert got.shape == want.shape
@@ -252,6 +257,23 @@ class TestExactArguments:
             finally:
                 tracemalloc.stop()
             assert peak <= 3.25 * f.samples.nbytes
+
+    @pytest.mark.parametrize("text", [
+        "weierstrass s=1 levels=16 signs=plus",
+        "lacunary-random s=0.5 levels=16 seed=3",
+    ])
+    def test_synthesize_memory_n1(self, text):
+        # the largest n=1 grid: the level sum, the cosines it shares between
+        # levels and the unused coordinate axis are three sample arrays of
+        # 8 MiB; the block buffers add 1 MiB
+        spec = parse_function_spec(text)
+        tracemalloc.start()
+        try:
+            synthesize(spec, 1, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.25 * 8 * 2**20
 
     @pytest.mark.parametrize("text", [
         "weierstrass s=1 levels=9 signs=plus",
