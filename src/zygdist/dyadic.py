@@ -22,10 +22,7 @@ LOG2 = math.log(2.0)
 class HalfSpaceSet:
     """Finite union of Whitney cells, stored as per-level boolean masks."""
 
-    def __init__(self, n: int, J_max: int):
-        self._set_masks(n, J_max, {})
-
-    def _set_masks(self, n: int, J_max: int, masks: dict[int, np.ndarray]):
+    def __init__(self, n: int, J_max: int, masks: dict[int, np.ndarray] | None = None):
         """The cells of masks[j] at each level j <= J_max, held as given; a
         level that masks lacks is empty."""
         if n not in (1, 2):
@@ -34,15 +31,13 @@ class HalfSpaceSet:
             raise ValueError("J_max must be >= 0")
         self.n = n
         self.J_max = J_max
+        masks = masks or {}
         self._masks = {j: masks[j] if j in masks else np.zeros((2**j,) * n, dtype=bool)
                        for j in range(J_max + 1)}
 
     @classmethod
     def full_stack(cls, n: int, J_max: int) -> "HalfSpaceSet":
-        out = cls(n, J_max)
-        for j in range(J_max + 1):
-            out._masks[j][...] = True
-        return out
+        return cls(n, J_max, {j: np.ones((2**j,) * n, dtype=bool) for j in range(J_max + 1)})
 
     def mask(self, j: int) -> np.ndarray:
         return self._masks[j]
@@ -78,9 +73,7 @@ def threshold_set(values: dict[int, np.ndarray], eps: float, n: int, J_max: int)
     """Cells whose per-cell value strictly exceeds eps (ties excluded)."""
     if not 0.0 <= eps < math.inf:
         raise ValueError(f"eps={eps} must be finite and >= 0")
-    out = HalfSpaceSet.__new__(HalfSpaceSet)  # each mask made once, by the comparison
-    out._set_masks(n, J_max, {j: values[j] > eps for j in range(J_max + 1) if j in values})
-    return out
+    return HalfSpaceSet(n, J_max, {j: values[j] > eps for j in range(J_max + 1) if j in values})
 
 
 @dataclass
@@ -109,19 +102,31 @@ class LevelField:
                     writer.writerow([j, pos, repr(float(val))])
 
 
-def box_sup(levels, n: int) -> float:
-    """sup over dyadic boxes Q of (1/|Q|) * (mass on the cubes under Q), in one
-    bottom-up pass.
+def box_sup(levels, n: int, rows: int) -> np.ndarray:
+    """sup over dyadic boxes Q of (1/|Q|) * (mass on the cubes under Q), at
+    each of the `rows` deepest truncation depths, in one bottom-up pass.
 
     levels yields (j, own) from the deepest level up, own holding the mass each
-    level-j cube carries itself; each level adds its children's pooled sums.
-    Given a generator, only two levels' tables are alive at a time.
+    level-j cube carries itself.  Each of the first `rows` levels starts a row
+    of box sums truncated at it, and every level adds its own mass to each
+    open row after pooling the row into its parents.  Entry i of the result is
+    the sup of the row started by the i-th level yielded: entry 0 takes every
+    level.  The stack of rows is C-ordered whatever the layout of own, so each
+    level's block sums add row-first, and a row is bitwise what a rows=1 walk
+    from its own top gives.  Given a generator, only two levels' tables are
+    alive at a time.
     """
-    best = 0.0
+    best = np.zeros(rows)
     acc = None
     for j, own in levels:
-        acc = own if acc is None else own + pool(acc, np.add, 2**j)
-        best = max(best, float(acc.max()) * 2.0 ** (n * j))
+        if acc is None:
+            acc = np.empty((0,) + own.shape)
+        acc = pool(acc, np.add, (len(acc),) + (2**j,) * n) + own
+        if len(acc) < rows:
+            acc = np.concatenate([acc, own[None]])
+        open_rows = best[:len(acc)]
+        np.maximum(open_rows, acc.reshape(len(acc), -1).max(axis=1) * 2.0 ** (n * j),
+                   out=open_rows)
     return best
 
 
@@ -167,13 +172,10 @@ def carleson_sup(A: HalfSpaceSet, J_range: tuple[int, int], theta: float) -> Car
     Depths beyond A.J_max are allowed: truncation there already includes every
     cell, so M_J continues with its final value.
 
-    All depths share one bottom-up pass over a stack of box sums, one row per
-    distinct truncation depth top = min(J, A.J_max); a row starts at level
-    top, and each level j adds its cells to every row with top >= j.
-    A level-j cell's mass is its volume 2^(-n j), so in units of 2^(-n top)
-    every partial sum is an integer below 2^53: the sums are exact and their
-    order is free, and each row is bitwise what a pass of box_sup from its top
-    gives.
+    All depths share one box_sup pass, one row per distinct truncation depth
+    top = min(J, A.J_max).  A level-j cell's mass is its volume 2^(-n j), so
+    in units of 2^(-n top) every partial sum is an integer below 2^53: the
+    sums are exact and their order is free.
     """
     j_lo, j_hi = int(J_range[0]), int(J_range[1])
     if j_lo < 0 or j_hi < j_lo:
@@ -184,15 +186,8 @@ def carleson_sup(A: HalfSpaceSet, J_range: tuple[int, int], theta: float) -> Car
 
     # depths beyond J_max share the row of top = J_max
     tops = [min(J, A.J_max) for J in js]
-    acc = np.empty((0,) + (2 ** tops[-1],) * A.n)  # row i has top = tops[-1] - i
-    best = np.zeros(tops[-1] - tops[0] + 1)
-    for j in range(tops[-1], -1, -1):
-        own = A._masks[j] * 2.0 ** (-A.n * j)
-        acc = pool(acc, np.add, (len(acc),) + (2**j,) * A.n) + own
-        if j >= tops[0]:
-            acc = np.concatenate([acc, own[None]])
-        rows = best[:len(acc)]
-        np.maximum(rows, acc.reshape(len(acc), -1).max(axis=1) * 2.0 ** (A.n * j), out=rows)
+    levels = ((j, A._masks[j] * 2.0 ** (-A.n * j)) for j in range(tops[-1], -1, -1))
+    best = box_sup(levels, A.n, tops[-1] - tops[0] + 1)
     m_values = [float(best[tops[-1] - top]) * LOG2 for top in tops]
 
     fit_j = js[len(js) // 2:]

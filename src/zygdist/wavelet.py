@@ -293,23 +293,28 @@ def lip_wavelet_norm(coeffs: WaveletCoefficients, s: float) -> float:
     return abs(coeffs.d) + scale_ratio_field(coeffs, s).max_value
 
 
-def jbmo_box_sup(coeffs: WaveletCoefficients, s: float, max_level: int | None = None) -> float:
-    """sup over dyadic boxes Q of (1/|Q|) sum_{omega under Q} 4^(js) |c|^2,
-    restricted to coefficient levels <= max_level; one bottom-up pass."""
-    top = coeffs.J_grid - 1 if max_level is None else min(max_level, coeffs.J_grid - 1)
-
-    def levels():
-        for j in range(top, -1, -1):
-            yield j, 4.0 ** (j * s) * (coeffs.c[j] ** 2).sum(axis=0)
-
-    return box_sup(levels(), coeffs.n)
+def jbmo_box_sup(coeffs: WaveletCoefficients, s: float,
+                 J_range: tuple[int, int]) -> list[float]:
+    """sup over dyadic boxes Q of (1/|Q|) sum_{omega under Q} 4^(js) |c|^2 at
+    each truncation depth J of J_range, the sum taking coefficient levels
+    <= J.  As in carleson_sup, depths beyond the deepest level J_grid - 1
+    continue its value, and one box_sup pass serves every depth."""
+    lo, hi = int(J_range[0]), int(J_range[1])
+    if lo < 0 or hi < lo:
+        raise ValueError(f"empty or invalid depth range {J_range}")
+    if not 0.0 < s <= 1.0:
+        raise ValueError("s must lie in (0, 1]")
+    tops = [min(J, coeffs.J_grid - 1) for J in range(lo, hi + 1)]
+    levels = ((j, 4.0 ** (j * s) * (coeffs.c[j] ** 2).sum(axis=0))
+              for j in range(tops[-1], -1, -1))
+    best = box_sup(levels, coeffs.n, tops[-1] - tops[0] + 1)
+    return [float(best[tops[-1] - top]) for top in tops]
 
 
 def jbmo_wavelet_norm(coeffs: WaveletCoefficients, s: float) -> float:
     """|d| + sup_Q ((1/|Q|) sum_{omega under Q} 4^(js) |c|^2)^(1/2)."""
-    if not 0.0 < s <= 1.0:
-        raise ValueError("s must lie in (0, 1]")
-    return abs(coeffs.d) + math.sqrt(jbmo_box_sup(coeffs, s))
+    top = coeffs.J_grid - 1
+    return abs(coeffs.d) + math.sqrt(jbmo_box_sup(coeffs, s, (top, top))[0])
 
 
 def truncate_projection(coeffs: WaveletCoefficients, s: float, eps: float) -> WaveletCoefficients:

@@ -7,8 +7,9 @@ from zygdist import GridFunction, distance, parse_function_spec, synthesize
 from zygdist.distance import (C2_DECAY_KAPPA, METHODS, compare_methods,
                               epsilon_star, inclusion_probe, method_context,
                               projection_distance_witness)
-from zygdist.dyadic import LevelField
-from zygdist.wavelet import analyze, lip_wavelet_norm, scale_ratio_field
+from zygdist.dyadic import LOG2, LevelField, carleson_sup
+from zygdist.wavelet import (analyze, jbmo_box_sup, lip_wavelet_norm, scale_ratio_field,
+                             truncate_projection)
 
 J = 12
 J_RANGE = (6, 10)
@@ -293,3 +294,21 @@ class TestProjectionWitness:
         assert w.tail_norm <= eps
         assert w.box_ok
         assert all(lhs <= rhs * (1 + 1e-12) + 1e-300 for _, lhs, rhs in w.per_depth)
+
+    @pytest.mark.parametrize("s", [0.5, 1.0])
+    @pytest.mark.parametrize("frac", [0.0, 0.5, 0.75])
+    def test_per_depth_matches_one_call_per_depth_bitwise(self, s, frac, weier1_12, bank8):
+        # the two all-depth passes against one single-depth call of each
+        # functional per depth, the witness's calls in zygdist 0.2.1
+        coeffs = analyze(weier1_12, bank8)
+        ratio = scale_ratio_field(coeffs, s)
+        eps = frac * ratio.max_value
+        w = projection_distance_witness(coeffs, s, eps)
+        g = truncate_projection(coeffs, s, eps)
+        T = ratio.threshold(eps)
+        factor = (2**coeffs.n - 1) * ratio.max_value**2
+        want = [(J, jbmo_box_sup(g, s, (J, J))[0],
+                 factor * carleson_sup(T, (J, J), theta=0.1).m_values[0] / LOG2)
+                for J in range(coeffs.J_grid)]
+        assert np.array_equal(np.array(w.per_depth).view(np.int64),
+                              np.array(want).view(np.int64))

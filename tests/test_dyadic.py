@@ -45,11 +45,23 @@ def brute_m_value(cells, n, J):
     return best
 
 
+def one_row_box_sup(levels, n):
+    """The box sup of a single truncation depth as the walk of zygdist 0.2.1
+    computed it: one table of box sums, pooled in the memory order of the
+    masses, and the root's 2^n children summed by one np.add.reduce."""
+    best = 0.0
+    acc = None
+    for j, own in levels:
+        acc = own if acc is None else own + pool(acc, np.add, 2**j)
+        best = max(best, float(acc.max()) * 2.0 ** (n * j))
+    return best
+
+
 def per_top_m_values(A, J_range):
-    """M_J by one box_sup pass from each distinct depth top = min(J, J_max)."""
+    """M_J by one one-row walk from each distinct depth top = min(J, J_max)."""
     tops = [min(J, A.J_max) for J in range(J_range[0], J_range[1] + 1)]
     mass = [A.mask(j).astype(float) * 2.0 ** (-A.n * j) for j in range(tops[-1] + 1)]
-    sups = {top: box_sup(((j, mass[j]) for j in range(top, -1, -1)), A.n) * LOG2
+    sups = {top: one_row_box_sup(((j, mass[j]) for j in range(top, -1, -1)), A.n) * LOG2
             for top in set(tops)}
     return [sups[top] for top in tops]
 
@@ -207,7 +219,7 @@ class TestCarlesonSup:
     ])
     @pytest.mark.parametrize("density", [0.0, 0.05, 0.5, 1.0])
     def test_matches_per_top_passes_bitwise(self, n, J_max, J_range, density):
-        # the one stacked pass against one box_sup pass per distinct top, on
+        # the one stacked pass against one one-row walk per distinct top, on
         # random masks, the empty set (density 0) and full_stack (density 1)
         rng = np.random.default_rng([n, J_max, *J_range, int(100 * density)])
         if density == 1.0:
@@ -219,6 +231,26 @@ class TestCarlesonSup:
         got = np.array(carleson_sup(A, J_range, 0.1).m_values)
         want = np.array(per_top_m_values(A, J_range))
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("n,J_max,rows", [(1, 10, 6), (2, 6, 4), (2, 7, 8)])
+    def test_stacked_walk_matches_one_row_walks_bitwise(self, n, J_max, rows):
+        # float masses of the size of cell volumes, so the sup sits on large
+        # boxes whose sums depend on their order: each row of the stacked
+        # walk is the rows=1 walk from its top, and transposed (column-major)
+        # tables of the same masses give the same bits; at n=2 they do not
+        # under one_row_box_sup, which pools in memory order
+        rng = np.random.default_rng([n, J_max, rows])
+        mass = [rng.random((2**j,) * n) * 2.0 ** (-n * j) for j in range(J_max + 1)]
+        transposed = [m.T.copy().T for m in mass]
+
+        def walk(tables, top, rows):
+            return box_sup(((j, tables[j]) for j in range(top, -1, -1)), n, rows)
+
+        stacked = walk(mass, J_max, rows)
+        one_row = np.array([walk(mass, J_max - i, 1)[0] for i in range(rows)])
+        assert np.array_equal(stacked.view(np.int64), one_row.view(np.int64))
+        assert np.array_equal(walk(transposed, J_max, rows).view(np.int64),
+                              stacked.view(np.int64))
 
     @pytest.mark.parametrize("theta", [math.nan, math.inf, 0.0, -1.0])
     def test_theta_must_be_finite_and_positive(self, theta):

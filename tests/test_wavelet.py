@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import is_subset
+from test_dyadic import one_row_box_sup
 from zygdist import GridFunction, parse_function_spec, sup_norm, synthesize
 from zygdist import wavelet
 from zygdist.wavelet import (WaveletCoefficients, _istep_axis, _step_axis,
@@ -310,16 +311,16 @@ class TestLipNorm:
 
 def brute_box_sup(coeffs, s, max_level):
     """Direct enumeration of every dyadic box for the squared box sums."""
-    J = coeffs.J_grid
+    n = coeffs.n
     best = 0.0
     for q in range(max_level + 1):
-        for kq in range(2**q):
+        for Q in np.ndindex(*(2**q,) * n):
             total = 0.0
             for j in range(q, max_level + 1):
                 shift = j - q
-                seg = coeffs.c[j][0, kq << shift:(kq + 1) << shift]
-                total += 4.0 ** (j * s) * float((seg**2).sum())
-            best = max(best, total * 2.0**q)
+                under = tuple(slice(k << shift, (k + 1) << shift) for k in Q)
+                total += 4.0 ** (j * s) * float((coeffs.c[j][(slice(None),) + under] ** 2).sum())
+            best = max(best, total * 2.0 ** (n * q))
     return best
 
 
@@ -344,15 +345,47 @@ class TestJbmoNorm:
             coeffs.c[j][...] = 2.0 ** (-j * (0.5 + s))
         assert abs(jbmo_wavelet_norm(coeffs, s) - math.sqrt(J)) < 1e-10
 
-    def test_tree_pass_matches_brute_force(self, bank2):
+    @pytest.mark.parametrize("n,J", [(1, 7), (2, 5)])
+    def test_tree_pass_matches_brute_force(self, n, J, bank2):
         rng = np.random.default_rng(13)
-        f = GridFunction(1, 7, rng.standard_normal(128))
-        coeffs = analyze(f, bank2)
+        coeffs = analyze(GridFunction(n, J, rng.standard_normal((2**J,) * n)), bank2)
         for s in (0.5, 1.0):
-            for top in (3, 6):
-                got = jbmo_box_sup(coeffs, s, max_level=top)
-                want = brute_box_sup(coeffs, s, top)
-                assert abs(got - want) < 1e-10 * max(want, 1.0)
+            # depths past the deepest level J - 1 continue its value
+            got = jbmo_box_sup(coeffs, s, (0, J + 1))
+            want = [brute_box_sup(coeffs, s, min(top, J - 1)) for top in range(J + 2)]
+            for g, w in zip(got, want):
+                assert abs(g - w) < 1e-10 * max(w, 1.0)
+
+    @pytest.mark.parametrize("n,J", [(1, 10), (2, 4), (2, 6)])
+    def test_matches_one_row_walk(self, n, J, bank8):
+        # bitwise at n=1; at n=2 within 1e-14, since box_sup adds each 2 x 2
+        # block row-first where one_row_box_sup followed the column-major
+        # layout of the coefficient tables (the two-level Weierstrass sum
+        # moves by an ulp at both n=2 sizes)
+        rtol = 0.0 if n == 1 else 1e-14
+        rng = np.random.default_rng([n, J])
+        spec = "weierstrass s=0.5 levels=2 signs=random seed=3"
+        for f in (GridFunction(n, J, rng.standard_normal((2**J,) * n)),
+                  synthesize(parse_function_spec(spec), n, J)):
+            coeffs = analyze(f, bank8)
+            for s in (0.5, 1.0):
+                got = jbmo_box_sup(coeffs, s, (0, J - 1))
+                for top in range(J):
+                    levels = ((j, 4.0 ** (j * s) * (coeffs.c[j] ** 2).sum(axis=0))
+                              for j in range(top, -1, -1))
+                    want = one_row_box_sup(levels, n)
+                    assert abs(got[top] - want) <= rtol * want
+                want_norm = abs(coeffs.d) + math.sqrt(want)
+                assert abs(jbmo_wavelet_norm(coeffs, s) - want_norm) <= rtol * want_norm
+
+    @pytest.mark.parametrize("J_range,s,match", [
+        ((-1, 3), 0.5, "depth range"), ((3, 2), 0.5, "depth range"),
+        ((0, 3), math.nan, "s must lie"), ((0, 3), 0.0, "s must lie"),
+        ((0, 3), 1.5, "s must lie"),
+    ])
+    def test_inputs_checked(self, J_range, s, match):
+        with pytest.raises(ValueError, match=match):
+            jbmo_box_sup(WaveletCoefficients.zeros(1, 8), s, J_range)
 
 
 class TestBuildT:
