@@ -171,13 +171,16 @@ def criterion_4() -> CriterionResult:
     fns = corpus(1, J)
     worst = 1.0
     per_fn = {}
+    s_values = (0.5, 1.0)
     for f in fns:
         coeffs = _wavelet.analyze(f, bank)
-        for s in (0.5, 1.0):
+        seminorms = _secdiff.holder_seminorm(f, s_values)
+        poisson_norms = _poisson.holder_poisson_norm(f, s_values)
+        for s, seminorm, poisson_norm in zip(s_values, seminorms, poisson_norms):
             norms = {
-                "secdiff": _secdiff.holder_seminorm(f, s) + sup_norm(f),
+                "secdiff": seminorm + sup_norm(f),
                 "wavelet": _wavelet.lip_wavelet_norm(coeffs, s),
-                "poisson": _poisson.holder_poisson_norm(f, s),
+                "poisson": poisson_norm,
             }
             c = _band_constant(norms)
             per_fn[f"{f.label} s={s}"] = {**norms, "band": c}
@@ -186,8 +189,8 @@ def criterion_4() -> CriterionResult:
                 failures.append(f"{f.label} s={s}: band {c:.1f} > 50")
     # probe refinement drift on one rough corpus member (recorded, not gated)
     wf = fns[4]
-    base = _secdiff.holder_seminorm(wf, 1.0, refine=1)
-    fine = _secdiff.holder_seminorm(wf, 1.0, refine=4)
+    [base] = _secdiff.holder_seminorm(wf, (1.0,), refine=1)
+    [fine] = _secdiff.holder_seminorm(wf, (1.0,), refine=4)
     dt = time.perf_counter() - t0
     if dt >= 120.0:
         failures.append(f"runtime {dt:.1f}s >= 120s")
@@ -276,11 +279,14 @@ def criterion_7(theta: float = THETA) -> CriterionResult:
             if not (1 / 32 <= r <= 32):
                 failures.append(f"{f.label} s={s} ratio {key}={r:.2f} outside [1/32,32]")
 
+    s_values = (0.5, 1.0)
     for spec_text in (CORPUS_SPECS[2], CORPUS_SPECS[10]):
         f = synthesize(parse_function_spec(spec_text), 1, J)
-        for s in (0.5, 1.0):
+        # one build per method serves both s
+        fields = {m: _distance.method_context(f, s_values, m) for m in _distance.METHODS}
+        for k, s in enumerate(s_values):
             for m in _distance.METHODS:
-                est = _distance.epsilon_star(_distance.method_context(f, s, m), s, J_range, theta)
+                est = _distance.epsilon_star(fields[m][k], s, J_range, theta)
                 frac = est.epsilon_star / est.eps_hi if est.eps_hi else 0.0
                 details["collapse"][f"{f.label} s={s} {m}"] = {
                     "collapsed": est.collapsed, "eps0_over_hi": frac}
@@ -320,7 +326,7 @@ def criterion_8(theta: float = THETA) -> CriterionResult:
     fit_start = (J_range[0] + J_range[1] + 1) // 2
     safe_top = max(fit_start - spill - 1, 0)
     for f in corpus(1, J):
-        fld = _distance.method_context(f, 1.0, "secdiff", J_max=J_max)
+        [fld] = _distance.method_context(f, (1.0,), "secdiff", J_max=J_max)
         est = _distance.epsilon_star(fld, 1.0, J_range, theta)
         eps_div = 0.5 * est.epsilon_star
         deep_max = max(float(fld.values[j].max()) for j in range(safe_top + 1, J_max + 1))
@@ -355,7 +361,7 @@ def criterion_9(theta: float = THETA) -> CriterionResult:
     s = 1.0
     J_range = (6, 10)
     f = synthesize(parse_function_spec(CORPUS_SPECS[4]), 1, J)
-    fields = {m: _distance.method_context(f, s, m) for m in _distance.METHODS}
+    fields = {m: _distance.method_context(f, (s,), m)[0] for m in _distance.METHODS}
     achieved = {}
     for src, tgt in (("wavelet", "secdiff"), ("secdiff", "poisson"), ("poisson", "wavelet")):
         eps = 0.5 * _distance.epsilon_star(fields[src], s, J_range, theta).epsilon_star
@@ -380,13 +386,16 @@ def criterion_10() -> CriterionResult:
     J = 12
     base_count = 10_000
     per_fn = {}
+    s_values = (0.5, 1.0)
     for f in corpus(1, J):
-        for s in (0.5, 1.0):
-            for kind, check, what in (("secdiff", _secdiff.continuity_check, "continuity"),
-                                      ("poisson", _poisson.lipschitz_check, "hyperbolic")):
+        # one Poisson pass serves both s
+        hyperbolic = _poisson.lipschitz_check(f, s_values, 2 * base_count, seed=42)
+        for s, lipschitz in zip(s_values, hyperbolic):
+            continuity = _secdiff.continuity_check(f, s, 2 * base_count, seed=42)
+            for kind, r, what in (("secdiff", continuity, "continuity"),
+                                  ("poisson", lipschitz, "hyperbolic")):
                 # same-seed draws are prefixes of each other: the first
                 # base_count ratios are those of a base_count-sample check
-                r = check(f, s, 2 * base_count, seed=42)
                 first = float(r.ratios[:base_count].max())
                 drift = abs(r.max_ratio - first) / first if first else 0.0
                 per_fn[f"{f.label} s={s} {kind}"] = {"max_ratio": r.max_ratio, "drift": drift}

@@ -168,8 +168,8 @@ def cmd_seminorms(args) -> int:
     s = cfg.s
     # the Poisson field first: its buffers then lie on a heap that no earlier
     # stage has left fragmented
-    poisson_norm = _poisson.holder_poisson_norm(f, s)
-    holder_semi = _secdiff.holder_seminorm(f, s, K=_k_or_none(cfg))
+    [poisson_norm] = _poisson.holder_poisson_norm(f, (s,))
+    [holder_semi] = _secdiff.holder_seminorm(f, (s,), K=_k_or_none(cfg))
     coeffs = _wavelet.analyze(f, _wavelet.filter_bank(cfg.wavelet_p))
     norms = {
         "holder_direct": holder_semi + sup_norm(f),
@@ -203,8 +203,8 @@ def cmd_sets(args) -> int:
     cfg = build_config(args)
     spec = parse_function_spec(args.spec)
     f = synthesize(spec, cfg.n, cfg.J_grid)
-    fld = _distance.method_context(
-        f, cfg.s, args.method, bank=_wavelet.filter_bank(cfg.wavelet_p), K=_k_or_none(cfg))
+    [fld] = _distance.method_context(
+        f, (cfg.s,), args.method, bank=_wavelet.filter_bank(cfg.wavelet_p), K=_k_or_none(cfg))
     A = fld.threshold(args.eps)
     report = carleson_sup(A, (cfg.J_lo, min(cfg.J_hi, fld.J_max)), cfg.theta)
     body = {
@@ -241,7 +241,7 @@ def cmd_inclusion(args) -> int:
     f = synthesize(spec, cfg.n, cfg.J_grid)
     bank = _wavelet.filter_bank(cfg.wavelet_p)
     # one source field serves the bisection and the probe
-    src = _distance.method_context(f, cfg.s, args.source, bank=bank, K=_k_or_none(cfg))
+    [src] = _distance.method_context(f, (cfg.s,), args.source, bank=bank, K=_k_or_none(cfg))
     if args.eps is None:
         est = _distance.epsilon_star(src, cfg.s, (cfg.J_lo, cfg.J_hi), cfg.theta)
         _print_warnings([est])
@@ -250,7 +250,7 @@ def cmd_inclusion(args) -> int:
         eps = args.eps
     # the target field is built after the bisection, whose sets are gone by then
     tgt = src if args.target == args.source else _distance.method_context(
-        f, cfg.s, args.target, bank=bank, K=_k_or_none(cfg))
+        f, (cfg.s,), args.target, bank=bank, K=_k_or_none(cfg))[0]
     rep = _distance.inclusion_probe(src, tgt, eps, eta=args.eta)
     body = {"function": f.label, "n": cfg.n, "s": cfg.s,
             "inclusions": rep.as_dict()}

@@ -3,7 +3,7 @@ cross-method comparison, the hyperbolic inclusion probes, and the
 coefficient-truncation witness.
 
 The estimators take what they measure: a LevelField (method_context builds
-one from a function) or, for the witness, the analysed wavelet table.
+one per s from a function) or, for the witness, the analysed wavelet table.
 
 For each method the critical threshold is the infimum of eps for which the
 eps-superlevel set stops looking like a Carleson-divergent set at desk scale.
@@ -42,19 +42,26 @@ C2_DECAY_KAPPA = 0.75
 
 
 def method_context(
-    f: GridFunction, s: float, method: str,
+    f: GridFunction, s: tuple[float, ...], method: str,
     J_max: int | None = None, bank: _wavelet.FilterBank | None = None,
     K: int | None = None,
-) -> LevelField:
-    """The method's probe field, on levels up to J_max (by default, and at
-    most, the deepest level the method supports on f's grid)."""
-    if method == "wavelet":
-        fld = _wavelet.scale_ratio_field(_wavelet.analyze(f, bank or _wavelet.filter_bank(8)), s)
-        if J_max is not None and J_max < fld.J_max:
-            fld = LevelField(method, f.n, J_max, {j: fld.values[j] for j in range(J_max + 1)})
-        return fld
+) -> tuple[LevelField, ...]:
+    """The method's probe fields, one per entry of s, in order, on levels up
+    to J_max (by default, and at most, the deepest level the method supports
+    on f's grid).  One transform pass serves every s."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r} (expected one of {METHODS})")
+    if J_max is not None and J_max < 0:
+        raise ValueError(f"J_max={J_max} must be >= 0")
+    s = _secdiff._s_values(s)
+    if method == "wavelet":
+        coeffs = _wavelet.analyze(f, bank or _wavelet.filter_bank(8))
+        fields = tuple(_wavelet.scale_ratio_field(coeffs, t) for t in s)
+        if J_max is not None and J_max < coeffs.J_grid - 1:
+            fields = tuple(LevelField(method, f.n, J_max,
+                                      {j: fld.values[j] for j in range(J_max + 1)})
+                           for fld in fields)
+        return fields
     J_max = f.J_grid - 2 if J_max is None else min(J_max, f.J_grid - 2)
     if method == "secdiff":
         return _secdiff.second_diff_field(f, s, J_max, K=K)
@@ -235,7 +242,7 @@ def compare_methods(
     ratio is defined as 1 (the zero-zero convention).
     """
     estimates = {
-        m: epsilon_star(method_context(f, s, m, bank=bank, K=K),
+        m: epsilon_star(method_context(f, (s,), m, bank=bank, K=K)[0],
                         s, J_range, theta, iterations)
         for m in METHODS
     }

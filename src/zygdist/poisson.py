@@ -27,6 +27,13 @@ results do not depend on the schedule.
 second_diff_field, bmo_norm and synthesis run on the calling thread alone.
 Fields are restricted to y <= 1; the lowest frequencies dominate above
 that and carry no scale information.
+
+s enters only as the factor y^(2-s) of each height, so derivative_field,
+holder_poisson_norm and lipschitz_check take a tuple of s and make one pass
+over the heights for all of them; each s scales the same pooled maxima with
+the operations of a one-s call, so each result is bitwise that call's.
+lipschitz_check's height ladder holds the field's heights, and its norm comes
+from its own pass.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ import numpy as np
 
 from .dyadic import LevelField, pool
 from .gridfn import GridFunction, bessel_lift, sup_norm, _deal, _half_freq_sq, _share_count
-from .secdiff import CELL_FRACS, ContinuityReport, _pair_report
+from .secdiff import CELL_FRACS, ContinuityReport, _pair_report, _s_values
 
 _DEFAULT_FIELD_MARGIN = 2  # deepest field level is J_grid - margin, as for second differences
 _TWIDDLE_LENGTH = 2**12  # entries of the fine twiddle table, exp(2 pi i t / N) for t < this
@@ -318,15 +325,18 @@ def d2y_extension(f: GridFunction, y: float) -> GridFunction:
                         label=f"{f.label}|d2yP[{y:g}]")
 
 
-def derivative_field(f: GridFunction, s: float, J_max: int) -> LevelField:
+def derivative_field(f: GridFunction, s: tuple[float, ...], J_max: int) -> tuple[LevelField, ...]:
     """Per-cell max of y^(2-s) |d2y u| at heights CELL_FRACS * 2^-j over all
-    grid columns of the cell."""
-    if not 0.0 < s <= 1.0:
-        raise ValueError("s must lie in (0, 1]")
+    grid columns of the cell, one field per entry of s, in order.
+
+    One pass over the heights serves every s: each height's pooled maxima are
+    scaled by each s's factor, so every field is bitwise that of a one-s call.
+    """
+    s = _s_values(s)
     if not 0 <= J_max <= f.J_grid:
         raise ValueError(f"J_max={J_max} outside [0, {f.J_grid}]")
     probes = [(j, frac * 2.0**-j) for j in range(J_max + 1) for frac in CELL_FRACS]
-    values = {j: np.zeros((2**j,) * f.n) for j in range(J_max + 1)}
+    tables = [{j: np.zeros((2**j,) * f.n) for j in range(J_max + 1)} for _ in s]
     lock = threading.Lock()
 
     def consume(i, p, r, block):
@@ -335,11 +345,12 @@ def derivative_field(f: GridFunction, s: float, J_max: int) -> LevelField:
         B, R, M = block.shape
         L, W = f.grid_size // M, f.grid_size >> j  # phases; columns (and rows) per cell
         # the block's rows fall in the cells of rows r // W .., min(W, R) each
-        level = values[j].reshape(-1, 2**j)[r // W:(r + R - 1) // W + 1]
+        rows = slice(r // W, (r + R - 1) // W + 1)
+        levels = [values[j].reshape(-1, 2**j)[rows] for values in tables]
         # column L c + p lies in cell c // (W / L) if W >= L; otherwise the
         # cell of columns L c + W g .. L c + W g + W - 1 holds phases W g ..
         # W g + W - 1, and the block's B phases fill groups of min(W, B)
-        a = a.reshape(B // min(W, B), min(W, B), level.shape[0], min(W, R), M)
+        a = a.reshape(B // min(W, B), min(W, B), levels[0].shape[0], min(W, R), M)
         for axis in (1, 3):  # the maximum over each group's phases and rows, in place
             h = a.shape[axis]
             while h > 1:
@@ -348,42 +359,55 @@ def derivative_field(f: GridFunction, s: float, J_max: int) -> LevelField:
                 np.maximum(head, a[(slice(None),) * axis + (slice(h, 2 * h),)], out=head)
         a = a[:, 0, :, 0]
         if W < L:  # [row, c, g]
-            level = level.reshape(level.shape[0], M, L // W)[..., p // W:p // W + a.shape[0]]
+            cells = slice(p // W, p // W + a.shape[0])
+            levels = [level.reshape(level.shape[0], M, L // W)[..., cells] for level in levels]
             a = a.transpose(1, 2, 0)
         else:
             a = a[0]
-        a = pool(a, np.maximum, level.shape)  # W / L columns c per cell, if W >= L
-        # scaling by y^(2-s) > 0 after the max rounds exactly as before it
-        a *= y ** (2.0 - s)
+        a = pool(a, np.maximum, levels[0].shape)  # W / L columns c per cell, if W >= L
+        # scaling by y^(2-s) > 0 after the max rounds exactly as before it;
+        # the last s scales a in place, the others a copy
+        scaled = [a * y ** (2.0 - t) for t in s[:-1]]
+        a *= y ** (2.0 - s[-1])
+        scaled.append(a)
         with lock:  # both threads pool into the same levels
-            np.maximum(level, a, out=level)
+            for level, b in zip(levels, scaled):
+                np.maximum(level, b, out=level)
 
     _extension_blocks(f, [y for _, y in probes], True, consume)
-    return LevelField("poisson", f.n, J_max, values)
+    return tuple(LevelField("poisson", f.n, J_max, values) for values in tables)
 
 
-def holder_poisson_norm(f: GridFunction, s: float, J_max: int | None = None) -> float:
-    """sup|f| + max over Whitney probe points of y^(2-s) |d2y u|."""
+def holder_poisson_norm(f: GridFunction, s: tuple[float, ...],
+                        J_max: int | None = None) -> tuple[float, ...]:
+    """sup|f| + max over Whitney probe points of y^(2-s) |d2y u|, per entry of s."""
     if J_max is None:
         J_max = f.J_grid - _DEFAULT_FIELD_MARGIN
-    field = derivative_field(f, s, J_max)
-    return sup_norm(f) + field.max_value
+    fields = derivative_field(f, s, J_max)
+    sup = sup_norm(f)
+    return tuple(sup + field.max_value for field in fields)
 
 
-def lipschitz_check(f: GridFunction, s: float, sample_count: int, seed: int) -> ContinuityReport:
-    """Hyperbolic Lipschitz constant of g = y^(2-s) d2y u, empirically.
+def lipschitz_check(f: GridFunction, s: tuple[float, ...], sample_count: int,
+                    seed: int) -> tuple[ContinuityReport, ...]:
+    """Hyperbolic Lipschitz constant of g = y^(2-s) d2y u, empirically, one
+    report per entry of s, in order.
 
     Samples point pairs at hyperbolic distance <= 2 (heights quantized to a
     per-octave ladder so derivative slices are computed once per height) and
     returns max |g(p) - g(q)| / (norm * rho(p, q)).  Same-seed runs with a
     larger sample count extend the same sequence, so ratios[:k].max() is the
     max_ratio of the same-seed check at k samples.
+
+    The norm is holder_poisson_norm's, bitwise, from the same pass: the ladder
+    holds every CELL_FRACS height of levels <= J_grid - 2, each of which keeps
+    its max |d2y u| = M_y, and the norm is sup|f| + max over them of
+    M_y y^(2-s) (rounding a positive scaling is monotone, so this is the
+    field's maximum).  Every s reads the same pass.
     """
+    s = _s_values(s)
     if sample_count < 0:
         raise ValueError(f"sample_count={sample_count} must be >= 0")
-    norm = holder_poisson_norm(f, s)
-    if norm == 0.0:
-        raise ValueError("degenerate function: zero norm")
     N = f.grid_size
     J_top = f.J_grid - _DEFAULT_FIELD_MARGIN
     fracs = np.linspace(0.5, 1.0, 9)[1:]  # (1/2, 1] in eighths
@@ -400,6 +424,7 @@ def lipschitz_check(f: GridFunction, s: float, sample_count: int, seed: int) -> 
 
     x1 = np.floor(u[:, 4] * N).astype(int)
     dx = np.round((2.0 * u[:, 5] - 1.0) * y1 * N).astype(int)
+    del u  # the largest of the sample arrays, not needed past here
     x2 = (x1 + dx) % N
     tx = np.abs(x1 - x2) / N
     tx = np.minimum(tx, 1.0 - tx)
@@ -420,23 +445,32 @@ def lipschitz_check(f: GridFunction, s: float, sample_count: int, seed: int) -> 
         tb = np.minimum(np.abs(dxb) % N, N - np.abs(dxb) % N) / N
         dist_sq = ta**2 + tb**2
 
-    # one derivative slice per quantized height in use, streamed in inverse
-    # blocks; both endpoint sets are sorted once by height, so each block
-    # picks its endpoints from its height's contiguous run of the sort
+    # one derivative slice per quantized height in use, by the samples or the
+    # norm, streamed in inverse blocks; both endpoint sets are sorted once by
+    # height, so each block picks its endpoints from its height's contiguous
+    # run of the sort
     hid = np.concatenate((lev1, lev2)) * fracs.size + np.concatenate((fr1, fr2))
     order = np.argsort(hid)
-    used, start = np.unique(hid[order], return_index=True)
-    start = np.append(start, hid.size)
+    counts = np.bincount(hid, minlength=(J_top + 1) * fracs.size)  # samples per rung
+    norm_rung = np.zeros(counts.size, dtype=bool)
+    norm_rung[[j * fracs.size + fracs.tolist().index(frac)
+               for j in range(J_top + 1) for frac in CELL_FRACS]] = True
+    used = np.flatnonzero((counts > 0) | norm_rung)
+    stop = np.cumsum(counts)[used]
+    start = stop - counts[used]
+    in_norm = norm_rung[used]
     heights = [float(fracs[h % fracs.size] * 2.0 ** -(h // fracs.size)) for h in used.tolist()]
     cols = np.concatenate((at1[-1], at2[-1]))[order]
     if f.n == 2:
         rows = np.concatenate((at1[0], at2[0]))[order]
-    g = np.empty(2 * sample_count)
+    g = np.empty((len(s), 2 * sample_count))
+    peaks = np.zeros(len(heights))  # max |d2y u| per norm height
+    lock = threading.Lock()
 
     def gather(i, p, r, block):
         # column L c + p + q and row r + a are block[q, a, c]
         B, R, M = block.shape
-        run = slice(start[i], start[i + 1])
+        run = slice(start[i], stop[i])  # empty for a height only the norm reads
         c, q = np.divmod(cols[run], N // M)
         q -= p
         keep = (q >= 0) & (q < B)
@@ -445,12 +479,25 @@ def lipschitz_check(f: GridFunction, s: float, sample_count: int, seed: int) -> 
             a = rows[run] - r
             keep &= (a >= 0) & (a < R)
             a = a[keep]
-        g[order[run][keep]] = block[q[keep], a, c[keep]] * heights[i] ** (2.0 - s)
+        values, at = block[q[keep], a, c[keep]], order[run][keep]
+        for k, t in enumerate(s):
+            g[k, at] = values * heights[i] ** (2.0 - t)
+        if in_norm[i]:
+            peak = float(np.abs(block, out=block).max())
+            with lock:  # at n=2 both threads take blocks of one height
+                peaks[i] = max(peaks[i], peak)
 
     _extension_blocks(f, heights, True, gather)
 
+    sup = sup_norm(f)
+    norms = [sup + max(float(peaks[i]) * heights[i] ** (2.0 - t) for i in np.flatnonzero(in_norm))
+             for t in s]
+    if 0.0 in norms:
+        raise ValueError("degenerate function: zero norm")
     rho = np.arccosh(1.0 + (dist_sq + (y1 - y2) ** 2) / (2.0 * y1 * y2))
-    return _pair_report(g[:sample_count], g[sample_count:], norm, rho, (rho > 0) & (rho <= 2.0), s)
+    ok = (rho > 0) & (rho <= 2.0)
+    return tuple(_pair_report(gk[:sample_count], gk[sample_count:], norm, rho, ok, t)
+                 for gk, norm, t in zip(g, norms, s))
 
 
 def bmo_norm(f: GridFunction, J_max: int) -> float:

@@ -8,6 +8,11 @@ x = k * stride, f(x + h) and f(x - h) are strided slices of the samples cut
 where either wraps around the torus and added piece by piece into one buffer
 per lattice, so a direction allocates nothing; sampled positions gather by
 index.
+
+second_diff_field and holder_seminorm take a tuple of s: each probe's
+|Delta2| is divided by y^s for every s, so one pass over the probes serves
+all of them, each bitwise as a call with its s alone.  continuity_check
+stays one s, since its sampling depends on whether s = 1.
 """
 
 from __future__ import annotations
@@ -101,8 +106,21 @@ def _default_K(n: int) -> int:
     return 1 if n == 1 else 8
 
 
-def holder_seminorm(f: GridFunction, s: float, K: int | None = None, refine: int = 1) -> float:
-    """max over grid x, probe scales and directions of Delta2 f / y^s.
+def _s_values(s) -> tuple[float, ...]:
+    """s, checked: a nonempty tuple of smoothness orders in (0, 1]."""
+    if not isinstance(s, tuple):
+        raise TypeError(f"s must be a tuple of values in (0, 1], got {s!r}")
+    if not s:
+        raise ValueError("s must hold at least one value")
+    if not all(0.0 < t <= 1.0 for t in s):
+        raise ValueError("s must lie in (0, 1]")
+    return s
+
+
+def holder_seminorm(f: GridFunction, s: tuple[float, ...], K: int | None = None,
+                    refine: int = 1) -> tuple[float, ...]:
+    """max over grid x, probe scales and directions of Delta2 f / y^s, one
+    value per entry of s, in order, from one pass over the probes.
 
     refine=1 probes the dyadic scales y = 2^-j, j = 1..J_grid-1; refine=r
     subdivides each octave into r scales (the declared resolution bias of the
@@ -110,8 +128,7 @@ def holder_seminorm(f: GridFunction, s: float, K: int | None = None, refine: int
     by gridfn._deal, each with its own stencil buffer, allocated on the
     calling thread.
     """
-    if not 0.0 < s <= 1.0:
-        raise ValueError("s must lie in (0, 1]")
+    s = _s_values(s)
     if refine < 1:
         raise ValueError("refine must be >= 1")
     K = _default_K(f.n) if K is None else K
@@ -126,41 +143,46 @@ def holder_seminorm(f: GridFunction, s: float, K: int | None = None, refine: int
 
     def run(share):
         buf = free.pop()
-        best = 0.0
+        best = [0.0] * len(s)
         for y, h in share:
             val = float(_d2_lattice(f.samples, h, 1, twice_center, buf).max())
-            best = max(best, val / y**s)
+            best = [max(b, val / y**t) for b, t in zip(best, s)]
         return best
 
-    return max(_deal(run, probes, f.samples.size))
+    return tuple(map(max, zip(*_deal(run, probes, f.samples.size))))
 
 
-def second_diff_field(f: GridFunction, s: float, J_max: int, K: int | None = None) -> LevelField:
-    """Per-cell max of Delta2 f(x, y) / y^s over the cell's probe points.
+def second_diff_field(f: GridFunction, s: tuple[float, ...], J_max: int,
+                      K: int | None = None) -> tuple[LevelField, ...]:
+    """Per-cell max of Delta2 f(x, y) / y^s over the cell's probe points, one
+    field per entry of s, in order, from one pass over the probes.
 
     Probe heights are the CELL_FRACS multiples of the cube side that land on
     the grid (all four at levels j <= J_grid-3, the representable pair at
     J_grid-2); probe x points are stride-coarsened so each cell sees about
     PROBES_PER_CELL points per axis.
     """
-    if not 0.0 < s <= 1.0:
-        raise ValueError("s must lie in (0, 1]")
+    s = _s_values(s)
     if not 0 <= J_max <= f.J_grid - 2:
         raise ValueError(f"J_max={J_max} outside [0, J_grid-2={f.J_grid - 2}]")
     K = _default_K(f.n) if K is None else K
-    values = {j: _level_probe_max(f, s, j, K) for j in range(J_max + 1)}
-    return LevelField("secdiff", f.n, J_max, values)
+    levels = [_level_probe_max(f, s, j, K) for j in range(J_max + 1)]
+    return tuple(LevelField("secdiff", f.n, J_max, dict(enumerate(values)))
+                 for values in zip(*levels))
 
 
-def _level_probe_max(f: GridFunction, s: float, j: int, K: int) -> np.ndarray:
-    """Level j of second_diff_field.  Its lattice arrays are freed before
-    the pooling and the next level allocate theirs."""
+def _level_probe_max(f: GridFunction, s: tuple[float, ...], j: int, K: int) -> list[np.ndarray]:
+    """Level j of second_diff_field, per entry of s.  Its lattice arrays are
+    freed before the pooling and the next level allocate theirs.  The last s
+    divides the stencil buffer in place and the others a copy, so each s
+    takes the operations of a one-s build."""
     N = f.grid_size
     base = 2 ** (f.J_grid - j)
     stride = base // min(base, PROBES_PER_CELL)
     twice_center = 2.0 * f.samples[(slice(None, None, stride),) * f.n]
     buf = np.empty_like(twice_center)
-    probe_max = np.zeros(twice_center.shape)
+    probe_max = [np.zeros(twice_center.shape) for _ in s]
+    scaled = np.empty_like(buf) if len(s) > 1 else None
     for frac in CELL_FRACS:
         m_exact = base * frac
         m = int(round(m_exact))
@@ -169,10 +191,13 @@ def _level_probe_max(f: GridFunction, s: float, j: int, K: int) -> np.ndarray:
         y = m / N
         for h in _directions(f.n, m, K):
             _d2_lattice(f.samples, h, stride, twice_center, buf)
-            buf /= y**s
-            np.maximum(probe_max, buf, out=probe_max)
-    del twice_center, buf  # pooling's first halving would sit on top of them
-    return pool(probe_max, np.maximum, 2**j)
+            for t, most in zip(s[:-1], probe_max):
+                np.divide(buf, y**t, out=scaled)
+                np.maximum(most, scaled, out=most)
+            buf /= y**s[-1]
+            np.maximum(probe_max[-1], buf, out=probe_max[-1])
+    del twice_center, buf, scaled  # pooling's first halving would sit on top of them
+    return [pool(most, np.maximum, 2**j) for most in probe_max]
 
 
 def _d2_vector(samples: np.ndarray, pos, m: np.ndarray, K: int) -> np.ndarray:
@@ -233,7 +258,7 @@ def continuity_check(f: GridFunction, s: float, sample_count: int, seed: int) ->
     """
     if sample_count < 0:
         raise ValueError(f"sample_count={sample_count} must be >= 0")
-    norm = holder_seminorm(f, s)
+    [norm] = holder_seminorm(f, (s,))
     if norm == 0.0:
         raise ValueError("degenerate function: zero seminorm")
     N = f.grid_size

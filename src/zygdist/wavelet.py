@@ -281,6 +281,8 @@ def scale_ratio_field(coeffs: WaveletCoefficients, s: float) -> LevelField:
     """Per-cube 2^(j(n/2+s)) * sup_l |c|, the quantity thresholded by the
     coefficient smoothness norm and the bad-cube sets: cubes with
     sup_l |c| > eps * 2^(-j(n/2+s)) form field.threshold(eps)."""
+    if not 0.0 < s <= 1.0:
+        raise ValueError("s must lie in (0, 1]")
     ex = coeffs.n / 2.0 + s
     values = {j: 2.0 ** (j * ex) * coeffs.sup_abs(j) for j in range(coeffs.J_grid)}
     return LevelField("wavelet", coeffs.n, coeffs.J_grid - 1, values)
@@ -288,8 +290,6 @@ def scale_ratio_field(coeffs: WaveletCoefficients, s: float) -> LevelField:
 
 def lip_wavelet_norm(coeffs: WaveletCoefficients, s: float) -> float:
     """|d| + sup over coefficients of 2^(j(n/2+s)) |c|."""
-    if not 0.0 < s <= 1.0:
-        raise ValueError("s must lie in (0, 1]")
     return abs(coeffs.d) + scale_ratio_field(coeffs, s).max_value
 
 

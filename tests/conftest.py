@@ -1,13 +1,27 @@
+import math
 import threading
 
 import numpy as np
 import pytest
 
-from zygdist import GridFunction, parse_function_spec, synthesize
+from zygdist import GridFunction, gridfn, parse_function_spec, synthesize
 from zygdist.wavelet import filter_bank
 
 J_TEST = 12
 N_TEST = 2**J_TEST
+
+# the two s of the validation suite, built in one pass
+BOTH_S = (0.5, 1.0)
+# cases of the one-pass builds: n=1 J=12 on the calling thread; n=1 J=17,
+# whose coarse Poisson heights sum segments (the four-step transform), on two
+# threads; n=2 J=9, whose Poisson heights share their stages between two threads
+SEVERAL_S_CASES = [
+    (1, 12, "weierstrass s=1 levels=9 signs=random seed=3"),
+    (1, 17, "weierstrass s=1 levels=14 signs=plus"),
+    (2, 9, "sum weierstrass s=1 levels=6 signs=plus + wavelet-atom l=3 j=3 k=2,5"),
+]
+# s values that no builder accepts: no value, and values outside (0, 1]
+BAD_S = [(), (0.0,), (-0.5,), (1.5,), (math.nan,), (math.inf,), (0.5, 1.0 + 1e-12)]
 
 
 def is_subset(A, B):
@@ -16,6 +30,24 @@ def is_subset(A, B):
         return False
     return all(not A.mask(j).any() if j > B.J_max else not np.any(A.mask(j) & ~B.mask(j))
                for j in range(A.J_max + 1))
+
+
+def same_bits(a, b) -> bool:
+    """a and b hold the same bits: dtype, shape and bytes."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def same_fields(a, b) -> bool:
+    """Two LevelFields agree in kind, depth and every level's bits."""
+    return ((a.method, a.n, a.J_max, sorted(a.values)) == (b.method, b.n, b.J_max, sorted(b.values))
+            and all(same_bits(a.values[j], b.values[j]) for j in a.values))
+
+
+def same_reports(a, b) -> bool:
+    """Two ContinuityReports agree field by field, ratios included, bitwise."""
+    return vars(a).keys() == vars(b).keys() and all(
+        same_bits(value, getattr(b, key)) for key, value in vars(a).items())
 
 
 def spy_deal(monkeypatch, module):
@@ -31,6 +63,14 @@ def spy_deal(monkeypatch, module):
 
     monkeypatch.setattr(module, "_deal", spy)
     return off_caller
+
+
+@pytest.fixture(params=SEVERAL_S_CASES, ids=lambda case: f"n{case[0]}-J{case[1]}")
+def several_s_f(request, monkeypatch):
+    """The function of each SEVERAL_S_CASES case, with two CPUs for _deal."""
+    monkeypatch.setattr(gridfn, "_CPUS", 2)
+    n, Jg, text = request.param
+    return synthesize(parse_function_spec(text), n, Jg)
 
 
 @pytest.fixture(scope="session")

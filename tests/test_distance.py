@@ -3,6 +3,7 @@ import weakref
 import numpy as np
 import pytest
 
+from conftest import BAD_S, BOTH_S, same_fields
 from zygdist import GridFunction, distance, parse_function_spec, synthesize
 from zygdist.distance import (C2_DECAY_KAPPA, METHODS, compare_methods,
                               epsilon_star, inclusion_probe, method_context,
@@ -18,23 +19,54 @@ THETA = 0.1
 
 @pytest.fixture(scope="module")
 def fields_weier(weier1_12):
-    return {m: method_context(weier1_12, 1.0, m) for m in METHODS}
+    return {m: method_context(weier1_12, (1.0,), m)[0] for m in METHODS}
 
 
 def estimate(f, s, method, J_range=J_RANGE):
-    return epsilon_star(method_context(f, s, method), s, J_range, THETA)
+    return epsilon_star(method_context(f, (s,), method)[0], s, J_range, THETA)
 
 
 class TestMethodContext:
     def test_wavelet_depth_cap_drops_deeper_levels(self, weier1_12, bank8):
         full = scale_ratio_field(analyze(weier1_12, bank8), 1.0)
         k = 1  # the fixture's field peaks at level 2, so the cap is visible
-        capped = method_context(weier1_12, 1.0, "wavelet", J_max=k, bank=bank8)
+        capped = method_context(weier1_12, (1.0,), "wavelet", J_max=k, bank=bank8)[0]
         assert capped.J_max == k
         assert sorted(capped.values) == list(range(k + 1))
         assert capped.max_value == max(float(full.values[j].max()) for j in range(k + 1))
         assert capped.max_value < full.max_value
         assert capped.threshold(0.0).J_max == k
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_one_build_per_s_tuple(self, method, several_s_f):
+        # a call with BOTH_S returns, bitwise, what one call per s returns,
+        # also under a depth cap
+        f = several_s_f
+        for J_max in (None, f.J_grid // 2):
+            both = method_context(f, BOTH_S, method, J_max=J_max)
+            assert len(both) == len(BOTH_S)
+            for s, fld in zip(BOTH_S, both):
+                assert same_fields(fld, method_context(f, (s,), method, J_max=J_max)[0])
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("s", BAD_S)
+    def test_bad_s_rejected(self, weier1_12, method, s):
+        # the wavelet path once returned a field for s = 1.5 and nan
+        with pytest.raises(ValueError, match="s must"):
+            method_context(weier1_12, s, method)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_float_s_rejected(self, weier1_12, method):
+        with pytest.raises(TypeError, match="s must be a tuple"):
+            method_context(weier1_12, 1.0, method)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("J_max", [-1, -3])
+    def test_negative_depth_rejected(self, weier1_12, method, J_max):
+        # the wavelet path once returned an empty field, whose max_value 0.0
+        # epsilon_star reported as a trivial field
+        with pytest.raises(ValueError, match=f"J_max={J_max} must be >= 0"):
+            method_context(weier1_12, (1.0,), method, J_max=J_max)
 
 
 class TestEpsilonStar:
@@ -196,9 +228,9 @@ class TestCompareMethods:
 
         def spy(*args, **kwargs):
             assert all(ref() is None for ref in built), "an earlier field is still alive"
-            fld = build(*args, **kwargs)
-            built.append(weakref.ref(fld))
-            return fld
+            fields = build(*args, **kwargs)
+            built.extend(weakref.ref(fld) for fld in fields)
+            return fields
 
         monkeypatch.setattr(distance, "method_context", spy)
         compare_methods(weier1_12, 1.0, J_RANGE, THETA)
@@ -265,8 +297,8 @@ class TestInclusionProbe:
     def test_fields_of_different_n_rejected(self, fields_weier):
         f2 = synthesize(parse_function_spec("weierstrass s=1 levels=3"), 2, 6)
         flat = fields_weier["secdiff"]
-        for src, tgt in ((flat, method_context(f2, 1.0, "poisson")),
-                         (method_context(f2, 1.0, "secdiff"), flat)):
+        for src, tgt in ((flat, method_context(f2, (1.0,), "poisson")[0]),
+                         (method_context(f2, (1.0,), "secdiff")[0], flat)):
             with pytest.raises(ValueError, match="n=2"):
                 inclusion_probe(src, tgt, 0.1)
 

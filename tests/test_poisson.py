@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import is_subset, spy_deal
+from conftest import (BAD_S, BOTH_S, is_subset, same_bits, same_fields,
+                      same_reports, spy_deal)
 from zygdist import (GridFunction, bessel_lift, parse_function_spec, sup_norm,
                      synthesize)
 import zygdist.gridfn as gridfn
@@ -47,6 +48,10 @@ HALF_LENGTH_RTOL = 1e-12
 # on one thread, where the spectrum's set-up sets it
 LIMIT_FIELD_PEAK_MIB = 39.27
 LIMIT_FIELD_PEAK_SLACK_MIB = 0.25
+# the same for both s of BOTH_S in one pass: one more table set of levels
+# 0..18 (4 MiB) and the scaled copies of pooled blocks, 43.40-43.53 MiB in 8
+# runs, where one s took 39.15-39.27 MiB in the same processes
+LIMIT_FIELD_BOTH_S_PEAK_MIB = 43.53
 # the same at n=2 J_grid=10 J_max=8: the half spectrum and the decay table of
 # its rows k1 >= 0 (1.25 grids), one spectrum buffer and a quarter-grid
 # scratch that holds the decays of each height and then its inverse blocks,
@@ -235,7 +240,7 @@ class TestHalfSpectrumTolerance:
     @pytest.mark.parametrize("n,Jg,text", ORACLE_CASES)
     def test_field_and_sets_match_complex_oracle(self, n, Jg, text):
         f = synthesize(parse_function_spec(text), n, Jg)
-        field = derivative_field(f, 1.0, Jg - 2)
+        field = derivative_field(f, (1.0,), Jg - 2)[0]
         want = oracle_field(f, 1.0, Jg - 2)
         for j, level in want.values.items():
             assert np.max(np.abs(field.values[j] - level)) <= SPECTRAL_RTOL * level.max()
@@ -253,7 +258,7 @@ class TestHalfLengthTransforms:
     ])
     def test_levels_match_full_length_inverse(self, n, Jg, text):
         f = synthesize(parse_function_spec(text), n, Jg)
-        field = derivative_field(f, 1.0, Jg - 2)
+        field = derivative_field(f, (1.0,), Jg - 2)[0]
         for j, level in full_length_field(f, 1.0, Jg - 2).items():
             assert np.max(np.abs(field.values[j] - level)) <= HALF_LENGTH_RTOL * level.max()
 
@@ -262,7 +267,7 @@ class TestHalfLengthTransforms:
         # levels J_grid - 1 and J_grid: cells two and one columns wide
         levels = min(4, Jg - 2)  # J_GRID_MIN resolves 2 levels
         f = synthesize(parse_function_spec(f"weierstrass s=1 levels={levels} signs=plus"), n, Jg)
-        field = derivative_field(f, 1.0, Jg)
+        field = derivative_field(f, (1.0,), Jg)[0]
         for j, level in full_length_field(f, 1.0, Jg).items():
             assert np.max(np.abs(field.values[j] - level)) <= HALF_LENGTH_RTOL * level.max()
 
@@ -278,8 +283,8 @@ class TestHalfLengthTransforms:
         runs = []
         for min_points in (2**62, 0):  # serial, then threaded
             monkeypatch.setattr(gridfn, "_THREAD_MIN_POINTS", min_points)
-            runs.append((derivative_field(f, 1.0, Jg - 2),
-                         lipschitz_check(f, 1.0, 2000, seed=5),
+            runs.append((derivative_field(f, (1.0,), Jg - 2)[0],
+                         lipschitz_check(f, (1.0,), 2000, seed=5)[0],
                          poisson_extend(f, 0.01)))
             assert any(off_caller) == (min_points == 0)
             off_caller.clear()
@@ -290,8 +295,8 @@ class TestHalfLengthTransforms:
         assert np.array_equal(ext_a.samples, ext_b.samples)
 
     def test_level_updates_survive_thread_switches(self, monkeypatch):
-        # both threads pool into the same levels; a lost update changes a maximum.
-        # At n=1 each thread runs whole heights
+        # both threads pool into the same levels, one table set per s; a lost
+        # update changes a maximum.  At n=1 each thread runs whole heights
         monkeypatch.setattr(gridfn, "_CPUS", 2)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -302,12 +307,13 @@ class TestHalfLengthTransforms:
                 probes = [frac * 2.0**-j for j in range(Jg + 1) for frac in CELL_FRACS]
                 assert any(L >= 4 for _, L in poisson._phase_plan(2**Jg, probes))
                 monkeypatch.setattr(gridfn, "_THREAD_MIN_POINTS", 2**62)
-                serial = derivative_field(f, 1.0, Jg)
+                serial = derivative_field(f, BOTH_S, Jg)
                 monkeypatch.setattr(gridfn, "_THREAD_MIN_POINTS", 0)
                 for _ in range(repeats):
-                    threaded = derivative_field(f, 1.0, Jg)
-                    for j, level in serial.values.items():
-                        assert np.array_equal(threaded.values[j], level)
+                    threaded = derivative_field(f, BOTH_S, Jg)
+                    for want, got in zip(serial, threaded):
+                        for j, level in want.values.items():
+                            assert np.array_equal(got.values[j], level)
         finally:
             sys.setswitchinterval(interval)
 
@@ -326,7 +332,7 @@ class TestHalfLengthTransforms:
         monkeypatch.setattr(gridfn, "_CPUS", 2)
         monkeypatch.setattr(gridfn, "_THREAD_MIN_POINTS", 0)
         with pytest.raises(RuntimeError, match="worker failed"):
-            derivative_field(f, 1.0, 5)
+            derivative_field(f, (1.0,), 5)
 
 
 @pytest.fixture(scope="module")
@@ -335,11 +341,23 @@ def limit_field():
     f = synthesize(parse_function_spec("weierstrass s=1 levels=16 signs=plus"), 1, 20)
     tracemalloc.start()
     try:
-        field = derivative_field(f, 1.0, 18)
+        field = derivative_field(f, (1.0,), 18)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     return f, field, peak
+
+
+@pytest.fixture(scope="module")
+def limit_fields_both_s(limit_field):
+    """Both s of BOTH_S at the n=1 grid limit from one pass, and its tracemalloc peak."""
+    tracemalloc.start()
+    try:
+        fields = derivative_field(limit_field[0], BOTH_S, 18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return fields, peak
 
 
 class TestPhaseSplit:
@@ -389,7 +407,7 @@ class TestPhaseSplit:
         f = synthesize(parse_function_spec("weierstrass s=1 levels=14 signs=plus"), 1, 17)
         probes = [frac * 2.0**-j for j in range(16) for frac in CELL_FRACS]
         assert {L for K, L in poisson._phase_plan(2**17, probes) if K > 2**13} == {8}
-        field = derivative_field(f, 1.0, 15)
+        field = derivative_field(f, (1.0,), 15)[0]
         want = full_length_field(f, 1.0, 15)
         for j, level in want.items():
             assert np.max(np.abs(field.values[j] - level)) <= HALF_LENGTH_RTOL * level.max()
@@ -409,7 +427,7 @@ class TestPhaseSplit:
         f = synthesize(parse_function_spec(spec), 2, 10)
         tracemalloc.start()
         try:
-            derivative_field(f, 1.0, 8)
+            derivative_field(f, (1.0,), 8)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -442,11 +460,11 @@ class TestPhaseSplit:
 class TestPoissonNorm:
     def test_constant(self):
         f = GridFunction(1, J, np.full(N, 2.0))
-        assert abs(holder_poisson_norm(f, 1.0) - 2.0) < 1e-12
+        assert abs(holder_poisson_norm(f, (1.0,))[0] - 2.0) < 1e-12
 
     def test_homogeneous(self, weier05_12):
-        a = holder_poisson_norm(weier05_12, 0.5)
-        b = holder_poisson_norm(weier05_12.scaled(4.0), 0.5)
+        a = holder_poisson_norm(weier05_12, (0.5,))[0]
+        b = holder_poisson_norm(weier05_12.scaled(4.0), (0.5,))[0]
         assert abs(b - 4.0 * a) < 1e-10 * a
 
 
@@ -458,55 +476,55 @@ class TestBuildD:
         # a negative J_max once gave an empty field, so the norm read sup|f| alone
         for build in (derivative_field, holder_poisson_norm):
             with pytest.raises(ValueError, match=r"outside \[0, 12\]"):
-                build(cos_12, 1.0, J_max)
+                build(cos_12, (1.0,), J_max)
 
     def test_constant_empty_for_positive_eps(self):
         f = GridFunction(1, J, np.full(N, 2.0))
-        field = derivative_field(f, 1.0, J - 2)
+        field = derivative_field(f, (1.0,), J - 2)[0]
         for eps in (0.0, 0.01, 1.0):
             assert field.threshold(eps).is_empty()
 
     def test_empty_above_field_max(self, weier1_12):
-        field = derivative_field(weier1_12, 1.0, J - 2)
+        field = derivative_field(weier1_12, (1.0,), J - 2)[0]
         assert field.threshold(field.max_value).is_empty()
 
     def test_monotone_in_eps(self, weier1_12):
-        field = derivative_field(weier1_12, 1.0, J - 2)
+        field = derivative_field(weier1_12, (1.0,), J - 2)[0]
         d1 = field.threshold(0.2 * field.max_value)
         d2 = field.threshold(0.6 * field.max_value)
         assert is_subset(d2, d1)
 
     def test_weierstrass_moderate_eps_diverges(self, weier1_12):
-        field = derivative_field(weier1_12, 1.0, J - 2)
+        field = derivative_field(weier1_12, (1.0,), J - 2)[0]
         D = field.threshold(0.2 * field.max_value)
         assert carleson_sup(D, (4, J - 2), 0.1).diverging
 
     def test_scaling_covariance(self, weier1_12):
         lam, eps = 4.0, 2.5
-        D1 = derivative_field(weier1_12, 1.0, J - 2).threshold(eps)
-        D2 = derivative_field(weier1_12.scaled(lam), 1.0, J - 2).threshold(lam * eps)
+        D1 = derivative_field(weier1_12, (1.0,), J - 2)[0].threshold(eps)
+        D2 = derivative_field(weier1_12.scaled(lam), (1.0,), J - 2)[0].threshold(lam * eps)
         assert D1 == D2
 
 
 class TestLipschitzCheck:
     def test_constant_ratio_zero(self):
         f = GridFunction(1, J, np.full(N, 3.0))
-        rep = lipschitz_check(f, 1.0, 500, seed=0)
+        rep = lipschitz_check(f, (1.0,), 500, seed=0)[0]
         assert rep.max_ratio == 0.0
 
     def test_zero_function_degenerate(self):
         f = GridFunction(1, J, np.zeros(N))
         with pytest.raises(ValueError):
-            lipschitz_check(f, 1.0, 100, seed=0)
+            lipschitz_check(f, (1.0,), 100, seed=0)
 
     def test_cos_bounded(self, cos_12):
-        rep = lipschitz_check(cos_12, 1.0, 10_000, seed=1)
+        rep = lipschitz_check(cos_12, (1.0,), 10_000, seed=1)[0]
         assert 0.0 < rep.max_ratio < 50.0
         assert rep.pairs_used > 9000
 
     def test_doubling_stability(self, weier1_12):
-        r1 = lipschitz_check(weier1_12, 1.0, 10_000, seed=42)
-        r2 = lipschitz_check(weier1_12, 1.0, 20_000, seed=42)
+        r1 = lipschitz_check(weier1_12, (1.0,), 10_000, seed=42)[0]
+        r2 = lipschitz_check(weier1_12, (1.0,), 20_000, seed=42)[0]
         assert r2.max_ratio >= r1.max_ratio
         assert (r2.max_ratio - r1.max_ratio) <= 0.20 * r1.max_ratio
 
@@ -514,8 +532,8 @@ class TestLipschitzCheck:
     def test_ratio_prefix_is_smaller_run(self, n, Jg):
         # same-seed draws are prefixes: one call serves both sample counts
         f = synthesize(parse_function_spec("weierstrass s=1 levels=5"), n, Jg)
-        big = lipschitz_check(f, 1.0, 3000, seed=42)
-        small = lipschitz_check(f, 1.0, 1200, seed=42)
+        big = lipschitz_check(f, (1.0,), 3000, seed=42)[0]
+        small = lipschitz_check(f, (1.0,), 1200, seed=42)[0]
         assert float(big.ratios[:1200].max()) == small.max_ratio
         assert float(big.ratios.max()) == big.max_ratio
 
@@ -532,28 +550,28 @@ class TestLipschitzCheck:
         # the first two measured with one full-length inverse per height; reading
         # a neighbor column's value instead moves max_ratio by tens of percent
         f = synthesize(parse_function_spec(f"weierstrass s=1 levels={levels} signs=plus"), n, Jg)
-        rep = lipschitz_check(f, 1.0, 3000, seed=42)
+        rep = lipschitz_check(f, (1.0,), 3000, seed=42)[0]
         assert rep.max_ratio == pytest.approx(max_ratio, rel=1e-9)
         assert float(rep.ratios.sum()) == pytest.approx(ratio_sum, rel=1e-9)
 
     def test_n2_bounded(self):
         f = synthesize(parse_function_spec("weierstrass s=1 levels=4"), 2, 8)
-        rep = lipschitz_check(f, 1.0, 3000, seed=2)
+        rep = lipschitz_check(f, (1.0,), 3000, seed=2)[0]
         assert 0.0 < rep.max_ratio < 50.0
 
     def test_negative_sample_count_rejected(self, cos_12, monkeypatch):
-        # before the norm: numpy's own error came only after it
+        # before the pass that gives the norm: numpy's own error came only after it
         def fail(*args, **kwargs):
             raise AssertionError("the norm was computed")
 
-        monkeypatch.setattr(poisson, "holder_poisson_norm", fail)
+        monkeypatch.setattr(poisson, "_extension_blocks", fail)
         with pytest.raises(ValueError, match="sample_count=-1 must be >= 0"):
-            lipschitz_check(cos_12, 1.0, -1, seed=0)
+            lipschitz_check(cos_12, (1.0,), -1, seed=0)
 
     @pytest.mark.parametrize("n,Jg", [(1, 8), (2, 6)])
     def test_zero_samples_empty_report(self, n, Jg):
         f = synthesize(parse_function_spec("weierstrass s=1 levels=4"), n, Jg)
-        rep = lipschitz_check(f, 1.0, 0, seed=3)
+        rep = lipschitz_check(f, (1.0,), 0, seed=3)[0]
         assert (rep.max_ratio, rep.pairs_used, rep.sample_count) == (0.0, 0, 0)
         assert rep.ratios.shape == (0,)
 
@@ -562,11 +580,65 @@ class TestLipschitzCheck:
         f = synthesize(parse_function_spec("weierstrass s=1 levels=4"), 2, 8)
         tracemalloc.start()
         try:
-            lipschitz_check(f, 1.0, 3000, seed=2)
+            lipschitz_check(f, (1.0,), 3000, seed=2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+
+class TestSeveralS:
+    """One pass over the heights serves every s: a call with BOTH_S returns,
+    bitwise, what one call per s returns."""
+
+    def test_derivative_field(self, several_s_f):
+        f = several_s_f
+        both = derivative_field(f, BOTH_S, f.J_grid - 2)
+        assert len(both) == len(BOTH_S)
+        for s, field in zip(BOTH_S, both):
+            assert same_fields(field, derivative_field(f, (s,), f.J_grid - 2)[0])
+
+    def test_holder_poisson_norm(self, several_s_f):
+        f = several_s_f
+        both = holder_poisson_norm(f, BOTH_S)
+        assert len(both) == len(BOTH_S)
+        for s, norm in zip(BOTH_S, both):
+            assert same_bits(norm, holder_poisson_norm(f, (s,))[0])
+
+    @pytest.mark.parametrize("sample_count", [0, 10, 3000])
+    def test_lipschitz_check(self, several_s_f, sample_count):
+        f = several_s_f
+        # 10 samples draw at most 20 heights, fewer than the norm's 4 (J_grid - 1)
+        # CELL_FRACS heights, so the pass holds heights that only the norm reads
+        assert 2 * 10 < len(CELL_FRACS) * (f.J_grid - 1)
+        both = lipschitz_check(f, BOTH_S, sample_count, seed=7)
+        assert len(both) == len(BOTH_S)
+        for s, report in zip(BOTH_S, both):
+            assert report.s == s
+            assert same_reports(report, lipschitz_check(f, (s,), sample_count, seed=7)[0])
+            assert same_bits(report.norm, holder_poisson_norm(f, (s,))[0])
+
+    def test_limit_grid(self, limit_field, limit_fields_both_s):
+        assert same_fields(limit_fields_both_s[0][1], limit_field[1])
+
+    def test_limit_grid_memory(self, limit_fields_both_s):
+        peak = limit_fields_both_s[1]
+        assert peak <= (LIMIT_FIELD_BOTH_S_PEAK_MIB + LIMIT_FIELD_PEAK_SLACK_MIB) * 2**20
+
+    @pytest.mark.parametrize("s", BAD_S)
+    def test_bad_s_rejected(self, cos_12, s):
+        for build in (lambda: derivative_field(cos_12, s, 4),
+                      lambda: holder_poisson_norm(cos_12, s),
+                      lambda: lipschitz_check(cos_12, s, 10, seed=0)):
+            with pytest.raises(ValueError, match="s must"):
+                build()
+
+    def test_float_s_rejected(self, cos_12):
+        for build in (lambda: derivative_field(cos_12, 1.0, 4),
+                      lambda: holder_poisson_norm(cos_12, 1.0),
+                      lambda: lipschitz_check(cos_12, 1.0, 10, seed=0)):
+            with pytest.raises(TypeError, match="s must be a tuple"):
+                build()
 
 
 class TestBmo:

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import is_subset, spy_deal
+from conftest import BAD_S, BOTH_S, is_subset, same_bits, same_fields, spy_deal
 from zygdist import GridFunction, gridfn, parse_function_spec, synthesize
 import zygdist.secdiff as secdiff
 from zygdist.dyadic import carleson_sup
@@ -153,7 +153,7 @@ class TestLatticeStencil:
 class TestHolderSeminorm:
     def test_constant_zero(self):
         f = GridFunction(1, J, np.full(N, 2.0))
-        assert holder_seminorm(f, 0.5) == 0.0
+        assert holder_seminorm(f, (0.5,))[0] == 0.0
 
     def test_cos_dyadic_probes(self, cos_12):
         # brute force over the dyadic probe ladder
@@ -163,25 +163,25 @@ class TestHolderSeminorm:
             m = 2 ** (J - j)
             d2 = np.abs(np.roll(x, -m) - 2 * x + np.roll(x, m))
             want = max(want, float(d2.max()) / (m / N))
-        got = holder_seminorm(cos_12, 1.0)
+        got = holder_seminorm(cos_12, (1.0,))[0]
         assert got == want
         assert abs(got - 8.0) < 1e-12
 
     def test_refined_probes_catch_resonant_scale(self, cos_12):
         # sup over all scales of 2(1-cos(2 pi y))/y is about 9.10 near y=0.37
-        fine = holder_seminorm(cos_12, 1.0, refine=4)
+        fine = holder_seminorm(cos_12, (1.0,), refine=4)[0]
         assert fine >= 8.0
         assert abs(fine - 9.1046) < 1e-3
 
     def test_subadditive(self, cos_12, weier1_12):
         total = GridFunction(1, J, cos_12.samples + weier1_12.samples)
-        lhs = holder_seminorm(total, 1.0)
-        rhs = holder_seminorm(cos_12, 1.0) + holder_seminorm(weier1_12, 1.0)
+        lhs = holder_seminorm(total, (1.0,))[0]
+        rhs = holder_seminorm(cos_12, (1.0,))[0] + holder_seminorm(weier1_12, (1.0,))[0]
         assert lhs <= rhs + 1e-12
 
     def test_scaling(self, weier05_12):
-        a = holder_seminorm(weier05_12, 0.5)
-        b = holder_seminorm(weier05_12.scaled(4.0), 0.5)
+        a = holder_seminorm(weier05_12, (0.5,))[0]
+        b = holder_seminorm(weier05_12.scaled(4.0), (0.5,))[0]
         assert b == 4.0 * a  # powers of two scale exactly
 
     @pytest.mark.parametrize("n,Jg", [(1, 16), (2, 10)])
@@ -194,7 +194,7 @@ class TestHolderSeminorm:
         values = []
         for min_points in (2**62, 0):  # serial, then threaded
             monkeypatch.setattr(gridfn, "_THREAD_MIN_POINTS", min_points)
-            values.append(holder_seminorm(f, 0.5, K=K, refine=refine))
+            values.append(holder_seminorm(f, (0.5,), K=K, refine=refine)[0])
             assert any(off_caller) == (min_points == 0)
             off_caller.clear()
         assert values[0].hex() == values[1].hex()
@@ -207,7 +207,7 @@ class TestHolderSeminorm:
         f = synthesize(parse_function_spec(spec), 2, 10)
         tracemalloc.start()
         try:
-            holder_seminorm(f, 1.0)
+            holder_seminorm(f, (1.0,))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -222,29 +222,29 @@ class TestBuildS:
         # running max) are freed before pooling and before the next level
         rng = np.random.default_rng(2)
         f = GridFunction(1, 18, rng.standard_normal(2**18))
-        second_diff_field(GridFunction(1, 6, f.samples[:64]), 1.0, 4)
+        second_diff_field(GridFunction(1, 6, f.samples[:64]), (1.0,), 4)
         tracemalloc.start()
         try:
-            second_diff_field(f, 1.0, 16)
+            second_diff_field(f, (1.0,), 16)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 3.5 * f.samples.nbytes
 
     def test_eps_zero_keeps_positive_cells(self, cos_12):
-        field = second_diff_field(cos_12, 1.0, J - 2)
+        field = second_diff_field(cos_12, (1.0,), J - 2)[0]
         S = field.threshold(0.0)
         want = sum(int((v > 0).sum()) for v in field.values.values())
         assert S.cell_count == want
         assert S.cell_count > 0
 
     def test_empty_above_field_max(self, cos_12):
-        field = second_diff_field(cos_12, 1.0, J - 2)
+        field = second_diff_field(cos_12, (1.0,), J - 2)[0]
         S = field.threshold(field.max_value)
         assert S.is_empty()
 
     def test_monotone_decreasing_in_eps(self, weier1_12):
-        field = second_diff_field(weier1_12, 1.0, J - 2)
+        field = second_diff_field(weier1_12, (1.0,), J - 2)[0]
         eps_values = np.linspace(0.0, field.max_value, 7)
         sets = [field.threshold(e) for e in eps_values]
         for bigger, smaller in zip(sets, sets[1:]):
@@ -253,12 +253,12 @@ class TestBuildS:
     def test_scaling_covariance_exact(self, weier1_12):
         s, eps = 1.0, 3.0
         lam = 4.0
-        S1 = second_diff_field(weier1_12, s, J - 2).threshold(eps)
-        S2 = second_diff_field(weier1_12.scaled(lam), s, J - 2).threshold(lam * eps)
+        S1 = second_diff_field(weier1_12, (s,), J - 2)[0].threshold(eps)
+        S2 = second_diff_field(weier1_12.scaled(lam), (s,), J - 2)[0].threshold(lam * eps)
         assert S1 == S2
 
     def test_weierstrass_median_threshold_diverges(self, weier1_12):
-        field = second_diff_field(weier1_12, 1.0, J - 2)
+        field = second_diff_field(weier1_12, (1.0,), J - 2)[0]
         med = float(np.median(np.concatenate([v.ravel() for v in field.values.values()])))
         S = field.threshold(0.5 * med)
         assert all(S.mask(jj).any() for jj in range(J - 1))  # every level occupied
@@ -266,21 +266,53 @@ class TestBuildS:
 
     def test_too_deep_rejected(self, cos_12):
         with pytest.raises(ValueError):
-            second_diff_field(cos_12, 1.0, J - 1)
+            second_diff_field(cos_12, (1.0,), J - 1)
 
     @pytest.mark.parametrize("J_max", [J - 1, -1, -3])
     def test_jmax_guard(self, cos_12, J_max):
         # a negative J_max once gave an empty field, whose max_value is 0.0
         with pytest.raises(ValueError, match=r"outside \[0, J_grid-2=10\]"):
-            second_diff_field(cos_12, 1.0, J_max)
+            second_diff_field(cos_12, (1.0,), J_max)
 
     def test_field_csv(self, tmp_path, cos_12):
-        field = second_diff_field(cos_12, 1.0, 3)
+        field = second_diff_field(cos_12, (1.0,), 3)[0]
         path = tmp_path / "field.csv"
         field.to_csv(path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "level,index,value"
         assert len(lines) == 1 + sum(2**jj for jj in range(4))
+
+
+class TestSeveralS:
+    """One pass over the probes serves every s: a call with BOTH_S returns,
+    bitwise, what one call per s returns."""
+
+    def test_second_diff_field(self, several_s_f):
+        f = several_s_f
+        both = second_diff_field(f, BOTH_S, f.J_grid - 2)
+        assert len(both) == len(BOTH_S)
+        for s, field in zip(BOTH_S, both):
+            assert same_fields(field, second_diff_field(f, (s,), f.J_grid - 2)[0])
+
+    @pytest.mark.parametrize("refine", [1, 2])
+    def test_holder_seminorm(self, several_s_f, refine):
+        f = several_s_f
+        both = holder_seminorm(f, BOTH_S, refine=refine)
+        assert len(both) == len(BOTH_S)
+        for s, norm in zip(BOTH_S, both):
+            assert same_bits(norm, holder_seminorm(f, (s,), refine=refine)[0])
+
+    @pytest.mark.parametrize("s", BAD_S)
+    def test_bad_s_rejected(self, cos_12, s):
+        for build in (lambda: second_diff_field(cos_12, s, 4), lambda: holder_seminorm(cos_12, s)):
+            with pytest.raises(ValueError, match="s must"):
+                build()
+
+    def test_float_s_rejected(self, cos_12):
+        for build in (lambda: second_diff_field(cos_12, 1.0, 4),
+                      lambda: holder_seminorm(cos_12, 1.0)):
+            with pytest.raises(TypeError, match="s must be a tuple"):
+                build()
 
 
 class TestContinuity:

@@ -391,6 +391,12 @@ class TestJbmoNorm:
 class TestBuildT:
     """The wavelet sets T(s, f, eps) = scale_ratio_field(...).threshold(eps)."""
 
+    @pytest.mark.parametrize("s", [0.0, -0.5, 1.5, math.nan, math.inf])
+    def test_s_outside_range_rejected(self, s):
+        # as lip_wavelet_norm and jbmo_box_sup; a field was once returned
+        with pytest.raises(ValueError, match=r"s must lie in \(0, 1\]"):
+            scale_ratio_field(WaveletCoefficients.zeros(1, 8), s)
+
     def test_empty_at_coefficient_norm(self, weier1_12, bank8):
         coeffs = analyze(weier1_12, bank8)
         field = scale_ratio_field(coeffs, 1.0)
