@@ -62,7 +62,7 @@ def criterion_1(theta: float = THETA) -> CriterionResult:
     failures = []
     J_top = 14
     stack = HalfSpaceSet.full_stack(1, J_top)
-    report = carleson_sup(stack, (0, J_top), theta)
+    [report] = carleson_sup((stack,), (0, J_top), theta)
     worst = 0.0
     for J, m in zip(report.j_values, report.m_values):
         err = abs(m - (J + 1) * LOG2)
@@ -172,9 +172,14 @@ def criterion_4() -> CriterionResult:
     worst = 1.0
     per_fn = {}
     s_values = (0.5, 1.0)
+    # probe refinement drift on one rough corpus member (recorded, not gated):
+    # its refine=1 seminorm at s=1 comes from the loop
+    wf = fns[4]
     for f in fns:
         coeffs = _wavelet.analyze(f, bank)
         seminorms = _secdiff.holder_seminorm(f, s_values)
+        if f is wf:
+            base = seminorms[s_values.index(1.0)]
         poisson_norms = _poisson.holder_poisson_norm(f, s_values)
         for s, seminorm, poisson_norm in zip(s_values, seminorms, poisson_norms):
             norms = {
@@ -187,9 +192,6 @@ def criterion_4() -> CriterionResult:
             worst = max(worst, c)
             if c > 50.0:
                 failures.append(f"{f.label} s={s}: band {c:.1f} > 50")
-    # probe refinement drift on one rough corpus member (recorded, not gated)
-    wf = fns[4]
-    [base] = _secdiff.holder_seminorm(wf, (1.0,), refine=1)
     [fine] = _secdiff.holder_seminorm(wf, (1.0,), refine=4)
     dt = time.perf_counter() - t0
     if dt >= 120.0:
@@ -280,20 +282,25 @@ def criterion_7(theta: float = THETA) -> CriterionResult:
                 failures.append(f"{f.label} s={s} ratio {key}={r:.2f} outside [1/32,32]")
 
     s_values = (0.5, 1.0)
+    # one build per method serves both s, and one lockstep bisection every field
+    cases, fields = [], []
     for spec_text in (CORPUS_SPECS[2], CORPUS_SPECS[10]):
         f = synthesize(parse_function_spec(spec_text), 1, J)
-        # one build per method serves both s
-        fields = {m: _distance.method_context(f, s_values, m) for m in _distance.METHODS}
+        built = {m: _distance.method_context(f, s_values, m) for m in _distance.METHODS}
         for k, s in enumerate(s_values):
             for m in _distance.METHODS:
-                est = _distance.epsilon_star(fields[m][k], s, J_range, theta)
-                frac = est.epsilon_star / est.eps_hi if est.eps_hi else 0.0
-                details["collapse"][f"{f.label} s={s} {m}"] = {
-                    "collapsed": est.collapsed, "eps0_over_hi": frac}
-                details["soft_bound"][f"{f.label} s={s} {m}"] = frac <= 2.0**-10
-                if not est.collapsed:
-                    failures.append(
-                        f"{f.label} s={s} {m}: eps0/hi {frac:.1e} above bisection resolution")
+                cases.append((f.label, s, m))
+                fields.append(built[m][k])
+    estimates = _distance.epsilon_star(tuple(fields), tuple(s for _, s, _ in cases),
+                                       J_range, theta)
+    for (label, s, m), est in zip(cases, estimates):
+        frac = est.epsilon_star / est.eps_hi if est.eps_hi else 0.0
+        details["collapse"][f"{label} s={s} {m}"] = {
+            "collapsed": est.collapsed, "eps0_over_hi": frac}
+        details["soft_bound"][f"{label} s={s} {m}"] = frac <= 2.0**-10
+        if not est.collapsed:
+            failures.append(
+                f"{label} s={s} {m}: eps0/hi {frac:.1e} above bisection resolution")
     dt = time.perf_counter() - t0
     if dt >= 600.0:
         failures.append(f"runtime {dt:.0f}s >= 600s")
@@ -325,24 +332,29 @@ def criterion_8(theta: float = THETA) -> CriterionResult:
     spill = math.ceil((max(R_values) + cell_diameter_bound(1)) / LOG2)
     fit_start = (J_range[0] + J_range[1] + 1) // 2
     safe_top = max(fit_start - spill - 1, 0)
-    for f in corpus(1, J):
-        [fld] = _distance.method_context(f, (1.0,), "secdiff", J_max=J_max)
-        est = _distance.epsilon_star(fld, 1.0, J_range, theta)
+    # every field first, each function dropped once its field is built, then
+    # one lockstep bisection over all of them
+    labels, fields = [], []
+    for text in CORPUS_SPECS:
+        f = synthesize(parse_function_spec(text), 1, J)
+        labels.append(f.label)
+        fields.append(_distance.method_context(f, (1.0,), "secdiff", J_max=J_max)[0])
+    del f
+    estimates = _distance.epsilon_star(tuple(fields), (1.0,) * len(fields), J_range, theta)
+    for label, fld, est in zip(labels, fields, estimates):
         eps_div = 0.5 * est.epsilon_star
         deep_max = max(float(fld.values[j].max()) for j in range(safe_top + 1, J_max + 1))
         eps_sat = 1.05 * deep_max
         for tag, eps in (("div", eps_div), ("sat", eps_sat)):
             A = fld.threshold(eps)
-            base = carleson_sup(A, J_range, theta).diverging
-            flips = []
-            for R in R_values:
-                after = carleson_sup(enlarge(A, R), J_range, theta).diverging
-                if after != base:
-                    flips.append(R)
-            per_fn[f"{f.label} [{tag}]"] = {"base": base, "flips": flips,
-                                            "cells": A.cell_count}
+            # the set and its enlargements in one stacked walk
+            base, *after = (rep.diverging for rep in carleson_sup(
+                (A,) + tuple(enlarge(A, R) for R in R_values), J_range, theta))
+            flips = [R for R, flag in zip(R_values, after) if flag != base]
+            per_fn[f"{label} [{tag}]"] = {"base": base, "flips": flips,
+                                          "cells": A.cell_count}
             if flips:
-                failures.append(f"{f.label} [{tag}]: flag flips at R={flips}")
+                failures.append(f"{label} [{tag}]: flag flips at R={flips}")
     dt = time.perf_counter() - t0
     return CriterionResult(8, "dilation-stability", not failures, dt,
                            {"per_set": per_fn}, failures)
@@ -362,9 +374,13 @@ def criterion_9(theta: float = THETA) -> CriterionResult:
     J_range = (6, 10)
     f = synthesize(parse_function_spec(CORPUS_SPECS[4]), 1, J)
     fields = {m: _distance.method_context(f, (s,), m)[0] for m in _distance.METHODS}
+    chain = (("wavelet", "secdiff"), ("secdiff", "poisson"), ("poisson", "wavelet"))
+    # one lockstep bisection for the three sources
+    estimates = _distance.epsilon_star(tuple(fields[src] for src, _ in chain),
+                                       (s,) * len(chain), J_range, theta)
     achieved = {}
-    for src, tgt in (("wavelet", "secdiff"), ("secdiff", "poisson"), ("poisson", "wavelet")):
-        eps = 0.5 * _distance.epsilon_star(fields[src], s, J_range, theta).epsilon_star
+    for (src, tgt), est in zip(chain, estimates):
+        eps = 0.5 * est.epsilon_star
         rep = _distance.inclusion_probe(
             fields[src], fields[tgt], eps,
             c_grid=(1.0, 0.5, 0.25, 0.125), R_grid=(0.5, 1.0, 2.0, 4.0), eta=0.99)

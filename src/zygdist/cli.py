@@ -206,7 +206,7 @@ def cmd_sets(args) -> int:
     [fld] = _distance.method_context(
         f, (cfg.s,), args.method, bank=_wavelet.filter_bank(cfg.wavelet_p), K=_k_or_none(cfg))
     A = fld.threshold(args.eps)
-    report = carleson_sup(A, (cfg.J_lo, min(cfg.J_hi, fld.J_max)), cfg.theta)
+    [report] = carleson_sup((A,), (cfg.J_lo, min(cfg.J_hi, fld.J_max)), cfg.theta)
     body = {
         "function": f.label, "n": cfg.n, "s": cfg.s, "method": args.method,
         "eps": args.eps, "cells": A.cell_count, "set": A.as_dict(),
@@ -243,9 +243,9 @@ def cmd_inclusion(args) -> int:
     # one source field serves the bisection and the probe
     [src] = _distance.method_context(f, (cfg.s,), args.source, bank=bank, K=_k_or_none(cfg))
     if args.eps is None:
-        est = _distance.epsilon_star(src, cfg.s, (cfg.J_lo, cfg.J_hi), cfg.theta)
-        _print_warnings([est])
-        eps = 0.5 * est.epsilon_star
+        ests = _distance.epsilon_star((src,), (cfg.s,), (cfg.J_lo, cfg.J_hi), cfg.theta)
+        _print_warnings(ests)
+        eps = 0.5 * ests[0].epsilon_star
     else:
         eps = args.eps
     # the target field is built after the bisection, whose sets are gone by then

@@ -2,8 +2,12 @@
 cross-method comparison, the hyperbolic inclusion probes, and the
 coefficient-truncation witness.
 
-The estimators take what they measure: a LevelField (method_context builds
+The estimators take what they measure: LevelFields (method_context builds
 one per s from a function) or, for the witness, the analysed wavelet table.
+epsilon_star takes a tuple of fields and a tuple of s, one s per field, and
+returns one estimate per field: epsilon_star((fld,), (s,), J_range)[0] for
+one field.  It bisects all of them in lockstep, so fields the caller already
+holds share each step's Carleson walk.
 
 For each method the critical threshold is the infimum of eps for which the
 eps-superlevel set stops looking like a Carleson-divergent set at desk scale.
@@ -30,7 +34,8 @@ import numpy as np
 from . import poisson as _poisson
 from . import secdiff as _secdiff
 from . import wavelet as _wavelet
-from .dyadic import LOG2, HalfSpaceSet, LevelField, carleson_sup, enlarge, threshold_set
+from .dyadic import (LOG2, CarlesonReport, HalfSpaceSet, LevelField, carleson_sup,
+                     enlarge, threshold_set)
 from .gridfn import GridFunction
 
 METHODS = ("secdiff", "wavelet", "poisson")
@@ -133,11 +138,80 @@ def _envelope_slope(fld: LevelField, J_range: tuple[int, int]) -> float | None:
     return float(np.polyfit(js, np.log2(env), 1)[0])
 
 
+class DistanceEstimates(tuple):
+    """epsilon_star's result: one DistanceEstimate per field, in order."""
+
+    @property
+    def trace(self) -> list[ProbeRecord]:
+        """The probes of every estimate, field by field: the call's whole
+        probe count is len(result.trace), as for a one-field estimate."""
+        return [p for est in self for p in est.trace]
+
+
+class _Bisection:
+    """One field's state in epsilon_star's lockstep bisection."""
+
+    def __init__(self, fld: LevelField, s: float, J_range: tuple[int, int]):
+        self.fld, self.s = fld, s
+        self.eps_hi = fld.max_value
+        self.lo, self.hi = 0.0, self.eps_hi
+        self.warnings: list[str] = []
+        self.trace: list[ProbeRecord] = []
+        # cell count -> report: the superlevel sets are nested, so a count
+        # names one set
+        self.reports: dict[int, CarlesonReport] = {}
+        # carleson_sup reads no level deeper than min(J_hi, J_max)
+        self.depth = max(min(int(J_range[1]), fld.J_max), 0)
+        self.certified = False
+        if self.eps_hi == 0.0:
+            self.warnings.append("trivial field: function has zero probe field")
+            return
+        decay = _envelope_slope(fld, J_range)
+        c2_rate = -(2.0 - s)
+        self.certified = decay is not None and decay <= C2_DECAY_KAPPA * c2_rate
+        if self.certified:
+            self.warnings.append(
+                f"C2-decay certificate: envelope slope {decay:.4f} per level, C2 rate "
+                f"-(2-s) = {c2_rate:.4f}; every superlevel set ends at finite depth, so no "
+                "probe diverges")
+
+    def record(self, eps: float, report: CarlesonReport, top: bool):
+        """Log the probe at eps and, below the top probe, move the bracket."""
+        rec = ProbeRecord(eps=eps, m_values=report.m_values, slope=report.slope,
+                          diverging=report.diverging and not self.certified)
+        self.trace.append(rec)
+        if top:
+            if rec.diverging:
+                self.warnings.append("set at eps_hi unexpectedly diverging")
+        elif rec.diverging:
+            self.lo = eps
+        else:
+            self.hi = eps
+
+    def estimate(self, J_range: tuple[int, int], theta: float,
+                 iterations: int) -> DistanceEstimate:
+        """The estimate; a trivial field, never probed, reads 0 throughout."""
+        fld, eps_hi, lo, hi = self.fld, self.eps_hi, self.lo, self.hi
+        by_eps = sorted(self.trace, key=lambda p: p.eps)
+        flags = [p.diverging for p in by_eps]
+        monotone = all(not (flags[i] and not flags[i - 1]) for i in range(1, len(flags)))
+        if not monotone:
+            self.warnings.append("divergence flags not monotone across the probe trace")
+        return DistanceEstimate(
+            method=fld.method, s=self.s, epsilon_star=0.5 * (lo + hi), bracket=(lo, hi),
+            iterations=iterations, theta=theta, J_range=tuple(J_range), J_max=fld.J_max,
+            eps_hi=eps_hi, resolution=eps_hi * 2.0**-iterations, collapsed=(lo == 0.0),
+            monotone=monotone, warnings=self.warnings, trace=self.trace,
+        )
+
+
 def epsilon_star(
-    fld: LevelField, s: float, J_range: tuple[int, int],
+    fields: tuple[LevelField, ...], s: tuple[float, ...], J_range: tuple[int, int],
     theta: float = 0.1, iterations: int = 20,
-) -> DistanceEstimate:
-    """Bisect for the smallest eps whose fld-superlevel set is not diverging.
+) -> DistanceEstimates:
+    """For each field, bisect for the smallest eps whose superlevel set is not
+    diverging, fields[i] judged at s[i]; one DistanceEstimate per field, in
+    order.
 
     The bracket invariant is: the set at the upper end never diverges, the
     lower end was observed diverging (or stayed at 0).  Divergence flags need
@@ -150,64 +224,37 @@ def epsilon_star(
     every probe reports diverging=False and eps0 collapses to the resolution;
     a warning names the fitted slope.  Without the certificate a range that
     stops above J_max keeps its finite-depth bias.
+
+    The bisections run in lockstep.  At each step the probe sets of all
+    fields with the same n and depth go through one carleson_sup call, whose
+    reports are bitwise those of one-set calls, so every estimate is bitwise
+    that of a one-field call.  A set that a field's bisection has already
+    walked is not walked again: its report is reused.
     """
+    if not isinstance(fields, tuple):
+        raise TypeError(f"fields must be a tuple of LevelFields, got {type(fields).__name__}")
+    s = _secdiff._s_values(s)
+    if len(s) != len(fields):
+        raise ValueError(f"{len(fields)} fields need as many s, got {len(s)}")
     if iterations < 0:
         raise ValueError(f"iterations={iterations} must be >= 0")
-    eps_hi = fld.max_value
-    warnings: list[str] = []
-    trace: list[ProbeRecord] = []
-
-    if eps_hi == 0.0:
-        return DistanceEstimate(
-            method=fld.method, s=s, epsilon_star=0.0, bracket=(0.0, 0.0),
-            iterations=iterations, theta=theta, J_range=tuple(J_range),
-            J_max=fld.J_max, eps_hi=0.0, resolution=0.0, collapsed=True,
-            monotone=True, warnings=["trivial field: function has zero probe field"],
-        )
-
-    decay = _envelope_slope(fld, J_range)
-    c2_rate = -(2.0 - s)
-    certified = decay is not None and decay <= C2_DECAY_KAPPA * c2_rate
-    if certified:
-        warnings.append(
-            f"C2-decay certificate: envelope slope {decay:.4f} per level, C2 rate "
-            f"-(2-s) = {c2_rate:.4f}; every superlevel set ends at finite depth, so no "
-            "probe diverges")
-
-    # carleson_sup reads no level deeper than min(J_hi, J_max)
-    depth = max(min(int(J_range[1]), fld.J_max), 0)
-
-    def probe(eps: float) -> ProbeRecord:
-        report = carleson_sup(threshold_set(fld.values, eps, fld.n, depth), J_range, theta)
-        rec = ProbeRecord(eps=eps, m_values=report.m_values, slope=report.slope,
-                          diverging=report.diverging and not certified)
-        trace.append(rec)
-        return rec
-
-    top = probe(eps_hi)
-    if top.diverging:
-        warnings.append("set at eps_hi unexpectedly diverging")
-    lo, hi = 0.0, eps_hi
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        if probe(mid).diverging:
-            lo = mid
-        else:
-            hi = mid
-
-    by_eps = sorted(trace, key=lambda p: p.eps)
-    flags = [p.diverging for p in by_eps]
-    monotone = all(not (flags[i] and not flags[i - 1]) for i in range(1, len(flags)))
-    if not monotone:
-        warnings.append("divergence flags not monotone across the probe trace")
-
-    resolution = eps_hi * 2.0**-iterations
-    return DistanceEstimate(
-        method=fld.method, s=s, epsilon_star=0.5 * (lo + hi), bracket=(lo, hi),
-        iterations=iterations, theta=theta, J_range=tuple(J_range), J_max=fld.J_max,
-        eps_hi=eps_hi, resolution=resolution, collapsed=(lo == 0.0),
-        monotone=monotone, warnings=warnings, trace=trace,
-    )
+    runs = [_Bisection(fld, t, J_range) for fld, t in zip(fields, s)]
+    live = [b for b in runs if b.eps_hi > 0.0]
+    for step in range(iterations + 1):
+        eps = [b.eps_hi if step == 0 else 0.5 * (b.lo + b.hi) for b in live]
+        sets = [threshold_set(b.fld.values, e, b.fld.n, b.depth) for b, e in zip(live, eps)]
+        counts = [A.cell_count for A in sets]
+        walks: dict[tuple[int, int], list] = {}
+        for b, A, count in zip(live, sets, counts):
+            if count not in b.reports:
+                walks.setdefault((A.n, A.J_max), []).append((b, count, A))
+        for group in walks.values():
+            reports = carleson_sup(tuple(A for _, _, A in group), J_range, theta)
+            for (b, count, _), report in zip(group, reports):
+                b.reports[count] = report
+        for b, e, count in zip(live, eps, counts):
+            b.record(e, b.reports[count], top=step == 0)
+    return DistanceEstimates(b.estimate(J_range, theta, iterations) for b in runs)
 
 
 @dataclass
@@ -242,8 +289,8 @@ def compare_methods(
     ratio is defined as 1 (the zero-zero convention).
     """
     estimates = {
-        m: epsilon_star(method_context(f, (s,), m, bank=bank, K=K)[0],
-                        s, J_range, theta, iterations)
+        m: epsilon_star(method_context(f, (s,), m, bank=bank, K=K),
+                        (s,), J_range, theta, iterations)[0]
         for m in METHODS
     }
     ratios: dict[str, float] = {}
@@ -379,7 +426,8 @@ def projection_distance_witness(
 
     depths = (0, coeffs.J_grid - 1)
     lhs = _wavelet.jbmo_box_sup(g, s, depths)
-    m = carleson_sup(T, depths, theta=0.1).m_values
+    [carleson] = carleson_sup((T,), depths, theta=0.1)
+    m = carleson.m_values
     per_depth = [(J, lhs[J], factor * m[J] / LOG2) for J in range(coeffs.J_grid)]
     box_ok = not any(l > r * (1.0 + 1e-12) + 1e-300 for _, l, r in per_depth)
     return WitnessReport(

@@ -6,6 +6,11 @@ T(Q) = Q x [l(Q)/2, l(Q)].  Against the measure dx dy / y it carries exactly
 |Q| * log 2, which makes the Carleson functional of any finite cell union an
 exact finite sum.  A set holds one (2^j,)^n mask per level j <= J_max, and
 entry idx of level j stands for the cell over the cube of that index.
+
+carleson_sup takes a tuple of sets that share n and J_max and returns one
+report per set, in order: carleson_sup((A,), J_range, theta)[0] for one set.
+The sets are walked side by side in one box_sup pass, and each report is
+bitwise that of a one-set call.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ class HalfSpaceSet:
 
     @property
     def cell_count(self) -> int:
-        return int(sum(m.sum() for m in self._masks.values()))
+        return sum(int(np.count_nonzero(m)) for m in self._masks.values())
 
     def is_empty(self) -> bool:
         return self.cell_count == 0
@@ -115,18 +120,23 @@ def box_sup(levels, n: int, rows: int) -> np.ndarray:
     level's block sums add row-first, and a row is bitwise what a rows=1 walk
     from its own top gives.  Given a generator, only two levels' tables are
     alive at a time.
+
+    own may carry leading axes ahead of its n cube axes, a stack of tables
+    walked side by side; the result then has shape (rows,) + those axes.
+    pool and the per-level max act on each table apart, so every entry is
+    bitwise what the walk of its table alone gives.
     """
-    best = np.zeros(rows)
-    acc = None
+    best = acc = None
     for j, own in levels:
         if acc is None:
             acc = np.empty((0,) + own.shape)
-        acc = pool(acc, np.add, (len(acc),) + (2**j,) * n) + own
+            best = np.zeros((rows,) + own.shape[:own.ndim - n])
+        acc = pool(acc, np.add, (len(acc),) + own.shape) + own
         if len(acc) < rows:
             acc = np.concatenate([acc, own[None]])
         open_rows = best[:len(acc)]
-        np.maximum(open_rows, acc.reshape(len(acc), -1).max(axis=1) * 2.0 ** (n * j),
-                   out=open_rows)
+        np.maximum(open_rows, acc.reshape(open_rows.shape + (-1,)).max(axis=-1)
+                   * 2.0 ** (n * j), out=open_rows)
     return best
 
 
@@ -166,17 +176,28 @@ class CarlesonReport:
     diverging: bool
 
 
-def carleson_sup(A: HalfSpaceSet, J_range: tuple[int, int], theta: float) -> CarlesonReport:
-    """M_J over a depth range, with the slope-based divergence flag.
+def carleson_sup(sets: tuple[HalfSpaceSet, ...], J_range: tuple[int, int],
+                 theta: float) -> tuple[CarlesonReport, ...]:
+    """M_J over a depth range, with the slope-based divergence flag, for each
+    of a tuple of sets sharing n and J_max; one report per set, in order.
 
-    Depths beyond A.J_max are allowed: truncation there already includes every
+    Depths beyond J_max are allowed: truncation there already includes every
     cell, so M_J continues with its final value.
 
-    All depths share one box_sup pass, one row per distinct truncation depth
-    top = min(J, A.J_max).  A level-j cell's mass is its volume 2^(-n j), so
-    in units of 2^(-n top) every partial sum is an integer below 2^53: the
-    sums are exact and their order is free.
+    All depths and all sets share one box_sup pass over the sets' stacked
+    masses, one row per distinct truncation depth top = min(J, J_max).  A
+    level-j cell's mass is its volume 2^(-n j), so in units of 2^(-n top)
+    every partial sum is an integer below 2^53: the sums are exact, their
+    order is free, and each report is bitwise that of a one-set call.
     """
+    if not isinstance(sets, tuple):
+        raise TypeError(f"sets must be a tuple of HalfSpaceSets, got {type(sets).__name__}")
+    if not sets:
+        raise ValueError("sets must hold at least one HalfSpaceSet")
+    n, J_max = sets[0].n, sets[0].J_max
+    if any((A.n, A.J_max) != (n, J_max) for A in sets):
+        raise ValueError("the sets must share n and J_max, got "
+                         f"{sorted({(A.n, A.J_max) for A in sets})} as (n, J_max)")
     j_lo, j_hi = int(J_range[0]), int(J_range[1])
     if j_lo < 0 or j_hi < j_lo:
         raise ValueError(f"empty or invalid depth range {J_range}")
@@ -185,26 +206,31 @@ def carleson_sup(A: HalfSpaceSet, J_range: tuple[int, int], theta: float) -> Car
     js = list(range(j_lo, j_hi + 1))
 
     # depths beyond J_max share the row of top = J_max
-    tops = [min(J, A.J_max) for J in js]
-    levels = ((j, A._masks[j] * 2.0 ** (-A.n * j)) for j in range(tops[-1], -1, -1))
-    best = box_sup(levels, A.n, tops[-1] - tops[0] + 1)
-    m_values = [float(best[tops[-1] - top]) * LOG2 for top in tops]
+    tops = [min(J, J_max) for J in js]
+
+    def mass(j: int) -> np.ndarray:
+        if len(sets) == 1:  # no set axis: a one-set call walks as it did alone
+            return sets[0]._masks[j] * 2.0 ** (-n * j)
+        return np.array([A._masks[j] for A in sets]) * 2.0 ** (-n * j)
+
+    rows = tops[-1] - tops[0] + 1
+    best = box_sup(((j, mass(j)) for j in range(tops[-1], -1, -1)), n, rows)
+    best = best.reshape(rows, len(sets))
 
     fit_j = js[len(js) // 2:]
     if len(fit_j) < 2:
         fit_j = js[-2:] if len(js) >= 2 else js
-    if len(fit_j) >= 2:
-        ys = [m_values[js.index(j)] for j in fit_j]
-        slope = float(np.polyfit(fit_j, ys, 1)[0])
-    else:
-        slope = 0.0
-    return CarlesonReport(
-        j_values=js,
-        m_values=m_values,
-        slope=slope,
-        theta=theta,
-        diverging=bool(slope > theta * LOG2),
-    )
+    reports = []
+    for i in range(len(sets)):
+        m_values = [float(best[tops[-1] - top, i]) * LOG2 for top in tops]
+        if len(fit_j) >= 2:
+            ys = [m_values[js.index(j)] for j in fit_j]
+            slope = float(np.polyfit(fit_j, ys, 1)[0])
+        else:
+            slope = 0.0
+        reports.append(CarlesonReport(j_values=list(js), m_values=m_values, slope=slope,
+                                      theta=theta, diverging=bool(slope > theta * LOG2)))
+    return tuple(reports)
 
 
 def cell_diameter_bound(n: int) -> float:

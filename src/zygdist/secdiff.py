@@ -229,6 +229,15 @@ class ContinuityReport:
     s: float
     ratios: np.ndarray  # per sample, 0 where the pair is not admissible
 
+    def __eq__(self, other) -> bool:
+        """Field by field; the ratios elementwise, where the generated
+        comparison raised for more than one sample."""
+        if not isinstance(other, ContinuityReport):
+            return NotImplemented
+        return ((self.max_ratio, self.pairs_used, self.sample_count, self.norm, self.s)
+                == (other.max_ratio, other.pairs_used, other.sample_count, other.norm, other.s)
+                and np.array_equal(self.ratios, other.ratios))
+
 
 def _pair_report(g1: np.ndarray, g2: np.ndarray, norm: float, distance: np.ndarray,
                  ok: np.ndarray, s: float) -> ContinuityReport:

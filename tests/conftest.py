@@ -44,6 +44,12 @@ def same_fields(a, b) -> bool:
             and all(same_bits(a.values[j], b.values[j]) for j in a.values))
 
 
+def same_carleson(a, b) -> bool:
+    """Two CarlesonReports agree in depths, flag and the bits of every value."""
+    return ((a.j_values, a.theta, a.diverging) == (b.j_values, b.theta, b.diverging)
+            and same_bits(a.m_values, b.m_values) and same_bits(a.slope, b.slope))
+
+
 def same_reports(a, b) -> bool:
     """Two ContinuityReports agree field by field, ratios included, bitwise."""
     return vars(a).keys() == vars(b).keys() and all(

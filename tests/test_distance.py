@@ -3,12 +3,12 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import BAD_S, BOTH_S, same_fields
+from conftest import BAD_S, BOTH_S, same_carleson, same_fields
 from zygdist import GridFunction, distance, parse_function_spec, synthesize
 from zygdist.distance import (C2_DECAY_KAPPA, METHODS, compare_methods,
                               epsilon_star, inclusion_probe, method_context,
                               projection_distance_witness)
-from zygdist.dyadic import LOG2, LevelField, carleson_sup
+from zygdist.dyadic import LOG2, LevelField, carleson_sup, threshold_set
 from zygdist.wavelet import (analyze, jbmo_box_sup, lip_wavelet_norm, scale_ratio_field,
                              truncate_projection)
 
@@ -23,7 +23,49 @@ def fields_weier(weier1_12):
 
 
 def estimate(f, s, method, J_range=J_RANGE):
-    return epsilon_star(method_context(f, (s,), method)[0], s, J_range, THETA)
+    return epsilon_star(method_context(f, (s,), method), (s,), J_range, THETA)[0]
+
+
+# grids of the lockstep check; over LOCKSTEP_RANGE their fields are read to
+# depths 10 and 11 (n=1 J=12: secdiff and Poisson, wavelet), 11 (n=1 J=14)
+# and 7 and 8 (n=2 J=9: secdiff and Poisson, wavelet)
+LOCKSTEP_GRIDS = [
+    (1, 12, "weierstrass s=1 levels=9 signs=plus"),
+    (1, 14, "sum weierstrass s=0.5 levels=12 seed=2 signs=random + trig k=3 a=0.5"),
+    (2, 9, "sum weierstrass s=1 levels=6 signs=plus + wavelet-atom l=3 j=3 k=2,5"),
+]
+LOCKSTEP_RANGE = (5, 11)
+
+
+@pytest.fixture(scope="module")
+def mixed_fields():
+    """Every method's fields at both s on each LOCKSTEP_GRIDS grid, the n=2
+    secdiff field capped at depth 6 and a zero field, shuffled; and their s."""
+    fields, s = [], []
+    for n, Jg, text in LOCKSTEP_GRIDS:
+        f = synthesize(parse_function_spec(text), n, Jg)
+        for m in METHODS:
+            fields += method_context(f, BOTH_S, m)
+            s += BOTH_S
+    fields += method_context(f, (0.5,), "secdiff", J_max=6)
+    fields += method_context(GridFunction(1, J, np.zeros(2**J)), (1.0,), "secdiff")
+    s += (0.5, 1.0)
+    order = np.random.default_rng(29).permutation(len(fields))
+    return tuple(fields[i] for i in order), tuple(s[i] for i in order)
+
+
+def spy_walks(monkeypatch):
+    """Wrap distance.carleson_sup; returns a list that gets, per call, its
+    sets, its other arguments and its reports."""
+    walks = []
+
+    def spy(sets, *args):
+        reports = carleson_sup(sets, *args)
+        walks.append((sets, args, reports))
+        return reports
+
+    monkeypatch.setattr(distance, "carleson_sup", spy)
+    return walks
 
 
 class TestMethodContext:
@@ -72,13 +114,13 @@ class TestMethodContext:
 class TestEpsilonStar:
     def test_weierstrass_separates(self, fields_weier):
         for m in METHODS:
-            est = epsilon_star(fields_weier[m], 1.0, J_RANGE, THETA)
+            est = epsilon_star((fields_weier[m],), (1.0,), J_RANGE, THETA)[0]
             assert est.epsilon_star > 0.05 * est.eps_hi
             assert not est.collapsed
             assert est.monotone
 
     def test_bracket_invariants(self, fields_weier):
-        est = epsilon_star(fields_weier["secdiff"], 1.0, J_RANGE, THETA)
+        est = epsilon_star((fields_weier["secdiff"],), (1.0,), J_RANGE, THETA)[0]
         lo, hi = est.bracket
         assert lo <= est.epsilon_star <= hi
         assert hi - lo <= est.eps_hi * 2.0**-est.iterations * (1 + 1e-12)
@@ -96,7 +138,7 @@ class TestEpsilonStar:
     def test_smooth_below_rough_under_every_method(self, fields_weier):
         trig = synthesize(parse_function_spec("sum trig k=1 a=1 + trig k=7 a=0.2"), 1, J)
         for m in METHODS:
-            rough = epsilon_star(fields_weier[m], 1.0, J_RANGE, THETA)
+            rough = epsilon_star((fields_weier[m],), (1.0,), J_RANGE, THETA)[0]
             smooth = estimate(trig, 1.0, m)
             assert smooth.epsilon_star / smooth.eps_hi < rough.epsilon_star / rough.eps_hi
 
@@ -117,7 +159,52 @@ class TestEpsilonStar:
     def test_negative_iterations_rejected(self, fields_weier):
         # -1 once returned the bracket (0, eps_hi) with a resolution of 2 eps_hi
         with pytest.raises(ValueError, match="iterations=-1 must be >= 0"):
-            epsilon_star(fields_weier["secdiff"], 1.0, J_RANGE, THETA, iterations=-1)
+            epsilon_star((fields_weier["secdiff"],), (1.0,), J_RANGE, THETA, iterations=-1)
+
+    def test_lockstep_matches_one_field_calls_bitwise(self, mixed_fields, monkeypatch):
+        fields, s = mixed_fields
+        walks = spy_walks(monkeypatch)
+        together = epsilon_star(fields, s, LOCKSTEP_RANGE, THETA)
+        monkeypatch.undo()
+        assert len(together) == len(fields)
+        assert {(fld.n, fld.method) for fld in fields} == {(n, m) for n in (1, 2) for m in METHODS}
+        # fields of one n and depth share each step's walk
+        assert max(len(sets) for sets, _, _ in walks) >= 8
+        assert len({(sets[0].n, sets[0].J_max) for sets, _, _ in walks}) >= 5
+        for fld, t, est in zip(fields, s, together):
+            alone = epsilon_star((fld,), (t,), LOCKSTEP_RANGE, THETA)[0]
+            assert est.as_dict() == alone.as_dict()
+        assert together.trace == [p for est in together for p in est.trace]
+        for sets, args, reports in walks:
+            for A, rep in zip(sets, reports):
+                assert same_carleson(rep, carleson_sup((A,), *args)[0])
+
+    def test_repeated_sets_not_walked_again(self, fields_weier, monkeypatch):
+        # the superlevel sets are nested, so a field walks one set per
+        # distinct cell count among its probes
+        fields = tuple(fields_weier[m] for m in METHODS)
+        walks = spy_walks(monkeypatch)
+        estimates = epsilon_star(fields, (1.0,) * len(fields), J_RANGE, THETA)
+        distinct = 0
+        for fld, est in zip(fields, estimates):
+            depth = min(J_RANGE[1], fld.J_max)
+            distinct += len({threshold_set(fld.values, p.eps, fld.n, depth).cell_count
+                             for p in est.trace})
+        assert sum(len(sets) for sets, _, _ in walks) == distinct
+        assert distinct < sum(len(est.trace) for est in estimates)
+
+    def test_inputs_checked(self, fields_weier):
+        fld = fields_weier["secdiff"]
+        for fields in (fld, [fld]):
+            with pytest.raises(TypeError, match="fields must be a tuple"):
+                epsilon_star(fields, (1.0,), J_RANGE, THETA)
+        with pytest.raises(TypeError, match="s must be a tuple"):
+            epsilon_star((fld,), 1.0, J_RANGE, THETA)
+        with pytest.raises(ValueError, match="2 fields need as many s, got 1"):
+            epsilon_star((fld, fld), (1.0,), J_RANGE, THETA)
+        for s in BAD_S:
+            with pytest.raises(ValueError, match="s must"):
+                epsilon_star((fld,) * len(s), s, J_RANGE, THETA)
 
     def test_zero_field_trivial(self):
         f = GridFunction(1, J, np.zeros(2**J))
@@ -131,7 +218,7 @@ class TestEpsilonStar:
         # full period, where the lacunary terms wrap and cancel), which is
         # what drives the divergence flag
         fld = fields_weier["secdiff"]
-        est = epsilon_star(fld, 1.0, J_RANGE, THETA)
+        est = epsilon_star((fld,), (1.0,), J_RANGE, THETA)[0]
         S = fld.threshold(0.5 * est.epsilon_star)
         for j in range(1, S.J_max + 1):
             assert S.mask(j).mean() >= 0.05
@@ -151,7 +238,7 @@ class TestC2DecayCertificate:
         s, J_max = 1.0, 10
         fld = LevelField("secdiff", 1, J_max, {
             j: np.full(2**j, 2.0 ** (-share * (2.0 - s) * j)) for j in range(J_max + 1)})
-        est = epsilon_star(fld, s, (6, 10), THETA)
+        est = epsilon_star((fld,), (s,), (6, 10), THETA)[0]
         assert _certified(est) is certified
         assert est.collapsed is certified
 
@@ -261,14 +348,14 @@ class TestInclusionProbe:
         assert rep.achieved == (1.0, 0.0)
 
     def test_wavelet_inside_enlarged_secdiff(self, fields_weier):
-        est = epsilon_star(fields_weier["wavelet"], 1.0, J_RANGE, THETA)
+        est = epsilon_star((fields_weier["wavelet"],), (1.0,), J_RANGE, THETA)[0]
         rep = inclusion_probe(fields_weier["wavelet"], fields_weier["secdiff"],
                               0.5 * est.epsilon_star, eta=0.99)
         assert rep.source_cells > 0
         assert rep.achieved is not None
 
     def test_fractions_monotone(self, fields_weier):
-        est = epsilon_star(fields_weier["secdiff"], 1.0, J_RANGE, THETA)
+        est = epsilon_star((fields_weier["secdiff"],), (1.0,), J_RANGE, THETA)[0]
         rep = inclusion_probe(fields_weier["secdiff"], fields_weier["poisson"],
                               0.5 * est.epsilon_star)
         mat = np.asarray(rep.fractions)  # rows: c descending; cols: R ascending
@@ -340,7 +427,7 @@ class TestProjectionWitness:
         T = ratio.threshold(eps)
         factor = (2**coeffs.n - 1) * ratio.max_value**2
         want = [(J, jbmo_box_sup(g, s, (J, J))[0],
-                 factor * carleson_sup(T, (J, J), theta=0.1).m_values[0] / LOG2)
+                 factor * carleson_sup((T,), (J, J), theta=0.1)[0].m_values[0] / LOG2)
                 for J in range(coeffs.J_grid)]
         assert np.array_equal(np.array(w.per_depth).view(np.int64),
                               np.array(want).view(np.int64))

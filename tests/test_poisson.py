@@ -497,7 +497,7 @@ class TestBuildD:
     def test_weierstrass_moderate_eps_diverges(self, weier1_12):
         field = derivative_field(weier1_12, (1.0,), J - 2)[0]
         D = field.threshold(0.2 * field.max_value)
-        assert carleson_sup(D, (4, J - 2), 0.1).diverging
+        assert carleson_sup((D,), (4, J - 2), 0.1)[0].diverging
 
     def test_scaling_covariance(self, weier1_12):
         lam, eps = 4.0, 2.5

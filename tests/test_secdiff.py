@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from conftest import BAD_S, BOTH_S, is_subset, same_bits, same_fields, spy_deal
 from zygdist import GridFunction, gridfn, parse_function_spec, synthesize
 import zygdist.secdiff as secdiff
 from zygdist.dyadic import carleson_sup
+from zygdist.poisson import lipschitz_check
 from zygdist.secdiff import (_d2_lattice, _d2_vector, _default_K, _directions,
                              continuity_check, holder_seminorm, second_diff_field)
 
@@ -262,7 +264,7 @@ class TestBuildS:
         med = float(np.median(np.concatenate([v.ravel() for v in field.values.values()])))
         S = field.threshold(0.5 * med)
         assert all(S.mask(jj).any() for jj in range(J - 1))  # every level occupied
-        assert carleson_sup(S, (4, J - 2), 0.1).diverging
+        assert carleson_sup((S,), (4, J - 2), 0.1)[0].diverging
 
     def test_too_deep_rejected(self, cos_12):
         with pytest.raises(ValueError):
@@ -363,3 +365,21 @@ class TestContinuity:
         rep = continuity_check(f, 1.0, 0, seed=3)
         assert (rep.max_ratio, rep.pairs_used, rep.sample_count) == (0.0, 0, 0)
         assert rep.ratios.shape == (0,)
+
+    def test_reports_compare_by_value(self, weier1_12):
+        # the generated dataclass comparison raised ValueError on the ratios
+        # array for any two reports with more than one sample
+        for check in (lambda seed: continuity_check(weier1_12, 1.0, 2000, seed=seed),
+                      lambda seed: lipschitz_check(weier1_12, (1.0,), 2000, seed=seed)[0]):
+            a, b, other = check(42), check(42), check(43)
+            assert a.ratios.size > 1
+            assert a == b
+            assert not a != b
+            assert a != other
+            assert not a == other
+            # a ratio below the max differs: every other field still agrees
+            changed = replace(a, ratios=a.ratios.copy())
+            changed.ratios[int(np.argmin(changed.ratios))] += 1e-3 * a.max_ratio
+            assert changed.max_ratio == a.max_ratio
+            assert changed != a
+        assert a != "not a report"

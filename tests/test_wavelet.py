@@ -436,7 +436,7 @@ class TestBuildT:
         floor = min(float(field.values[j].max()) for j in range(lacunary_top + 1))
         T = field.threshold(0.5 * floor)
         assert all(T.mask(j).any() for j in range(lacunary_top + 1))
-        assert carleson_sup(T, (4, lacunary_top), 0.1).diverging
+        assert carleson_sup((T,), (4, lacunary_top), 0.1)[0].diverging
 
 
 class TestTruncateProjection:
