@@ -66,8 +66,6 @@ def _load_config_file(path: str) -> dict:
 
 
 _CONFIG_KEYS = {fld.name for fld in dataclasses.fields(RunConfig)}
-_INT_FIELDS = {"n", "J_grid", "wavelet_p", "J_lo", "J_hi", "K"}
-_FLOAT_FIELDS = {"s", "theta"}
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -76,27 +74,17 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         for key, val in _load_config_file(args.config).items():
             if key not in _CONFIG_KEYS:
                 raise SpecError(f"unknown config key {key!r}")
-            if key in _INT_FIELDS:
-                setattr(cfg, key, int(val))
-            elif key in _FLOAT_FIELDS:
-                setattr(cfg, key, float(val))
-            else:
-                setattr(cfg, key, val)
-    for key in ("n", "s", "theta", "out"):
+            setattr(cfg, key, type(getattr(cfg, key))(val))  # the type of the default
+    # flags override the file; their dests are the config keys
+    for key in _CONFIG_KEYS:
         val = getattr(args, key, None)
         if val is not None:
             setattr(cfg, key, val)
-    if getattr(args, "jgrid", None) is not None:
-        cfg.J_grid = args.jgrid
-    if getattr(args, "wavelet_p", None) is not None:
-        cfg.wavelet_p = args.wavelet_p
     if getattr(args, "jrange", None) is not None:
         try:
             cfg.J_lo, cfg.J_hi = (int(v) for v in args.jrange.split(":"))
         except ValueError:
             raise SpecError(f"--jrange {args.jrange!r} must be two integers lo:hi") from None
-    if getattr(args, "K", None) is not None:
-        cfg.K = args.K
     if cfg.K < 0:
         raise SpecError(f"K={cfg.K} must be >= 0 (0 means the per-dimension default)")
     if not 0.0 < cfg.theta < math.inf:
@@ -285,7 +273,7 @@ def cmd_validate(args) -> int:
 
 def _add_shared(parser: argparse.ArgumentParser):
     parser.add_argument("--n", type=int, choices=(1, 2), default=None)
-    parser.add_argument("--jgrid", type=int, default=None)
+    parser.add_argument("--jgrid", dest="J_grid", type=int, default=None)
     parser.add_argument("--s", type=float, default=None)
     parser.add_argument("--wavelet-p", dest="wavelet_p", type=int, default=None)
     parser.add_argument("--theta", type=float, default=None)

@@ -45,6 +45,13 @@ METHODS = ("secdiff", "wavelet", "poisson")
 # ladders at most 0.5, flat fields (xlogx, Weierstrass) about 0.
 C2_DECAY_KAPPA = 0.75
 
+# Bisection steps after the probe at eps_hi: the bracket ends 2^-ITERATIONS
+# of eps_hi wide.
+ITERATIONS = 20
+
+# The band [1/BAND, BAND] the cross-method ratios of eps0 must lie in.
+BAND = 32.0
+
 
 def method_context(
     f: GridFunction, s: tuple[float, ...], method: str,
@@ -188,8 +195,7 @@ class _Bisection:
         else:
             self.hi = eps
 
-    def estimate(self, J_range: tuple[int, int], theta: float,
-                 iterations: int) -> DistanceEstimate:
+    def estimate(self, J_range: tuple[int, int], theta: float) -> DistanceEstimate:
         """The estimate; a trivial field, never probed, reads 0 throughout."""
         fld, eps_hi, lo, hi = self.fld, self.eps_hi, self.lo, self.hi
         by_eps = sorted(self.trace, key=lambda p: p.eps)
@@ -199,19 +205,19 @@ class _Bisection:
             self.warnings.append("divergence flags not monotone across the probe trace")
         return DistanceEstimate(
             method=fld.method, s=self.s, epsilon_star=0.5 * (lo + hi), bracket=(lo, hi),
-            iterations=iterations, theta=theta, J_range=tuple(J_range), J_max=fld.J_max,
-            eps_hi=eps_hi, resolution=eps_hi * 2.0**-iterations, collapsed=(lo == 0.0),
+            iterations=ITERATIONS, theta=theta, J_range=tuple(J_range), J_max=fld.J_max,
+            eps_hi=eps_hi, resolution=eps_hi * 2.0**-ITERATIONS, collapsed=(lo == 0.0),
             monotone=monotone, warnings=self.warnings, trace=self.trace,
         )
 
 
 def epsilon_star(
     fields: tuple[LevelField, ...], s: tuple[float, ...], J_range: tuple[int, int],
-    theta: float = 0.1, iterations: int = 20,
+    theta: float = 0.1,
 ) -> DistanceEstimates:
     """For each field, bisect for the smallest eps whose superlevel set is not
-    diverging, fields[i] judged at s[i]; one DistanceEstimate per field, in
-    order.
+    diverging, fields[i] judged at s[i], in ITERATIONS steps after the probe
+    at eps_hi; one DistanceEstimate per field, in order.
 
     The bracket invariant is: the set at the upper end never diverges, the
     lower end was observed diverging (or stayed at 0).  Divergence flags need
@@ -236,11 +242,9 @@ def epsilon_star(
     s = _secdiff._s_values(s)
     if len(s) != len(fields):
         raise ValueError(f"{len(fields)} fields need as many s, got {len(s)}")
-    if iterations < 0:
-        raise ValueError(f"iterations={iterations} must be >= 0")
     runs = [_Bisection(fld, t, J_range) for fld, t in zip(fields, s)]
     live = [b for b in runs if b.eps_hi > 0.0]
-    for step in range(iterations + 1):
+    for step in range(ITERATIONS + 1):
         eps = [b.eps_hi if step == 0 else 0.5 * (b.lo + b.hi) for b in live]
         sets = [threshold_set(b.fld.values, e, b.fld.n, b.depth) for b, e in zip(live, eps)]
         counts = [A.cell_count for A in sets]
@@ -254,7 +258,7 @@ def epsilon_star(
                 b.reports[count] = report
         for b, e, count in zip(live, eps, counts):
             b.record(e, b.reports[count], top=step == 0)
-    return DistanceEstimates(b.estimate(J_range, theta, iterations) for b in runs)
+    return DistanceEstimates(b.estimate(J_range, theta) for b in runs)
 
 
 @dataclass
@@ -279,18 +283,17 @@ class MethodComparison:
 
 def compare_methods(
     f: GridFunction, s: float, J_range: tuple[int, int], theta: float = 0.1,
-    band: float = 32.0, iterations: int = 20,
     bank: _wavelet.FilterBank | None = None, K: int | None = None,
 ) -> MethodComparison:
-    """Critical thresholds under all three constructions plus pairwise ratios;
-    each method's field is built and dropped before the next is built.
+    """Critical thresholds under all three constructions plus pairwise ratios,
+    flagging those outside [1/BAND, BAND]; each method's field is built and
+    dropped before the next is built.
 
     If both thresholds of a pair sit below their bisection resolution the
     ratio is defined as 1 (the zero-zero convention).
     """
     estimates = {
-        m: epsilon_star(method_context(f, (s,), m, bank=bank, K=K),
-                        (s,), J_range, theta, iterations)[0]
+        m: epsilon_star(method_context(f, (s,), m, bank=bank, K=K), (s,), J_range, theta)[0]
         for m in METHODS
     }
     ratios: dict[str, float] = {}
@@ -306,10 +309,10 @@ def compare_methods(
             else:
                 ratios[key] = ea.epsilon_star / eb.epsilon_star
             r = ratios[key]
-            if not (1.0 / band <= r <= band):
+            if not (1.0 / BAND <= r <= BAND):
                 flagged.append(key)
     return MethodComparison(
-        s=s, estimates=estimates, ratios=ratios, band=band,
+        s=s, estimates=estimates, ratios=ratios, band=BAND,
         within_band=not flagged, flagged=flagged,
     )
 

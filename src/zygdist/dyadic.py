@@ -51,9 +51,6 @@ class HalfSpaceSet:
     def cell_count(self) -> int:
         return sum(int(np.count_nonzero(m)) for m in self._masks.values())
 
-    def is_empty(self) -> bool:
-        return self.cell_count == 0
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, HalfSpaceSet) or self.n != other.n or self.J_max != other.J_max:
             return False
@@ -98,36 +95,35 @@ class LevelField:
     def threshold(self, eps: float) -> HalfSpaceSet:
         return threshold_set(self.values, eps, self.n, self.J_max)
 
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["level", "index", "value"])
-            for j in sorted(self.values):
-                for pos, val in enumerate(self.values[j].ravel()):
-                    writer.writerow([j, pos, repr(float(val))])
 
-
-def box_sup(levels, n: int, rows: int) -> np.ndarray:
+def box_sup(mass, n: int, J_range: tuple[int, int], J_max: int) -> np.ndarray:
     """sup over dyadic boxes Q of (1/|Q|) * (mass on the cubes under Q), at
-    each of the `rows` deepest truncation depths, in one bottom-up pass.
+    each truncation depth J of J_range, the mass taking levels <= J, in one
+    bottom-up pass; entry i of the result is depth J_range[0] + i.
 
-    levels yields (j, own) from the deepest level up, own holding the mass each
-    level-j cube carries itself.  Each of the first `rows` levels starts a row
-    of box sums truncated at it, and every level adds its own mass to each
-    open row after pooling the row into its parents.  Entry i of the result is
-    the sup of the row started by the i-th level yielded: entry 0 takes every
-    level.  The stack of rows is C-ordered whatever the layout of own, so each
-    level's block sums add row-first, and a row is bitwise what a rows=1 walk
-    from its own top gives.  Given a generator, only two levels' tables are
-    alive at a time.
+    mass(j) gives the mass each level-j cube carries itself, for j <= J_max.
+    Depths beyond J_max take every level, so they continue the value at
+    J_max.  mass is called once per level, from top = min(J_hi, J_max) down
+    to 0, so only two levels' tables are alive at a time.  Each distinct
+    truncation level starts a row of box sums, and every level adds its own
+    mass to each open row after pooling the row into its parents.  The stack
+    of rows is C-ordered whatever the layout of a table, so each level's
+    block sums add row-first, and a row is bitwise what a one-depth walk
+    from its own top gives.
 
-    own may carry leading axes ahead of its n cube axes, a stack of tables
-    walked side by side; the result then has shape (rows,) + those axes.
-    pool and the per-level max act on each table apart, so every entry is
-    bitwise what the walk of its table alone gives.
+    A table may carry leading axes ahead of its n cube axes, a stack of
+    tables walked side by side; the result then has shape (depths,) + those
+    axes.  pool and the per-level max act on each table apart, so every entry
+    is bitwise what the walk of its table alone gives.
     """
+    j_lo, j_hi = int(J_range[0]), int(J_range[1])
+    if j_lo < 0 or j_hi < j_lo:
+        raise ValueError(f"empty or invalid depth range {J_range}")
+    tops = [min(J, J_max) for J in range(j_lo, j_hi + 1)]
+    rows = tops[-1] - tops[0] + 1
     best = acc = None
-    for j, own in levels:
+    for j in range(tops[-1], -1, -1):
+        own = mass(j)
         if acc is None:
             acc = np.empty((0,) + own.shape)
             best = np.zeros((rows,) + own.shape[:own.ndim - n])
@@ -137,7 +133,7 @@ def box_sup(levels, n: int, rows: int) -> np.ndarray:
         open_rows = best[:len(acc)]
         np.maximum(open_rows, acc.reshape(open_rows.shape + (-1,)).max(axis=-1)
                    * 2.0 ** (n * j), out=open_rows)
-    return best
+    return best[[tops[-1] - top for top in tops]]
 
 
 def pool(arr: np.ndarray, op, cells) -> np.ndarray:
@@ -198,31 +194,18 @@ def carleson_sup(sets: tuple[HalfSpaceSet, ...], J_range: tuple[int, int],
     if any((A.n, A.J_max) != (n, J_max) for A in sets):
         raise ValueError("the sets must share n and J_max, got "
                          f"{sorted({(A.n, A.J_max) for A in sets})} as (n, J_max)")
-    j_lo, j_hi = int(J_range[0]), int(J_range[1])
-    if j_lo < 0 or j_hi < j_lo:
-        raise ValueError(f"empty or invalid depth range {J_range}")
     if not 0.0 < theta < math.inf:
         raise ValueError(f"theta={theta} must be finite and > 0")
-    js = list(range(j_lo, j_hi + 1))
-
-    # depths beyond J_max share the row of top = J_max
-    tops = [min(J, J_max) for J in js]
-
-    def mass(j: int) -> np.ndarray:
-        if len(sets) == 1:  # no set axis: a one-set call walks as it did alone
-            return sets[0]._masks[j] * 2.0 ** (-n * j)
-        return np.array([A._masks[j] for A in sets]) * 2.0 ** (-n * j)
-
-    rows = tops[-1] - tops[0] + 1
-    best = box_sup(((j, mass(j)) for j in range(tops[-1], -1, -1)), n, rows)
-    best = best.reshape(rows, len(sets))
+    best = box_sup(lambda j: np.array([A._masks[j] for A in sets]) * 2.0 ** (-n * j),
+                   n, J_range, J_max)
+    js = list(range(int(J_range[0]), int(J_range[1]) + 1))
 
     fit_j = js[len(js) // 2:]
     if len(fit_j) < 2:
         fit_j = js[-2:] if len(js) >= 2 else js
     reports = []
     for i in range(len(sets)):
-        m_values = [float(best[tops[-1] - top, i]) * LOG2 for top in tops]
+        m_values = [float(m) * LOG2 for m in best[:, i]]
         if len(fit_j) >= 2:
             ys = [m_values[js.index(j)] for j in fit_j]
             slope = float(np.polyfit(fit_j, ys, 1)[0])

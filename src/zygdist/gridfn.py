@@ -528,8 +528,7 @@ def sup_norm(f: GridFunction) -> float:
     return float(np.max(np.abs(f.samples)))
 
 
-def corpus(n: int = 1, J_grid: int = 12) -> list[GridFunction]:
-    """The shipped reference corpus, synthesized at the requested depth."""
-    if n != 1:
-        raise ValueError("the shipped corpus is one-dimensional")
-    return [synthesize(parse_function_spec(text), n, J_grid) for text in CORPUS_SPECS]
+def corpus(J_grid: int = 12) -> list[GridFunction]:
+    """The shipped one-dimensional reference corpus, synthesized at the
+    requested depth."""
+    return [synthesize(parse_function_spec(text), 1, J_grid) for text in CORPUS_SPECS]

@@ -12,17 +12,17 @@ with M/2 >= K, capped at min(N, 2^14) so that every inverse is cache-sized.
 A height within the cap keeps its first K entries, one segment of the
 spectrum; on grids of at most 2^14 points per axis (every n=2 grid) any other
 height is one full-length inverse (L = 1), and on larger n=1 grids it sums L
-segments of M entries into each phase (Bailey's four-step transform), L = 2
-being the even/odd fold.  Only exact zeros are dropped, so the phases change
-roundoff alone: each level of a field stays within 1e-12 of its maximum of
-one full-length inverse per height.  The decay is evaluated on the rows
-k1 >= 0 only, and the inverses are taken in blocks of rows (n=2) or phases
-(n=1) of an eighth of the grid (up to 2^16 points, all of it), each pooled
-as it is made.  On grids of at least 2^16 points two threads share the work
-(gridfn._deal), as they share the Bessel lift of jbmo_direct_norm and the
-probes of secdiff.holder_seminorm: at n=1 each takes whole heights in its
-own spectrum buffer and scratch; at n=2 the heights run one at a time in
-one spectrum buffer, and the threads share each height's stages.  The
+segments of M entries into each phase (Bailey's four-step transform).  Only
+exact zeros are dropped, so the phases change roundoff alone: each level of
+a field stays within 1e-12 of its maximum of one full-length inverse per
+height.  The decay is evaluated on the rows k1 >= 0 only, and the inverses
+are taken in blocks of rows (n=2) or phases (n=1) of an eighth of the grid
+(up to 2^16 points, all of it), each pooled as it is made.  On grids of at
+least 2^16 points two threads share the work (gridfn._deal), as they share
+the Bessel lift of jbmo_direct_norm and the probes of
+secdiff.holder_seminorm: at n=1 each takes whole heights in its own
+spectrum buffer and scratch; at n=2 the heights run one at a time in one
+spectrum buffer, and the threads share each height's stages.  The
 results do not depend on the schedule.
 second_diff_field, bmo_norm and synthesis run on the calling thread alone.
 Fields are restricted to y <= 1; the lowest frequencies dominate above
@@ -123,10 +123,9 @@ def _extension_blocks(f: GridFunction, heights, d2y: bool, consume):
     Otherwise (n=1 grids above 2^14 points) M = Ms, and phase p is the
     inverse transform over m of the segments, times exp(2 pi i k p / N), one
     factor per bit h of p (the four-step transform); only the segments
-    holding a nonzero decay are evaluated, the others are zero.  Ls = 2 is
-    the even/odd fold: phase 0 is T[0] + T[1] and phase 1 (T[0] - T[1])
-    exp(2 pi i k / N).  The decay exp(-w y) is evaluated on rows k1 = 0..N/2
-    only: w is even in k1, and rows k1 < 0 read it reversed.
+    holding a nonzero decay are evaluated, the others are zero.  The decay
+    exp(-w y) is evaluated on rows k1 = 0..N/2 only: w is even in k1, and
+    rows k1 < 0 read it reversed.
 
     Each height runs in a spectrum buffer (its phases) and a scratch, both
     allocated here on the calling thread, in three stages: the seeding (the
@@ -201,9 +200,9 @@ def _extension_blocks(f: GridFunction, heights, d2y: bool, consume):
     shared = n == 2  # the heights share one buffer set, else each thread holds one
     slots = shares if shared else 1  # inverse blocks per buffer set
     points = max(N**n // 8, min(N**n, _BLOCK_POINTS) // shares, Ms)  # per inverse block
-    # the scratch holds the decay of the rows k1 = 0..N/2, then the fold's
-    # difference or a height's stage twiddles (one row of K entries per
-    # stage), then the inverse blocks, in whole complex entries
+    # the scratch holds the decay of the rows k1 = 0..N/2, then a height's
+    # stage twiddles (one row of K entries per stage), then the inverse
+    # blocks, in whole complex entries
     twiddles = max((K * ((L // seeds).bit_length() - 1) for K, L, seeds, _ in layouts), default=0)
     size = max(slots * points // 2, -(-wrows // 2) * half, twiddles)
 
@@ -235,12 +234,7 @@ def _extension_blocks(f: GridFunction, heights, d2y: bool, consume):
         # by halves of whole rows: on column halves numpy copies short strided
         # rows through buffers, and two threads were no faster than one
         deal(seed, [(0, wrows // 2), (wrows // 2, wrows)] if shared and wrows > 1 else [(0, wrows)])
-        if seeds == 2:  # the ifft and twiddle below, bitwise, at a fifth of the ifft cost
-            diff = scratch[:K].reshape(1, K)  # phase 1 before its twiddle
-            np.subtract(phases[0], phases[1], out=diff)
-            phases[0] += phases[1]
-            np.multiply(diff, bits[0][1], out=phases[1])
-        elif L > Ls and seeds == 1:
+        if L > Ls and seeds == 1:
             phases[0] *= Ls / L  # the table carries 1/Ls; length N / L needs 1/L
         # exp(2 pi i k h / N) for the phases h..2h-1, made from 0..h-1
         stages = []
@@ -252,7 +246,7 @@ def _extension_blocks(f: GridFunction, heights, d2y: bool, consume):
         def columns(share):
             for c in share:
                 part = phases[..., c]
-                if seeds > 2:  # sum over the segments, then each phase's twiddle
+                if seeds > 1:  # sum over the segments, then each phase's twiddle
                     np.fft.ifft(part, axis=0, norm="forward", out=part)
                     for h, tw in bits:
                         part.reshape((L // (2 * h), 2, h) + part.shape[1:])[:, 1] *= tw[c]
@@ -378,12 +372,10 @@ def derivative_field(f: GridFunction, s: tuple[float, ...], J_max: int) -> tuple
     return tuple(LevelField("poisson", f.n, J_max, values) for values in tables)
 
 
-def holder_poisson_norm(f: GridFunction, s: tuple[float, ...],
-                        J_max: int | None = None) -> tuple[float, ...]:
-    """sup|f| + max over Whitney probe points of y^(2-s) |d2y u|, per entry of s."""
-    if J_max is None:
-        J_max = f.J_grid - _DEFAULT_FIELD_MARGIN
-    fields = derivative_field(f, s, J_max)
+def holder_poisson_norm(f: GridFunction, s: tuple[float, ...]) -> tuple[float, ...]:
+    """sup|f| + max over Whitney probe points of y^(2-s) |d2y u| on levels up
+    to J_grid - 2, per entry of s."""
+    fields = derivative_field(f, s, f.J_grid - _DEFAULT_FIELD_MARGIN)
     sup = sup_norm(f)
     return tuple(sup + field.max_value for field in fields)
 

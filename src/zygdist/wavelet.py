@@ -158,12 +158,6 @@ class WaveletCoefficients:
         c = {j: np.zeros(cls.level_shape(n, j)) for j in range(J_grid)}
         return cls(n=n, J_grid=J_grid, d=0.0, c=c)
 
-    def copy(self) -> "WaveletCoefficients":
-        return WaveletCoefficients(
-            n=self.n, J_grid=self.J_grid, d=self.d,
-            c={j: a.copy() for j, a in self.c.items()},
-        )
-
     def sup_abs(self, j: int) -> np.ndarray:
         """Per-cube sup over orientations of |c|."""
         return functools.reduce(np.maximum, map(np.abs, self.c[j]))
@@ -299,16 +293,10 @@ def jbmo_box_sup(coeffs: WaveletCoefficients, s: float,
     each truncation depth J of J_range, the sum taking coefficient levels
     <= J.  As in carleson_sup, depths beyond the deepest level J_grid - 1
     continue its value, and one box_sup pass serves every depth."""
-    lo, hi = int(J_range[0]), int(J_range[1])
-    if lo < 0 or hi < lo:
-        raise ValueError(f"empty or invalid depth range {J_range}")
     if not 0.0 < s <= 1.0:
         raise ValueError("s must lie in (0, 1]")
-    tops = [min(J, coeffs.J_grid - 1) for J in range(lo, hi + 1)]
-    levels = ((j, 4.0 ** (j * s) * (coeffs.c[j] ** 2).sum(axis=0))
-              for j in range(tops[-1], -1, -1))
-    best = box_sup(levels, coeffs.n, tops[-1] - tops[0] + 1)
-    return [float(best[tops[-1] - top]) for top in tops]
+    return box_sup(lambda j: 4.0 ** (j * s) * (coeffs.c[j] ** 2).sum(axis=0),
+                   coeffs.n, J_range, coeffs.J_grid - 1).tolist()
 
 
 def jbmo_wavelet_norm(coeffs: WaveletCoefficients, s: float) -> float:

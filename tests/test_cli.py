@@ -151,6 +151,22 @@ class TestSeminorms:
             order.remove("zygmund_seminorm")
         assert [row.split(",")[0] for row in rows[1:]] == order
 
+    def test_wavelet_p_reaches_the_report(self, tmp_path):
+        argv = ["seminorms", "--spec", "weierstrass s=1 levels=6 signs=plus", "--jgrid", "8"]
+        assert run(argv + ["--out", str(tmp_path / "p8")]) == EXIT_OK
+        assert run(argv + ["--wavelet-p", "4", "--out", str(tmp_path / "p4")]) == EXIT_OK
+        _, p8 = load_report(tmp_path / "p8", "seminorms")
+        _, p4 = load_report(tmp_path / "p4", "seminorms")
+        assert (p8["config"]["wavelet_p"], p4["config"]["wavelet_p"]) == (8, 4)
+        assert p4["norms"]["wavelet_lip"] != p8["norms"]["wavelet_lip"]
+
+    def test_unsupported_wavelet_p_rejected(self, tmp_path, capsys):
+        code = run(["seminorms", "--spec", "trig k=1 a=1", "--jgrid", "8",
+                    "--wavelet-p", "11", "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert "p=11" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_version_enters_content_hash(self, monkeypatch):
         cfg = RunConfig()
         before = _content_hash(cfg, "trig k=1 a=1", None)
@@ -410,6 +426,24 @@ class TestConfigFile:
         # one level, and a J_hi deeper than every field (J_max = 6 at --jgrid 8)
         assert run(["distance", "--spec", "weierstrass s=1 levels=6 signs=plus", "--jgrid", "8",
                     "--jrange", jrange, "--out", str(tmp_path)]) == EXIT_OK
+
+    def test_blank_and_comment_lines_skipped(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# J_grid = 9\n\n   \nJ_grid = 8\n  # s\n")
+        code = run(["seminorms", "--spec", "trig k=1 a=1", "--config", str(cfg),
+                    "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        _, rep = load_report(tmp_path, "seminorms")
+        assert rep["config"]["J_grid"] == 8
+
+    def test_line_without_equals_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("J_grid = 8\n# a comment\nJ_grid 9\n")
+        code = run(["seminorms", "--spec", "trig k=1 a=1", "--config", str(cfg),
+                    "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert f"{cfg}:3: expected key=value" in capsys.readouterr().err
+        assert not list(tmp_path.glob("seminorms_*"))
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -156,11 +156,6 @@ class TestEpsilonStar:
         scaled = estimate(weier1_12.scaled(lam), 1.0, "secdiff")
         assert scaled.epsilon_star == lam * base.epsilon_star
 
-    def test_negative_iterations_rejected(self, fields_weier):
-        # -1 once returned the bracket (0, eps_hi) with a resolution of 2 eps_hi
-        with pytest.raises(ValueError, match="iterations=-1 must be >= 0"):
-            epsilon_star((fields_weier["secdiff"],), (1.0,), J_RANGE, THETA, iterations=-1)
-
     def test_lockstep_matches_one_field_calls_bitwise(self, mixed_fields, monkeypatch):
         fields, s = mixed_fields
         walks = spy_walks(monkeypatch)

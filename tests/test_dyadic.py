@@ -243,8 +243,8 @@ class TestCarlesonSup:
         mass = [rng.random((2**j,) * n) * 2.0 ** (-n * j) for j in range(J_max + 1)]
         transposed = [m.T.copy().T for m in mass]
 
-        def walk(tables, top, rows):
-            return box_sup(((j, tables[j]) for j in range(top, -1, -1)), n, rows)
+        def walk(tables, top, rows):  # entry i is depth top - i
+            return box_sup(tables.__getitem__, n, (top - rows + 1, top), top)[::-1]
 
         stacked = walk(mass, J_max, rows)
         one_row = np.array([walk(mass, J_max - i, 1)[0] for i in range(rows)])
@@ -259,10 +259,11 @@ class TestCarlesonSup:
         rng = np.random.default_rng([n, J_max, len(lead)])
         mass = [rng.random(lead + (2**j,) * n) * 2.0 ** (-n * j) for j in range(J_max + 1)]
         rows = 4
-        got = box_sup(((j, mass[j]) for j in range(J_max, -1, -1)), n, rows)
+        depths = (J_max - rows + 1, J_max)
+        got = box_sup(mass.__getitem__, n, depths, J_max)
         assert got.shape == (rows,) + lead
         for idx in np.ndindex(*lead):
-            want = box_sup(((j, mass[j][idx]) for j in range(J_max, -1, -1)), n, rows)
+            want = box_sup(lambda j: mass[j][idx], n, depths, J_max)
             assert np.array_equal(got[(slice(None),) + idx].view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("n,J_max", [(1, 10), (2, 5)])

@@ -401,7 +401,7 @@ class TestSpectral:
 
     def test_corpus_parseval_and_roundtrip(self):
         from zygdist import corpus
-        for f in corpus(1, 12):
+        for f in corpus(12):
             lhs = float((f.samples**2).mean())
             for r in (0.0, 1.0):
                 rhs = _half_energy(f, r)

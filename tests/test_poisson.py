@@ -32,7 +32,7 @@ ORACLE_CASES = [
     (1, 12, "lacunary-random s=0.5 levels=9 seed=3"),
     # 2^16 points: the field's heights run on two threads
     (1, 16, "weierstrass s=1 levels=13 signs=plus"),
-    # energy at k = N/4, which the fold twiddles apart from its rows of 2^12 columns
+    # energy at k = N/4, the first column past the fine twiddle table of 2^12 entries
     (1, 14, "sum weierstrass s=1 levels=11 signs=plus + trig k=4096 a=0.5"),
     (2, 8, "sum weierstrass s=1 levels=5 signs=plus + wavelet-atom l=3 j=3 k=2,5"),
 ]
@@ -40,7 +40,7 @@ ORACLE_CASES = [
 # per height (L segments of the spectrum summed where the decay is nonzero
 # beyond M/2 last-axis entries) against one full-length inverse real transform
 # per height, relative to each level's maximum; measured at most 6e-16 at n=1
-# J=20 and 4e-16 at J=17, as the even/odd fold did
+# J=20 and 4e-16 at J=17
 HALF_LENGTH_RTOL = 1e-12
 # tracemalloc peak of derivative_field at n=1 J_grid=20 J_max=18 on two
 # threads, each holding a spectrum buffer and a scratch of an eighth grid:
@@ -251,6 +251,8 @@ class TestHalfSpectrumTolerance:
 
 class TestHalfLengthTransforms:
     @pytest.mark.parametrize("n,Jg,text", [
+        # 2^15 points: the segment heights sum L = 2 segments of 2^14 entries
+        (1, 15, "weierstrass s=1 levels=12 signs=plus"),
         (1, 16, "weierstrass s=1 levels=13 signs=plus"),
         (2, 9, "sum weierstrass s=1 levels=6 signs=plus + wavelet-atom l=3 j=3 k=2,5"),
         # the benchmark's grid: heights of one full-length inverse in row blocks
@@ -416,6 +418,27 @@ class TestPhaseSplit:
             eps = c * field.max_value
             assert field.threshold(eps) == oracle.threshold(eps)
 
+    @pytest.mark.parametrize("y", [2.0, 4.0])
+    def test_coarse_twiddles_match_closed_form(self, y, monkeypatch):
+        # N = 2^20 and y >= 2 keep K <= 64 entries, so L >= 2^13 phases, and
+        # the stage twiddles of steps >= 2^12 read the coarse table alone.
+        # d2y, not u: u's undamped k = 0 mode carries the mean's roundoff,
+        # which at y = 4 is not small against the e^(-8 pi) amplitude
+        coarse, stage = [], poisson._stage_twiddle
+
+        def spy(step, K, fine, shifts, out):
+            coarse.append(step >= fine.size)
+            return stage(step, K, fine, shifts, out)
+
+        monkeypatch.setattr(poisson, "_stage_twiddle", spy)
+        x = np.arange(2**20) / 2**20
+        f = GridFunction(1, 20, np.cos(2 * np.pi * 3 * x) + 0.5 * np.sin(2 * np.pi * x))
+        want = ((6 * np.pi) ** 2 * np.exp(-6 * np.pi * y) * np.cos(6 * np.pi * x)
+                + 0.5 * (2 * np.pi) ** 2 * np.exp(-2 * np.pi * y) * np.sin(2 * np.pi * x))
+        got = d2y_extension(f, y).samples
+        assert any(coarse)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
     def test_limit_grid_memory(self, limit_field):
         # every height's arrays live in the two buffers each thread allocates once
         assert limit_field[2] <= (LIMIT_FIELD_PEAK_MIB + LIMIT_FIELD_PEAK_SLACK_MIB) * 2**20
@@ -473,20 +496,19 @@ class TestBuildD:
 
     @pytest.mark.parametrize("J_max", [J + 1, -1, -3])
     def test_jmax_guard(self, cos_12, J_max):
-        # a negative J_max once gave an empty field, so the norm read sup|f| alone
-        for build in (derivative_field, holder_poisson_norm):
-            with pytest.raises(ValueError, match=r"outside \[0, 12\]"):
-                build(cos_12, (1.0,), J_max)
+        # a negative J_max once gave an empty field
+        with pytest.raises(ValueError, match=r"outside \[0, 12\]"):
+            derivative_field(cos_12, (1.0,), J_max)
 
     def test_constant_empty_for_positive_eps(self):
         f = GridFunction(1, J, np.full(N, 2.0))
         field = derivative_field(f, (1.0,), J - 2)[0]
         for eps in (0.0, 0.01, 1.0):
-            assert field.threshold(eps).is_empty()
+            assert field.threshold(eps).cell_count == 0
 
     def test_empty_above_field_max(self, weier1_12):
         field = derivative_field(weier1_12, (1.0,), J - 2)[0]
-        assert field.threshold(field.max_value).is_empty()
+        assert field.threshold(field.max_value).cell_count == 0
 
     def test_monotone_in_eps(self, weier1_12):
         field = derivative_field(weier1_12, (1.0,), J - 2)[0]

@@ -243,7 +243,7 @@ class TestBuildS:
     def test_empty_above_field_max(self, cos_12):
         field = second_diff_field(cos_12, (1.0,), J - 2)[0]
         S = field.threshold(field.max_value)
-        assert S.is_empty()
+        assert S.cell_count == 0
 
     def test_monotone_decreasing_in_eps(self, weier1_12):
         field = second_diff_field(weier1_12, (1.0,), J - 2)[0]
@@ -275,14 +275,6 @@ class TestBuildS:
         # a negative J_max once gave an empty field, whose max_value is 0.0
         with pytest.raises(ValueError, match=r"outside \[0, J_grid-2=10\]"):
             second_diff_field(cos_12, (1.0,), J_max)
-
-    def test_field_csv(self, tmp_path, cos_12):
-        field = second_diff_field(cos_12, (1.0,), 3)[0]
-        path = tmp_path / "field.csv"
-        field.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "level,index,value"
-        assert len(lines) == 1 + sum(2**jj for jj in range(4))
 
 
 class TestSeveralS:
