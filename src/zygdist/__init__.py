@@ -3,12 +3,11 @@ the torus to the bmo-Sobolev subspace, measured three equivalent ways:
 maximal second differences, wavelet coefficient thresholds, and hyperbolic
 derivatives of the Poisson extension."""
 
-__version__ = "0.2.2"  # part of every report's content hash
+__version__ = "0.2.3"  # part of every report's content hash
 
-from .dyadic import (CarlesonReport, HalfSpaceSet, LevelField, carleson_sup,
-                     enlarge)
+from .dyadic import HalfSpaceSet, LevelField, carleson_sup, enlarge
 from .distance import (DistanceEstimate, InclusionReport, MethodComparison,
-                       compare_methods, epsilon_star, inclusion_probe,
+                       compare_methods, divergence, epsilon_star, inclusion_probe,
                        projection_distance_witness)
 from .gridfn import (CORPUS_SPECS, FunctionSpec, GridFunction, SpecError,
                      bessel_lift, corpus, parse_function_spec, sup_norm,

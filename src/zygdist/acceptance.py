@@ -62,9 +62,10 @@ def criterion_1(theta: float = THETA) -> CriterionResult:
     failures = []
     J_top = 14
     stack = HalfSpaceSet.full_stack(1, J_top)
-    [report] = carleson_sup((stack,), (0, J_top), theta)
+    m_values = carleson_sup((stack,), (0, J_top))
+    [(slope, diverging)] = _distance.divergence(m_values, (0, J_top), theta)
     worst = 0.0
-    for J, m in zip(report.j_values, report.m_values):
+    for J, m in enumerate(m_values[:, 0].tolist()):
         err = abs(m - (J + 1) * LOG2)
         worst = max(worst, err)
         if err > 1e-12:
@@ -72,10 +73,10 @@ def criterion_1(theta: float = THETA) -> CriterionResult:
     dt = time.perf_counter() - t0
     if dt >= 1.0:
         failures.append(f"runtime {dt:.2f}s >= 1s")
-    if not report.diverging:
+    if not diverging:
         failures.append("full stack not flagged diverging")
     return CriterionResult(1, "carleson-exactness", not failures, dt,
-                           {"worst_error": worst, "slope_over_log2": report.slope / LOG2},
+                           {"worst_error": worst, "slope_over_log2": slope / LOG2},
                            failures)
 
 
@@ -348,8 +349,8 @@ def criterion_8(theta: float = THETA) -> CriterionResult:
         for tag, eps in (("div", eps_div), ("sat", eps_sat)):
             A = fld.threshold(eps)
             # the set and its enlargements in one stacked walk
-            base, *after = (rep.diverging for rep in carleson_sup(
-                (A,) + tuple(enlarge(A, R) for R in R_values), J_range, theta))
+            m_values = carleson_sup((A,) + tuple(enlarge(A, R) for R in R_values), J_range)
+            base, *after = (flag for _, flag in _distance.divergence(m_values, J_range, theta))
             flips = [R for R, flag in zip(R_values, after) if flag != base]
             per_fn[f"{label} [{tag}]"] = {"base": base, "flips": flips,
                                           "cells": A.cell_count}

@@ -194,12 +194,14 @@ def cmd_sets(args) -> int:
     [fld] = _distance.method_context(
         f, (cfg.s,), args.method, bank=_wavelet.filter_bank(cfg.wavelet_p), K=_k_or_none(cfg))
     A = fld.threshold(args.eps)
-    [report] = carleson_sup((A,), (cfg.J_lo, min(cfg.J_hi, fld.J_max)), cfg.theta)
+    J_range = (cfg.J_lo, cfg.J_hi)
+    m_values = carleson_sup((A,), J_range)
+    [(slope, diverging)] = _distance.divergence(m_values, J_range, cfg.theta)
     body = {
         "function": f.label, "n": cfg.n, "s": cfg.s, "method": args.method,
         "eps": args.eps, "cells": A.cell_count, "set": A.as_dict(),
-        "carleson": {"J": report.j_values, "M_J": report.m_values,
-                     "slope": report.slope, "diverging": report.diverging},
+        "carleson": {"J": list(range(cfg.J_lo, cfg.J_hi + 1)), "M_J": m_values[:, 0].tolist(),
+                     "slope": slope, "diverging": diverging},
     }
     path = _emit_json(cfg, "sets", body, args.spec, f,
                       {"method": args.method, "eps": args.eps})

@@ -13,7 +13,8 @@ For each method the critical threshold is the infimum of eps for which the
 eps-superlevel set stops looking like a Carleson-divergent set at desk scale.
 It is bracketed by bisection on [0, eps_hi], where eps_hi is the method's own
 probe-field maximum (LevelField.max_value), so the set at eps_hi is empty by
-construction.
+construction.  dyadic.carleson_sup gives a set's M_J; divergence is the one
+place that judges from M_J whether the set diverges.
 
 A C^2 function has |Delta^2_h f| <= ||f''|| |h|^2, so its probe field (any of
 the three) is of size about y^(2-s): every superlevel set at eps > 0 is a
@@ -34,8 +35,7 @@ import numpy as np
 from . import poisson as _poisson
 from . import secdiff as _secdiff
 from . import wavelet as _wavelet
-from .dyadic import (LOG2, CarlesonReport, HalfSpaceSet, LevelField, carleson_sup,
-                     enlarge, threshold_set)
+from .dyadic import LOG2, HalfSpaceSet, LevelField, carleson_sup, enlarge, threshold_set
 from .gridfn import GridFunction
 
 METHODS = ("secdiff", "wavelet", "poisson")
@@ -127,6 +127,31 @@ class DistanceEstimate:
         }
 
 
+def _depths(J_range: tuple[int, int], theta: float) -> np.ndarray:
+    """The depths of J_range, once J_range and theta are checked."""
+    if not 0.0 < theta < math.inf:
+        raise ValueError(f"theta={theta} must be finite and > 0")
+    if not 0 <= J_range[0] <= J_range[1]:
+        raise ValueError(f"empty or invalid depth range {J_range}")
+    return np.arange(J_range[0], J_range[1] + 1)
+
+
+def divergence(m_values: np.ndarray, J_range: tuple[int, int],
+               theta: float) -> list[tuple[float, bool]]:
+    """One (slope, diverging) per column of m_values, carleson_sup's M_J over
+    the depths of J_range, in order.  The slope is a least-squares fit of M_J
+    against J over the top half of the depths (both of a two-depth range; a
+    one-depth range has slope 0.0); "diverging" means it exceeds theta * log 2.
+    Each column is fitted alone, bitwise as in a one-column call.
+    """
+    js = _depths(J_range, theta)
+    if len(js) < 2:
+        return [(0.0, False)] * m_values.shape[1]
+    fit = slice(min(len(js) // 2, len(js) - 2), None)
+    slopes = [float(np.polyfit(js[fit], column[fit], 1)[0]) for column in m_values.T]
+    return [(slope, slope > theta * LOG2) for slope in slopes]
+
+
 def _envelope_slope(fld: LevelField, J_range: tuple[int, int]) -> float | None:
     """Least-squares slope of log2 max(values[j]) against j for j in
     [J_lo, fld.J_max].
@@ -164,9 +189,9 @@ class _Bisection:
         self.lo, self.hi = 0.0, self.eps_hi
         self.warnings: list[str] = []
         self.trace: list[ProbeRecord] = []
-        # cell count -> report: the superlevel sets are nested, so a count
-        # names one set
-        self.reports: dict[int, CarlesonReport] = {}
+        # cell count -> (M_J, slope, diverging): the superlevel sets are
+        # nested, so a count names one set
+        self.walks: dict[int, tuple[list[float], float, bool]] = {}
         # carleson_sup reads no level deeper than min(J_hi, J_max)
         self.depth = max(min(int(J_range[1]), fld.J_max), 0)
         self.certified = False
@@ -182,10 +207,11 @@ class _Bisection:
                 f"-(2-s) = {c2_rate:.4f}; every superlevel set ends at finite depth, so no "
                 "probe diverges")
 
-    def record(self, eps: float, report: CarlesonReport, top: bool):
+    def record(self, eps: float, walk: tuple[list[float], float, bool], top: bool):
         """Log the probe at eps and, below the top probe, move the bracket."""
-        rec = ProbeRecord(eps=eps, m_values=report.m_values, slope=report.slope,
-                          diverging=report.diverging and not self.certified)
+        m_values, slope, diverging = walk
+        rec = ProbeRecord(eps=eps, m_values=m_values, slope=slope,
+                          diverging=diverging and not self.certified)
         self.trace.append(rec)
         if top:
             if rec.diverging:
@@ -227,21 +253,23 @@ def epsilon_star(
     If the field's envelope decays at the C^2 rate (_envelope_slope at most
     -C2_DECAY_KAPPA * (2-s)), every superlevel set at eps > 0 ends at the
     finite depth J_max + log2(E_{J_max} / eps) / (2-s) and is Carleson, so
-    every probe reports diverging=False and eps0 collapses to the resolution;
+    every probe records diverging=False and eps0 collapses to the resolution;
     a warning names the fitted slope.  Without the certificate a range that
     stops above J_max keeps its finite-depth bias.
 
     The bisections run in lockstep.  At each step the probe sets of all
-    fields with the same n and depth go through one carleson_sup call, whose
-    reports are bitwise those of one-set calls, so every estimate is bitwise
-    that of a one-field call.  A set that a field's bisection has already
-    walked is not walked again: its report is reused.
+    fields with the same n and depth go through one carleson_sup call and
+    one divergence call, whose columns are bitwise those of one-set calls,
+    so every estimate is bitwise that of a one-field call.  A set that a
+    field's bisection has already walked is not walked again: its M_J and
+    verdict are reused.  theta and J_range are checked even if no field is probed.
     """
     if not isinstance(fields, tuple):
         raise TypeError(f"fields must be a tuple of LevelFields, got {type(fields).__name__}")
     s = _secdiff._s_values(s)
     if len(s) != len(fields):
         raise ValueError(f"{len(fields)} fields need as many s, got {len(s)}")
+    _depths(J_range, theta)
     runs = [_Bisection(fld, t, J_range) for fld, t in zip(fields, s)]
     live = [b for b in runs if b.eps_hi > 0.0]
     for step in range(ITERATIONS + 1):
@@ -250,14 +278,15 @@ def epsilon_star(
         counts = [A.cell_count for A in sets]
         walks: dict[tuple[int, int], list] = {}
         for b, A, count in zip(live, sets, counts):
-            if count not in b.reports:
+            if count not in b.walks:
                 walks.setdefault((A.n, A.J_max), []).append((b, count, A))
         for group in walks.values():
-            reports = carleson_sup(tuple(A for _, _, A in group), J_range, theta)
-            for (b, count, _), report in zip(group, reports):
-                b.reports[count] = report
+            m_values = carleson_sup(tuple(A for _, _, A in group), J_range)
+            verdicts = divergence(m_values, J_range, theta)
+            for (b, count, _), column, verdict in zip(group, m_values.T, verdicts):
+                b.walks[count] = (column.tolist(), *verdict)
         for b, e, count in zip(live, eps, counts):
-            b.record(e, b.reports[count], top=step == 0)
+            b.record(e, b.walks[count], top=step == 0)
     return DistanceEstimates(b.estimate(J_range, theta) for b in runs)
 
 
@@ -429,9 +458,8 @@ def projection_distance_witness(
 
     depths = (0, coeffs.J_grid - 1)
     lhs = _wavelet.jbmo_box_sup(g, s, depths)
-    [carleson] = carleson_sup((T,), depths, theta=0.1)
-    m = carleson.m_values
-    per_depth = [(J, lhs[J], factor * m[J] / LOG2) for J in range(coeffs.J_grid)]
+    m = carleson_sup((T,), depths)[:, 0]
+    per_depth = [(J, lhs[J], float(factor * m[J] / LOG2)) for J in range(coeffs.J_grid)]
     box_ok = not any(l > r * (1.0 + 1e-12) + 1e-300 for _, l, r in per_depth)
     return WitnessReport(
         eps=eps, tail_norm=tail_norm, tail_ok=tail_ok,

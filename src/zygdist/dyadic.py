@@ -7,10 +7,11 @@ T(Q) = Q x [l(Q)/2, l(Q)].  Against the measure dx dy / y it carries exactly
 exact finite sum.  A set holds one (2^j,)^n mask per level j <= J_max, and
 entry idx of level j stands for the cell over the cube of that index.
 
-carleson_sup takes a tuple of sets that share n and J_max and returns one
-report per set, in order: carleson_sup((A,), J_range, theta)[0] for one set.
-The sets are walked side by side in one box_sup pass, and each report is
-bitwise that of a one-set call.
+carleson_sup takes a tuple of sets that share n and J_max and returns their
+M_J, one column per set, in order: carleson_sup((A,), J_range)[:, 0] for one
+set.  The sets are walked side by side in one box_sup pass, and each column
+is bitwise that of a one-set call.  This module computes M_J only; whether a
+set diverges is decided by distance.divergence.
 """
 
 from __future__ import annotations
@@ -154,28 +155,11 @@ def pool(arr: np.ndarray, op, cells) -> np.ndarray:
     return arr
 
 
-@dataclass
-class CarlesonReport:
-    """Depth-truncated Carleson suprema with a divergence diagnosis.
-
-    m_values[i] is M_J at depth J = j_values[i]: the sup over dyadic boxes of
-    level <= J of the box value computed from cells of level <= J.  M_J is
-    constant in J beyond the deepest cell of the set.  The slope is a least
-    squares fit of M_J against J over the top half of the depth range;
-    "diverging" means it exceeds theta * log 2.
-    """
-
-    j_values: list[int]
-    m_values: list[float]
-    slope: float
-    theta: float
-    diverging: bool
-
-
-def carleson_sup(sets: tuple[HalfSpaceSet, ...], J_range: tuple[int, int],
-                 theta: float) -> tuple[CarlesonReport, ...]:
-    """M_J over a depth range, with the slope-based divergence flag, for each
-    of a tuple of sets sharing n and J_max; one report per set, in order.
+def carleson_sup(sets: tuple[HalfSpaceSet, ...], J_range: tuple[int, int]) -> np.ndarray:
+    """M_J over a depth range for each of a tuple of sets sharing n and
+    J_max: entry [i, k] is M_J of sets[k] at depth J = J_range[0] + i, the
+    sup over dyadic boxes of level <= J of the box value computed from cells
+    of level <= J, in units that include the log 2 of each cell.
 
     Depths beyond J_max are allowed: truncation there already includes every
     cell, so M_J continues with its final value.
@@ -184,7 +168,7 @@ def carleson_sup(sets: tuple[HalfSpaceSet, ...], J_range: tuple[int, int],
     masses, one row per distinct truncation depth top = min(J, J_max).  A
     level-j cell's mass is its volume 2^(-n j), so in units of 2^(-n top)
     every partial sum is an integer below 2^53: the sums are exact, their
-    order is free, and each report is bitwise that of a one-set call.
+    order is free, and each column is bitwise that of a one-set call.
     """
     if not isinstance(sets, tuple):
         raise TypeError(f"sets must be a tuple of HalfSpaceSets, got {type(sets).__name__}")
@@ -194,26 +178,8 @@ def carleson_sup(sets: tuple[HalfSpaceSet, ...], J_range: tuple[int, int],
     if any((A.n, A.J_max) != (n, J_max) for A in sets):
         raise ValueError("the sets must share n and J_max, got "
                          f"{sorted({(A.n, A.J_max) for A in sets})} as (n, J_max)")
-    if not 0.0 < theta < math.inf:
-        raise ValueError(f"theta={theta} must be finite and > 0")
-    best = box_sup(lambda j: np.array([A._masks[j] for A in sets]) * 2.0 ** (-n * j),
-                   n, J_range, J_max)
-    js = list(range(int(J_range[0]), int(J_range[1]) + 1))
-
-    fit_j = js[len(js) // 2:]
-    if len(fit_j) < 2:
-        fit_j = js[-2:] if len(js) >= 2 else js
-    reports = []
-    for i in range(len(sets)):
-        m_values = [float(m) * LOG2 for m in best[:, i]]
-        if len(fit_j) >= 2:
-            ys = [m_values[js.index(j)] for j in fit_j]
-            slope = float(np.polyfit(fit_j, ys, 1)[0])
-        else:
-            slope = 0.0
-        reports.append(CarlesonReport(j_values=list(js), m_values=m_values, slope=slope,
-                                      theta=theta, diverging=bool(slope > theta * LOG2)))
-    return tuple(reports)
+    return box_sup(lambda j: np.array([A._masks[j] for A in sets]) * 2.0 ** (-n * j),
+                   n, J_range, J_max) * LOG2
 
 
 def cell_diameter_bound(n: int) -> float:

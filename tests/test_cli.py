@@ -207,6 +207,25 @@ class TestSets:
                         *argv, "--out", str(tmp_path)]) == EXIT_OK
         assert len(list(tmp_path.glob("sets_*.json"))) == 2
 
+    @pytest.mark.parametrize("jrange", [(7, 10), (3, 10)])
+    def test_range_past_the_field_not_clamped(self, tmp_path, jrange):
+        # J_max = 6 at --jgrid 8: the report walks the whole range, as the
+        # bisection of distance does, not the part above J_max
+        spec = "weierstrass s=1 levels=6 signs=plus"
+        code = run(["sets", "--spec", spec, "--jgrid", "8", "--eps", "0.5",
+                    "--method", "poisson", "--jrange", "{}:{}".format(*jrange),
+                    "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        _, rep = load_report(tmp_path, "sets")
+        f = zygdist.synthesize(zygdist.parse_function_spec(spec), 1, 8)
+        [fld] = zygdist.distance.method_context(f, (1.0,), "poisson")
+        assert fld.J_max < jrange[1]
+        m_values = zygdist.carleson_sup((fld.threshold(0.5),), jrange)
+        [(slope, diverging)] = zygdist.divergence(m_values, jrange, 0.1)
+        assert rep["carleson"] == {"J": list(range(jrange[0], jrange[1] + 1)),
+                                   "M_J": m_values[:, 0].tolist(),
+                                   "slope": slope, "diverging": diverging}
+
 
 class TestDistance:
     def test_atom_runs(self, tmp_path, capsys):

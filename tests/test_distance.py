@@ -1,11 +1,12 @@
+import math
 import weakref
 
 import numpy as np
 import pytest
 
-from conftest import BAD_S, BOTH_S, same_carleson, same_fields
+from conftest import BAD_S, BOTH_S, carleson, same_bits, same_carleson, same_fields
 from zygdist import GridFunction, distance, parse_function_spec, synthesize
-from zygdist.distance import (C2_DECAY_KAPPA, METHODS, compare_methods,
+from zygdist.distance import (C2_DECAY_KAPPA, METHODS, compare_methods, divergence,
                               epsilon_star, inclusion_probe, method_context,
                               projection_distance_witness)
 from zygdist.dyadic import LOG2, LevelField, carleson_sup, threshold_set
@@ -56,13 +57,13 @@ def mixed_fields():
 
 def spy_walks(monkeypatch):
     """Wrap distance.carleson_sup; returns a list that gets, per call, its
-    sets, its other arguments and its reports."""
+    sets, its depth range and its M_J."""
     walks = []
 
-    def spy(sets, *args):
-        reports = carleson_sup(sets, *args)
-        walks.append((sets, args, reports))
-        return reports
+    def spy(sets, J_range):
+        m_values = carleson_sup(sets, J_range)
+        walks.append((sets, J_range, m_values))
+        return m_values
 
     monkeypatch.setattr(distance, "carleson_sup", spy)
     return walks
@@ -170,9 +171,10 @@ class TestEpsilonStar:
             alone = epsilon_star((fld,), (t,), LOCKSTEP_RANGE, THETA)[0]
             assert est.as_dict() == alone.as_dict()
         assert together.trace == [p for est in together for p in est.trace]
-        for sets, args, reports in walks:
-            for A, rep in zip(sets, reports):
-                assert same_carleson(rep, carleson_sup((A,), *args)[0])
+        for sets, J_range, m_values in walks:
+            verdicts = divergence(m_values, J_range, THETA)
+            for A, column, verdict in zip(sets, m_values.T, verdicts):
+                assert same_carleson((column, *verdict), carleson((A,), J_range, THETA)[0])
 
     def test_repeated_sets_not_walked_again(self, fields_weier, monkeypatch):
         # the superlevel sets are nested, so a field walks one set per
@@ -201,6 +203,15 @@ class TestEpsilonStar:
             with pytest.raises(ValueError, match="s must"):
                 epsilon_star((fld,) * len(s), s, J_RANGE, THETA)
 
+    def test_inputs_checked_on_a_zero_field(self):
+        # a trivial field is never probed, yet theta and J_range are checked
+        [zero] = method_context(GridFunction(1, J, np.zeros(2**J)), (1.0,), "secdiff")
+        assert zero.max_value == 0.0
+        with pytest.raises(ValueError, match="theta=-1.0 must be finite and > 0"):
+            epsilon_star((zero,), (1.0,), (2, 4), theta=-1.0)
+        with pytest.raises(ValueError, match="empty or invalid depth range"):
+            epsilon_star((zero,), (1.0,), (5, 2), THETA)
+
     def test_zero_field_trivial(self):
         f = GridFunction(1, J, np.zeros(2**J))
         est = estimate(f, 1.0, "secdiff")
@@ -217,6 +228,54 @@ class TestEpsilonStar:
         S = fld.threshold(0.5 * est.epsilon_star)
         for j in range(1, S.J_max + 1):
             assert S.mask(j).mean() >= 0.05
+
+
+class TestDivergence:
+    """The verdict on hand-built M_J columns, which pins the fit window: the
+    top half of the depths, both depths of a two-depth range, none of one."""
+
+    def test_one_depth_has_slope_zero(self):
+        assert divergence(np.array([[0.0, 5.0]]), (4, 4), THETA) == [(0.0, False), (0.0, False)]
+
+    def test_two_depths_fit_both(self):
+        [(up, flag_up), (flat, flag_flat)] = divergence(
+            np.array([[1.0, 2.0], [3.0, 2.0]]), (6, 7), THETA)
+        assert abs(up - 2.0) < 1e-12 and flag_up
+        assert abs(flat) < 1e-12 and not flag_flat
+
+    def test_top_half_of_the_range(self):
+        # on (0, 12) the fit reads depths 6..12: growth that stops at depth 5
+        # is not seen, growth that starts at depth 6 is
+        J = np.arange(13.0)
+        steep_then_flat = np.minimum(J, 5.0) * LOG2
+        flat_then_steep = np.maximum(J - 6.0, 0.0) * LOG2
+        [(slope_a, a), (slope_b, b)] = divergence(
+            np.stack([steep_then_flat, flat_then_steep], axis=1), (0, 12), THETA)
+        assert abs(slope_a) < 1e-12 and not a
+        assert abs(slope_b - LOG2) < 1e-12 and b
+
+    def test_window_starts_at_the_middle_depth(self):
+        # a step between depths 5 and 6 lies below the window, one between
+        # depths 6 and 7 inside it
+        J = np.arange(13)
+        steps = np.stack([(J >= 6) * 10.0, (J >= 7) * 10.0], axis=1)
+        [(_, below), (_, inside)] = divergence(steps, (0, 12), THETA)
+        assert not below and inside
+
+    @pytest.mark.parametrize("J_range", [(3, 3), (3, 4), (3, 5), (0, 12)])
+    def test_columns_match_one_column_calls_bitwise(self, J_range):
+        rng = np.random.default_rng(list(J_range))
+        depths = J_range[1] - J_range[0] + 1
+        m_values = np.cumsum(rng.random((depths, 5)), axis=0) * LOG2
+        together = divergence(m_values, J_range, THETA)
+        for k, (slope, flag) in enumerate(together):
+            [(alone, alone_flag)] = divergence(m_values[:, k:k + 1].copy(), J_range, THETA)
+            assert same_bits(slope, alone) and flag == alone_flag
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, 0.0, -1.0])
+    def test_theta_must_be_finite_and_positive(self, theta):
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            divergence(np.zeros((5, 1)), (0, 4), theta)
 
 
 def _certified(est):
@@ -422,7 +481,7 @@ class TestProjectionWitness:
         T = ratio.threshold(eps)
         factor = (2**coeffs.n - 1) * ratio.max_value**2
         want = [(J, jbmo_box_sup(g, s, (J, J))[0],
-                 factor * carleson_sup((T,), (J, J), theta=0.1)[0].m_values[0] / LOG2)
+                 factor * carleson_sup((T,), (J, J))[0, 0] / LOG2)
                 for J in range(coeffs.J_grid)]
         assert np.array_equal(np.array(w.per_depth).view(np.int64),
                               np.array(want).view(np.int64))

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import is_subset, same_carleson
+from conftest import carleson, is_subset, same_carleson
 from zygdist.dyadic import (LOG2, HalfSpaceSet, box_sup, carleson_sup, cell_diameter_bound,
                             enlarge, pool, threshold_set)
 
@@ -145,34 +145,37 @@ class TestBoxValue:
 # ------------------------------------------------------------ carleson sup
 
 class TestCarlesonSup:
+    def test_shape_is_depths_by_sets(self):
+        sets = (HalfSpaceSet(1, 4), HalfSpaceSet.full_stack(1, 4), HalfSpaceSet(1, 4))
+        assert carleson_sup(sets, (2, 7)).shape == (6, 3)
+
     def test_empty(self):
-        rep = carleson_sup((HalfSpaceSet(1, 10),), (0, 10), 0.1)[0]
-        assert all(m == 0.0 for m in rep.m_values)
-        assert not rep.diverging
+        [(m_values, _, diverging)] = carleson((HalfSpaceSet(1, 10),), (0, 10))
+        assert all(m == 0.0 for m in m_values)
+        assert not diverging
 
     def test_full_stack_closed_form(self):
-        rep = carleson_sup((HalfSpaceSet.full_stack(1, 12),), (0, 12), 0.1)[0]
-        for J, m in zip(rep.j_values, rep.m_values):
+        [(m_values, slope, diverging)] = carleson((HalfSpaceSet.full_stack(1, 12),), (0, 12))
+        for J, m in enumerate(m_values):
             assert abs(m - (J + 1) * LOG2) < 1e-12
-        assert abs(rep.slope - LOG2) < 1e-12
-        assert rep.diverging
+        assert abs(slope - LOG2) < 1e-12
+        assert diverging
 
     def test_saturating_shallow_stack(self):
         A = HalfSpaceSet(1, 12)
         for j in range(4):
             A.mask(j)[...] = True
-        rep = carleson_sup((A,), (0, 12), 0.1)[0]
-        assert abs(rep.m_values[-1] - 4 * LOG2) < 1e-12
-        assert abs(rep.m_values[-1] - rep.m_values[4]) < 1e-15
-        assert not rep.diverging
+        [(m_values, _, diverging)] = carleson((A,), (0, 12))
+        assert abs(m_values[-1] - 4 * LOG2) < 1e-12
+        assert abs(m_values[-1] - m_values[4]) < 1e-15
+        assert not diverging
 
     def test_matches_brute_force_random(self):
         rng = np.random.default_rng(2)
         cells = list({(int(j), (int(rng.integers(0, 2**j)),))
                       for j in rng.integers(0, 6, size=40)})
         A = cell_set(1, 5, cells)
-        rep = carleson_sup((A,), (0, 5), 0.1)[0]
-        for J, m in zip(rep.j_values, rep.m_values):
+        for J, m in enumerate(carleson_sup((A,), (0, 5))[:, 0]):
             assert abs(m - brute_m_value(cells, 1, J)) < 1e-12
 
     def test_matches_brute_force_n2(self):
@@ -180,8 +183,7 @@ class TestCarlesonSup:
         cells = list({(int(j), (int(rng.integers(0, 2**j)), int(rng.integers(0, 2**j))))
                       for j in rng.integers(0, 4, size=25)})
         A = cell_set(2, 3, cells)
-        rep = carleson_sup((A,), (0, 3), 0.1)[0]
-        for J, m in zip(rep.j_values, rep.m_values):
+        for J, m in enumerate(carleson_sup((A,), (0, 3))[:, 0]):
             assert abs(m - brute_m_value(cells, 2, J)) < 1e-12
 
     def test_m_monotone_under_adding_cells(self):
@@ -190,25 +192,25 @@ class TestCarlesonSup:
                       for j in rng.integers(0, 8, size=30)})
         A = cell_set(1, 8, cells[:10])
         B = cell_set(1, 8, cells)
-        ra = carleson_sup((A,), (0, 8), 0.1)[0]
-        rb = carleson_sup((B,), (0, 8), 0.1)[0]
-        assert all(mb >= ma - 1e-15 for ma, mb in zip(ra.m_values, rb.m_values))
+        ma = carleson_sup((A,), (0, 8))[:, 0]
+        mb = carleson_sup((B,), (0, 8))[:, 0]
+        assert all(b >= a - 1e-15 for a, b in zip(ma, mb))
 
     def test_m_nondecreasing_in_depth(self):
         rng = np.random.default_rng(5)
         cells = list({(int(j), (int(rng.integers(0, 2**j)),))
                       for j in rng.integers(0, 9, size=50)})
-        rep = carleson_sup((cell_set(1, 9, cells),), (0, 9), 0.1)[0]
-        assert all(b >= a - 1e-15 for a, b in zip(rep.m_values, rep.m_values[1:]))
+        m = carleson_sup((cell_set(1, 9, cells),), (0, 9))[:, 0]
+        assert all(b >= a - 1e-15 for a, b in zip(m, m[1:]))
 
     def test_depth_beyond_cells_is_flat(self):
         A = cell_set(1, 3, [(3, (5,)), (1, (0,))])
-        rep = carleson_sup((A,), (0, 9), 0.1)[0]
-        assert rep.m_values[-1] == rep.m_values[3]
+        m = carleson_sup((A,), (0, 9))[:, 0]
+        assert m[-1] == m[3]
 
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError):
-            carleson_sup((HalfSpaceSet(1, 4),), (3, 2), 0.1)
+            carleson_sup((HalfSpaceSet(1, 4),), (3, 2))
 
     @pytest.mark.parametrize("n,J_max", [(1, 12), (2, 6)])
     @pytest.mark.parametrize("J_range", [
@@ -228,7 +230,7 @@ class TestCarlesonSup:
             A = HalfSpaceSet(n, J_max)
             for j in range(J_max + 1):
                 A.mask(j)[...] = rng.random(A.mask(j).shape) < density
-        got = np.array(carleson_sup((A,), J_range, 0.1)[0].m_values)
+        got = carleson_sup((A,), J_range)[:, 0]
         want = np.array(per_top_m_values(A, J_range))
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -277,26 +279,21 @@ class TestCarlesonSup:
             sets.append(HalfSpaceSet(n, J_max, {
                 j: rng.random((2**j,) * n) < density for j in range(J_max + 1)}))
         sets.append(sets[3])
-        stacked = carleson_sup(tuple(sets), J_range, 0.1)
+        stacked = carleson(tuple(sets), J_range)
         assert len(stacked) == len(sets)
-        for A, rep in zip(sets, stacked):
-            assert same_carleson(rep, carleson_sup((A,), J_range, 0.1)[0])
+        for A, walk in zip(sets, stacked):
+            assert same_carleson(walk, carleson((A,), J_range)[0])
 
     def test_sets_must_be_a_tuple_sharing_n_and_depth(self):
         A = HalfSpaceSet.full_stack(1, 4)
         for sets in (A, [A]):
             with pytest.raises(TypeError, match="sets must be a tuple"):
-                carleson_sup(sets, (0, 4), 0.1)
+                carleson_sup(sets, (0, 4))
         with pytest.raises(ValueError, match="at least one"):
-            carleson_sup((), (0, 4), 0.1)
+            carleson_sup((), (0, 4))
         for other in (HalfSpaceSet(1, 5), HalfSpaceSet(2, 4)):
             with pytest.raises(ValueError, match="share n and J_max"):
-                carleson_sup((A, other), (0, 4), 0.1)
-
-    @pytest.mark.parametrize("theta", [math.nan, math.inf, 0.0, -1.0])
-    def test_theta_must_be_finite_and_positive(self, theta):
-        with pytest.raises(ValueError, match="must be finite and > 0"):
-            carleson_sup((HalfSpaceSet.full_stack(1, 4),), (0, 4), theta)
+                carleson_sup((A, other), (0, 4))
 
 
 # ------------------------------------------------------------- hyperbolic

@@ -4,10 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import BAD_S, BOTH_S, is_subset, same_bits, same_fields, spy_deal
+from conftest import BAD_S, BOTH_S, carleson, is_subset, same_bits, same_fields, spy_deal
 from zygdist import GridFunction, gridfn, parse_function_spec, synthesize
 import zygdist.secdiff as secdiff
-from zygdist.dyadic import carleson_sup
 from zygdist.poisson import lipschitz_check
 from zygdist.secdiff import (_d2_lattice, _d2_vector, _default_K, _directions,
                              continuity_check, holder_seminorm, second_diff_field)
@@ -264,7 +263,8 @@ class TestBuildS:
         med = float(np.median(np.concatenate([v.ravel() for v in field.values.values()])))
         S = field.threshold(0.5 * med)
         assert all(S.mask(jj).any() for jj in range(J - 1))  # every level occupied
-        assert carleson_sup((S,), (4, J - 2), 0.1)[0].diverging
+        [(_, _, diverging)] = carleson((S,), (4, J - 2))
+        assert diverging
 
     def test_too_deep_rejected(self, cos_12):
         with pytest.raises(ValueError):
