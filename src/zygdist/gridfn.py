@@ -289,7 +289,9 @@ def synthesize(spec: FunctionSpec, n: int, J_grid: int) -> GridFunction:
     m = 0..M-1 with M = n(N-1)+1 (i1/N + i2/N and (i1+i2)/N are the same
     double), so the level sum runs on that one axis and is laid out on the
     grid as row i1 = profile[i1:i1+N].  The log-kink is a sum of one function
-    per coordinate, evaluated on one axis.
+    per coordinate, evaluated on one axis.  Only the trig and log-kink kinds
+    build the coordinate axis, and a sum adds its terms into one grid in
+    order, holding one term at a time.
 
     The level sum adds w_j * cos(2 pi 2^j m/N + phase_j) into the profile
     one level at a time, in blocks of _LEVEL_BLOCK points, and keeps the
@@ -303,12 +305,16 @@ def synthesize(spec: FunctionSpec, n: int, J_grid: int) -> GridFunction:
     """
     _check_grid(n, J_grid)  # before the grid is allocated
     N = 2**J_grid
-    x = np.arange(N) / N
     kind, p = spec.kind, spec.params
+    if kind in ("trig", "xlogx"):  # the coordinate axis, which only these kinds read
+        x = np.arange(N) / N
 
     if kind == "sum":
-        parts = [synthesize(t, n, J_grid) for t in p["terms"]]
-        total = sum(g.samples for g in parts)
+        # the terms in order from 0.0, bitwise sum() from 0 (a -0.0 term reads
+        # 0.0 either way), each freed once added
+        total = np.zeros((N,) * n)
+        for t in p["terms"]:
+            total += synthesize(t, n, J_grid).samples
         return GridFunction(n, J_grid, total, label=spec.canonical())
 
     if kind == "trig":
@@ -336,10 +342,9 @@ def synthesize(spec: FunctionSpec, n: int, J_grid: int) -> GridFunction:
             rng = np.random.default_rng(p["seed"])
             signs = rng.choice((-1.0, 1.0), size=levels + 1)
             phases = rng.uniform(0.0, 2 * np.pi, size=levels + 1)
-        # the unscaled cosines of the level last summed.  Allocated before the
-        # samples, the cosines and x leave one two-array hole below the
-        # samples when freed, which later stages fill; allocated after, they
-        # raised the peak RSS of distance at n=1 J_grid=20 from 94 to 101 MB
+        # the unscaled cosines of the level last summed; whether they lie
+        # before or after the samples on the heap does not move the peak RSS
+        # of distance at n=1 J_grid=20, which the Poisson field sets
         cosines = np.empty(M)
         samples = np.zeros(M)
         steps = np.arange(min(M, _LEVEL_BLOCK)) / N  # lo/N + k/N is m/N exactly
@@ -365,7 +370,7 @@ def synthesize(spec: FunctionSpec, n: int, J_grid: int) -> GridFunction:
     elif kind == "xlogx":
         a = _xlogx_axis(x, p["eps"])
         # a sum of per-axis terms from 0, so a -0.0 term reads 0.0
-        samples = sum(np.meshgrid(*(a,) * n, indexing="ij", sparse=True))
+        samples = sum(np.meshgrid(*(a,) * n, indexing="ij", sparse=True, copy=False))
     elif kind == "wavelet-atom":
         from . import wavelet  # local import, avoids a module cycle
 
@@ -406,12 +411,16 @@ def _xlogx_axis(x: np.ndarray, eps: float) -> np.ndarray:
     # Odd log-modulated kink: g*log(|g|+eps) with g = sin(2*pi*x)/pi.
     # Continuous and periodic, second differences of exact order y per scale
     # at the kinks x=0 and x=1/2, derivative has a log singularity.
-    g = np.sin(2 * np.pi * x) / np.pi
-    mag = np.abs(g) + eps
-    out = np.zeros_like(g)
+    # Two arrays of x's size, g and mag, then in place: where mag is 0 the
+    # result is mag itself, +0.0.
+    g = np.sin(2 * np.pi * x)
+    g /= np.pi
+    mag = np.abs(g)
+    mag += eps
     nz = mag > 0
-    out[nz] = g[nz] * np.log(mag[nz])
-    return out
+    np.log(mag, out=mag, where=nz)
+    np.multiply(g, mag, out=mag, where=nz)
+    return mag
 
 
 def _half_freq_sq(n: int, J: int) -> np.ndarray:

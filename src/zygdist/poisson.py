@@ -4,11 +4,12 @@ y-derivative, the large-hyperbolic-derivative cell sets, and the bmo norms.
 On the torus the Poisson kernel is a pure Fourier multiplier exp(-2 pi |k| y)
 and the derivative multiplier is (2 pi |k|)^2 exp(-2 pi |k| y), so heights
 need not be grid aligned and there is no kernel truncation error.  Every
-field takes one forward real (half-spectrum) transform of the function and,
-per height, inverts the last axis as L interleaved phases (the columns
-L r + p, p < L) of length M = N / L.  K counts the entries of the last axis
-whose decay is not exactly 0.0 in float64, and M is the smallest power of two
-with M/2 >= K, capped at min(N, 2^14) so that every inverse is cache-sized.
+field takes one forward real (half-spectrum) transform of the function,
+whose segments every height reads in place, never copied, and, per height,
+inverts the last axis as L interleaved phases (the columns L r + p, p < L)
+of length M = N / L.  K counts the entries of the last axis whose decay is
+not exactly 0.0 in float64, and M is the smallest power of two with M/2 >= K,
+capped at min(N, 2^14) so that every inverse is cache-sized.
 A height within the cap keeps its first K entries, one segment of the
 spectrum; on grids of at most 2^14 points per axis (every n=2 grid) any other
 height is one full-length inverse (L = 1), and on larger n=1 grids it sums L
@@ -108,18 +109,23 @@ def _extension_blocks(f: GridFunction, heights, d2y: bool, consume):
     of _deal, and never less than one phase.  consume reads the layout from
     block.shape alone.
 
-    One forward half-spectrum transform of f and one table w = 2 pi |k| serve
-    every height; P = spec * exp(-w y).  Phase p has the half spectrum
+    One forward half-spectrum transform of f serves every height; P = spec *
+    exp(-w y) with w = 2 pi |k|, a table of the rows k1 >= 0 at n=2 and, at
+    n=1, 2 pi times the integer frequency, written into the scratch as each
+    height is seeded.  Phase p has the half spectrum
 
         sum over m < L of P_{k+mM} exp(2 pi i (k + mM) p / N),   k <= M/2,
 
-    with P_{k+N/2} = conj P_{N/2-k}.  The spectrum is laid out once as
-    segments T[m, k] = P_{k+m Ms}, m < Ls = N / Ms, k <= Ms/2, at the segment
-    length Ms = min(N, _SEGMENT_LENGTH).  On grids of at most 2^14 points per
-    axis (every n=2 grid) Ms = N: T is the half spectrum itself, and a height
-    whose decay is nonzero beyond N/4 last-axis entries is one full-length
-    inverse, L = 1.  If K <= M/2, only m = 0 is nonzero: phase 0 is P_k,
-    k < K, and phases h..2h-1 are phases 0..h-1 times exp(2 pi i k h / N).
+    with P_{k+N/2} = conj P_{N/2-k}.  The segments T[m, k] = P_{k+m Ms},
+    m < Ls = N / Ms, k <= Ms/2, at the segment length Ms = min(N,
+    _SEGMENT_LENGTH), are views of the one half spectrum, never copied: for
+    m < Ls/2 its reshape, for m >= Ls/2 the reshape of its reversed entries
+    N/2 - k, conjugated as they are seeded.  On grids of at most 2^14 points
+    per axis (every n=2 grid) Ms = N: T is the half spectrum itself, and a
+    height whose decay is nonzero beyond N/4 last-axis entries is one
+    full-length inverse, L = 1.  If K <= M/2, only m = 0 is nonzero: phase 0
+    is P_k, k < K, and phases h..2h-1 are phases 0..h-1 times
+    exp(2 pi i k h / N).
     Otherwise (n=1 grids above 2^14 points) M = Ms, and phase p is the
     inverse transform over m of the segments, times exp(2 pi i k p / N), one
     factor per bit h of p (the four-step transform); only the segments
@@ -129,7 +135,7 @@ def _extension_blocks(f: GridFunction, heights, d2y: bool, consume):
 
     Each height runs in a spectrum buffer (its phases) and a scratch, both
     allocated here on the calling thread, in three stages: the seeding (the
-    decays, in the scratch, and their products with the table), the column
+    decays, in the scratch, and their products with the segments), the column
     stage (the segment sum, the twiddles and, at n=2, the first-axis
     inverses) and the block stage (the inverse blocks, each made in the
     scratch and handed to consume).  At n=1 gridfn._deal deals whole
@@ -154,30 +160,30 @@ def _extension_blocks(f: GridFunction, heights, d2y: bool, consume):
         np.fft.fft(spec, axis=0, out=spec)
     ksq = _half_freq_sq(1, f.J_grid)  # k^2, k = 0..N/2
     w = 2.0 * np.pi * np.sqrt(ksq if n == 1 else ksq[:, None] + ksq).reshape(wrows, -1)
+    del ksq
     # 1/Ls: a length-Ms inverse divides by Ms where the full one divides by N
     if d2y:
-        scale = w * w / Ls
+        scale = w * w
+        scale /= Ls
         spec[:wrows] *= scale
         if n == 2:  # rows k1 = -N/2+1..-1 read rows N/2-1..1 of the table
             spec[wrows:] *= scale[wrows - 2:0:-1]
         del scale
     elif Ls > 1:
         spec *= 1.0 / Ls
+    # the segments are views of spec: m < Ls/2 (the one segment if Ls = 1)
+    # directly, the rest, entry k + N/2, as the reversed view, entry N/2 - k,
+    # conjugated as they are seeded (conjugation commutes with the real decay)
     if Ls == 1:
-        table, table_w = spec[None], w[None]
-    else:  # n=1: segments below N/2 directly; the rest, entry k + N/2, as
-        # conj of entry N/2 - k; conjugation commutes with the real decay
-        def segments(a, mirror):
-            a = a[:, N // 2:0:-1] if mirror else a[:, :N // 2]
+        table = spec[None]
+    else:
+        def segments(a):
             return a.reshape(1, Ls // 2, Ms)[..., :half].swapaxes(0, 1)
 
-        table = np.empty((Ls, 1, half), dtype=complex)
-        table_w = np.empty((Ls, 1, half))
-        table[:Ls // 2] = segments(spec, False)
-        np.conjugate(segments(spec, True), out=table[Ls // 2:])
-        table_w[:Ls // 2] = segments(w, False)
-        table_w[Ls // 2:] = segments(w, True)
-    del spec, w
+        table, mirror = segments(spec[:, :N // 2]), segments(spec[:, N // 2:0:-1])
+    if n == 1:  # the seeding writes w = 2 pi k from the integer frequencies, exactly
+        del w
+        ks = np.arange(half, dtype=float)
     # exp(2 pi i k / N) for k = c S + t: twiddle[t] times shifts[c]
     cols = N // 4 + 1
     S = min(cols, _TWIDDLE_LENGTH)
@@ -193,7 +199,7 @@ def _extension_blocks(f: GridFunction, heights, d2y: bool, consume):
         if Ls > 1 and K > N // L // 2:  # Ls segments; those m < a and m >= b hold nonzero decays
             a = min((K - 1) // Ms + 1, Ls // 2)
             b = max((N - Ms // 2 - K) // Ms + 1, Ls // 2)
-            layouts.append((half, L, Ls, ((0, a), (b, Ls)) if a < b else ((0, Ls),)))
+            layouts.append((half, L, Ls, ((0, a), (b, Ls))))
         else:  # one segment
             layouts.append((K, L, 1, ((0, 1),)))
     shares = _share_count(range(2), f.samples.size)
@@ -216,15 +222,28 @@ def _extension_blocks(f: GridFunction, heights, d2y: bool, consume):
             phases[live[0][1]:live[1][0]] = 0.0
         step = flat.size // (wrows * K)  # segments per decay
 
-        def seed(share):  # the decays of rows k1 = a..b-1 and their products with the table
+        def seed(share):  # the decays of rows k1 = a..b-1 and their products with the segments
             for a, b in share:
                 for lo, hi in live:
+                    mirrored = 2 * lo >= Ls  # segments lo..hi-1 read the reversed view
                     for m in range(lo, hi, step):
                         top = min(m + step, hi)
                         d = flat[:(top - m) * wrows * K].reshape(top - m, wrows, K)
-                        np.exp(np.multiply(table_w[m:top, a:b, :K], -y, out=d[:, a:b]),
-                               out=d[:, a:b])
-                        np.multiply(table[m:top, a:b, :K], d[:, a:b], out=phases[m:top, a:b])
+                        if n == 1:  # w at the frequency m Ms + k, or N - m Ms - k past N/2
+                            at = np.arange(m, top)[:, None, None] * Ms
+                            if mirrored:
+                                np.subtract(N - at, ks[:K], out=d)
+                            else:
+                                np.add(at, ks[:K], out=d)
+                            d *= 2.0 * np.pi
+                            d *= -y
+                        else:
+                            np.multiply(w[None, a:b, :K], -y, out=d[:, a:b])
+                        np.exp(d[:, a:b], out=d[:, a:b])
+                        out = phases[m:top, a:b]
+                        segs = (np.conjugate(mirror[m - Ls // 2:top - Ls // 2, :, :K], out=out)
+                                if mirrored else table[m:top, a:b, :K])
+                        np.multiply(segs, d[:, a:b], out=out)
                         # rows k1 = -N/2+1..-1 read rows N/2-1..1 of the decay
                         c, e = max(a, 1), min(b, N // 2)
                         if n == 2 and c < e:

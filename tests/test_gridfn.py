@@ -258,14 +258,31 @@ class TestExactArguments:
                 tracemalloc.stop()
             assert peak <= 3.25 * f.samples.nbytes
 
-    @pytest.mark.parametrize("text", [
-        "weierstrass s=1 levels=16 signs=plus",
-        "lacunary-random s=0.5 levels=16 seed=3",
-    ])
+    # the largest n=1 grid, in sample arrays of 8 MiB
+    N1_SYNTHESIS_GRIDS = {
+        # the level sum and the cosines it shares between levels are two
+        # sample arrays; the block buffers add 1 MiB: 2.13 and 2.22 grids,
+        # 3.13 and 3.22 with a coordinate axis that these kinds do not read
+        "weierstrass s=1 levels=16 signs=plus": 2.25,
+        "lacunary-random s=0.5 levels=16 seed=3": 2.25,
+        # the axis, sin(2 pi x) / pi and the log of its magnitude, in place,
+        # and the mask where that is nonzero: 3.13 grids, 7.13 with gathers
+        "xlogx": 3.25,
+        "xlogx eps=0.1": 3.25,
+    }
+    # the largest n=2 grid, in sample arrays of 32 MiB
+    N2_SYNTHESIS_GRIDS = {
+        "weierstrass s=1 levels=9 signs=plus": 1.5,
+        "lacunary-random s=0.5 levels=9 seed=3": 1.5,
+        "xlogx eps=0.1": 1.5,
+        # the total and one term at a time: 2.005 grids, 4.00 when every term
+        # was held until the sum
+        "sum weierstrass s=1 levels=9 signs=plus + lacunary-random s=0.5 levels=9 seed=3"
+        " + xlogx eps=0.1": 2.1,
+    }
+
+    @pytest.mark.parametrize("text", N1_SYNTHESIS_GRIDS)
     def test_synthesize_memory_n1(self, text):
-        # the largest n=1 grid: the level sum, the cosines it shares between
-        # levels and the unused coordinate axis are three sample arrays of
-        # 8 MiB; the block buffers add 1 MiB
         spec = parse_function_spec(text)
         tracemalloc.start()
         try:
@@ -273,15 +290,10 @@ class TestExactArguments:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.25 * 8 * 2**20
+        assert peak <= self.N1_SYNTHESIS_GRIDS[text] * 8 * 2**20
 
-    @pytest.mark.parametrize("text", [
-        "weierstrass s=1 levels=9 signs=plus",
-        "lacunary-random s=0.5 levels=9 seed=3",
-        "xlogx eps=0.1",
-    ])
+    @pytest.mark.parametrize("text", N2_SYNTHESIS_GRIDS)
     def test_synthesize_memory_n2(self, text):
-        # the largest n=2 grid: at most 1.5 sample arrays of 32 MiB in flight
         spec = parse_function_spec(text)
         tracemalloc.start()
         try:
@@ -289,7 +301,7 @@ class TestExactArguments:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * 8 * 2**22
+        assert peak <= self.N2_SYNTHESIS_GRIDS[text] * 8 * 2**22
 
 
 class TestGridFunctionInvariants:

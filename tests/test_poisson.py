@@ -43,15 +43,16 @@ ORACLE_CASES = [
 # J=20 and 4e-16 at J=17
 HALF_LENGTH_RTOL = 1e-12
 # tracemalloc peak of derivative_field at n=1 J_grid=20 J_max=18 on two
-# threads, each holding a spectrum buffer and a scratch of an eighth grid:
-# 39.15-39.27 MiB, against 41.1 MiB with quarter-grid scratches and 32.13 MiB
-# on one thread, where the spectrum's set-up sets it
-LIMIT_FIELD_PEAK_MIB = 39.27
+# threads: the half spectrum (8 MiB), whose segments every height reads in
+# place, each thread's spectrum buffer (8 MiB) and eighth-grid scratch, and
+# the levels: 31.33-31.38 MiB, against 39.15-39.27 MiB when the segments were
+# copied into a table (8 MiB) beside it
+LIMIT_FIELD_PEAK_MIB = 31.38
 LIMIT_FIELD_PEAK_SLACK_MIB = 0.25
 # the same for both s of BOTH_S in one pass: one more table set of levels
-# 0..18 (4 MiB) and the scaled copies of pooled blocks, 43.40-43.53 MiB in 8
-# runs, where one s took 39.15-39.27 MiB in the same processes
-LIMIT_FIELD_BOTH_S_PEAK_MIB = 43.53
+# 0..18 (4 MiB) and the scaled copies of pooled blocks, 35.47-35.59 MiB,
+# where one s took 31.33-31.38 MiB in the same processes
+LIMIT_FIELD_BOTH_S_PEAK_MIB = 35.59
 # the same at n=2 J_grid=10 J_max=8: the half spectrum and the decay table of
 # its rows k1 >= 0 (1.25 grids), one spectrum buffer and a quarter-grid
 # scratch that holds the decays of each height and then its inverse blocks,
