@@ -1,12 +1,18 @@
 """The validation suite: ten numbered end-to-end checks with pinned
 tolerances, runnable from pytest or from the command line.
 
-Each criterion returns a CriterionResult with a pass flag and the measured
-quantities, so failures are reported with observed-versus-expected detail.
+Each criterion is a body registered in CRITERIA by the _criterion harness.
+The body takes the list it appends its failures to and theta (read by the
+divergence checks, ignored by the others), and returns its measured details.
+The harness times the body, fails a run that reaches the criterion's time
+budget, and returns a CriterionResult with the pass flag, the run time, the
+details and the failures, so failures are reported with observed-versus-
+expected detail.  Every criterion is called as CRITERIA[k](theta).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -17,11 +23,9 @@ from . import distance as _distance
 from . import poisson as _poisson
 from . import secdiff as _secdiff
 from . import wavelet as _wavelet
-from .dyadic import LOG2, HalfSpaceSet, carleson_sup, enlarge
+from .dyadic import LOG2, HalfSpaceSet, carleson_sup, cell_diameter_bound, enlarge
 from .gridfn import (CORPUS_SPECS, GridFunction, corpus, parse_function_spec,
                      sup_norm, synthesize)
-
-THETA = 0.1
 
 
 @dataclass
@@ -56,10 +60,33 @@ def _band_constant(values: dict[str, float]) -> float:
     return worst
 
 
-def criterion_1(theta: float = THETA) -> CriterionResult:
+# criterion number -> its registered run(theta)
+CRITERIA: dict = {}
+
+
+def _criterion(number: int, name: str, budget: float = math.inf):
+    """Register a criterion body as CRITERIA[number].  The registered run
+    takes theta, times the body, adds a runtime failure when the body took
+    budget seconds or more, and returns the CriterionResult."""
+    def register(body):
+        @functools.wraps(body)
+        def run(theta: float = _distance.THETA) -> CriterionResult:
+            failures: list[str] = []
+            t0 = time.perf_counter()
+            details = body(failures, theta)
+            dt = time.perf_counter() - t0
+            if dt >= budget:
+                failures.append(f"runtime {dt:.2f}s >= {budget:g}s")
+            return CriterionResult(number, name, not failures, dt, details, failures)
+
+        CRITERIA[number] = run
+        return run
+    return register
+
+
+@_criterion(1, "carleson-exactness", budget=1.0)
+def criterion_1(failures: list[str], theta: float) -> dict:
     """Carleson engine exactness on the full cell stack to depth 14."""
-    t0 = time.perf_counter()
-    failures = []
     J_top = 14
     stack = HalfSpaceSet.full_stack(1, J_top)
     m_values = carleson_sup((stack,), (0, J_top))
@@ -70,20 +97,14 @@ def criterion_1(theta: float = THETA) -> CriterionResult:
         worst = max(worst, err)
         if err > 1e-12:
             failures.append(f"M_{J} off by {err:.2e}")
-    dt = time.perf_counter() - t0
-    if dt >= 1.0:
-        failures.append(f"runtime {dt:.2f}s >= 1s")
     if not diverging:
         failures.append("full stack not flagged diverging")
-    return CriterionResult(1, "carleson-exactness", not failures, dt,
-                           {"worst_error": worst, "slope_over_log2": slope / LOG2},
-                           failures)
+    return {"worst_error": worst, "slope_over_log2": slope / LOG2}
 
 
-def criterion_2() -> CriterionResult:
+@_criterion(2, "wavelet-correctness")
+def criterion_2(failures: list[str], theta: float) -> dict:
     """Wavelet round trip, Parseval and vanishing moments at J=12."""
-    t0 = time.perf_counter()
-    failures = []
     J = 12
     N = 2**J
     rng = np.random.default_rng(0)
@@ -108,16 +129,12 @@ def criterion_2() -> CriterionResult:
         cmax = max(float(np.max(np.abs(a))) for a in cc.c.values())
         if cmax > 1e-10:
             failures.append(f"p={p}: constant leaks detail {cmax:.2e}")
-    dt = time.perf_counter() - t0
-    return CriterionResult(2, "wavelet-correctness", not failures, dt,
-                           {"worst_roundtrip": worst_rt, "worst_parseval": worst_pv},
-                           failures)
+    return {"worst_roundtrip": worst_rt, "worst_parseval": worst_pv}
 
 
-def criterion_3() -> CriterionResult:
+@_criterion(3, "poisson-correctness")
+def criterion_3(failures: list[str], theta: float) -> dict:
     """Poisson closed forms, semigroup, and the finite-difference oracle."""
-    t0 = time.perf_counter()
-    failures = []
     J = 12
     N = 2**J
     x = np.arange(N) / N
@@ -158,15 +175,12 @@ def criterion_3() -> CriterionResult:
     fd_err = float(np.max(np.abs(fd - exact))) / float(np.max(np.abs(exact)))
     if fd_err > 1e-6:
         failures.append(f"finite-difference oracle {fd_err:.2e}")
-    dt = time.perf_counter() - t0
-    return CriterionResult(3, "poisson-correctness", not failures, dt,
-                           {"semigroup": sg, "fd_relative": fd_err}, failures)
+    return {"semigroup": sg, "fd_relative": fd_err}
 
 
-def criterion_4() -> CriterionResult:
+@_criterion(4, "seminorm-comparability", budget=120.0)
+def criterion_4(failures: list[str], theta: float) -> dict:
     """Comparability band across the three smoothness norms on the corpus."""
-    t0 = time.perf_counter()
-    failures = []
     J = 12
     bank = _wavelet.filter_bank(8)
     fns = corpus(J)
@@ -194,18 +208,12 @@ def criterion_4() -> CriterionResult:
             if c > 50.0:
                 failures.append(f"{f.label} s={s}: band {c:.1f} > 50")
     [fine] = _secdiff.holder_seminorm(wf, (1.0,), refine=4)
-    dt = time.perf_counter() - t0
-    if dt >= 120.0:
-        failures.append(f"runtime {dt:.1f}s >= 120s")
-    return CriterionResult(4, "seminorm-comparability", not failures, dt,
-                           {"band_constant": worst, "per_function": per_fn,
-                            "refine4_drift": fine / base}, failures)
+    return {"band_constant": worst, "per_function": per_fn, "refine4_drift": fine / base}
 
 
-def criterion_5() -> CriterionResult:
+@_criterion(5, "jbmo-cross-check")
+def criterion_5(failures: list[str], theta: float) -> dict:
     """Coefficient-based versus lift-based bmo-Sobolev norm on the corpus."""
-    t0 = time.perf_counter()
-    failures = []
     J = 12
     bank = _wavelet.filter_bank(8)
     worst = 1.0
@@ -220,15 +228,12 @@ def criterion_5() -> CriterionResult:
             worst = max(worst, c)
             if c > 50.0:
                 failures.append(f"{f.label} s={s}: band {c:.1f} > 50")
-    dt = time.perf_counter() - t0
-    return CriterionResult(5, "jbmo-cross-check", not failures, dt,
-                           {"band_constant": worst, "per_function": per_fn}, failures)
+    return {"band_constant": worst, "per_function": per_fn}
 
 
-def criterion_6() -> CriterionResult:
+@_criterion(6, "projection-mechanics")
+def criterion_6(failures: list[str], theta: float) -> dict:
     """Truncation projection: exact tail norm and the box-sum bound."""
-    t0 = time.perf_counter()
-    failures = []
     J = 12
     bank = _wavelet.filter_bank(8)
     for f in corpus(J):
@@ -242,11 +247,11 @@ def criterion_6() -> CriterionResult:
                         f"{f.label} s={s} eps={frac}*hi: tail {w.tail_norm:.3e} > eps")
                 if not w.box_ok:
                     failures.append(f"{f.label} s={s} eps={frac}*hi: box bound violated")
-    dt = time.perf_counter() - t0
-    return CriterionResult(6, "projection-mechanics", not failures, dt, {}, failures)
+    return {}
 
 
-def criterion_7(theta: float = THETA) -> CriterionResult:
+@_criterion(7, "distance-separation", budget=600.0)
+def criterion_7(failures: list[str], theta: float) -> dict:
     """Distance separation at J_grid=14 over depth range [7, 14].
 
     Rough lacunary functions must keep a threshold above 5 percent of their
@@ -259,8 +264,6 @@ def criterion_7(theta: float = THETA) -> CriterionResult:
     certificate applies and the collapse comes from it.  The wavelet method,
     whose fields die at the vanishing-moment rate, collapses either way.
     """
-    t0 = time.perf_counter()
-    failures = []
     J = 14
     J_range = (7, 14)
     details: dict = {"weierstrass": {}, "collapse": {}, "soft_bound": {}}
@@ -302,13 +305,11 @@ def criterion_7(theta: float = THETA) -> CriterionResult:
         if not est.collapsed:
             failures.append(
                 f"{label} s={s} {m}: eps0/hi {frac:.1e} above bisection resolution")
-    dt = time.perf_counter() - t0
-    if dt >= 600.0:
-        failures.append(f"runtime {dt:.0f}s >= 600s")
-    return CriterionResult(7, "distance-separation", not failures, dt, details, failures)
+    return details
 
 
-def criterion_8(theta: float = THETA) -> CriterionResult:
+@_criterion(8, "dilation-stability")
+def criterion_8(failures: list[str], theta: float) -> dict:
     """Divergence flags invariant under hyperbolic enlargement.
 
     For every corpus function, one diverging-side threshold (half the
@@ -321,15 +322,11 @@ def criterion_8(theta: float = THETA) -> CriterionResult:
     saturating threshold is therefore placed above every field value deep
     enough to spill into the window (empty sets are legitimate saturators).
     """
-    t0 = time.perf_counter()
-    failures = []
     J = 14
     J_max = 12
     J_range = (7, 12)
     per_fn = {}
     R_values = (0.5, 1.0, 2.0)
-    from .dyadic import cell_diameter_bound
-
     spill = math.ceil((max(R_values) + cell_diameter_bound(1)) / LOG2)
     fit_start = (J_range[0] + J_range[1] + 1) // 2
     safe_top = max(fit_start - spill - 1, 0)
@@ -356,20 +353,17 @@ def criterion_8(theta: float = THETA) -> CriterionResult:
                                           "cells": A.cell_count}
             if flips:
                 failures.append(f"{label} [{tag}]: flag flips at R={flips}")
-    dt = time.perf_counter() - t0
-    return CriterionResult(8, "dilation-stability", not failures, dt,
-                           {"per_set": per_fn}, failures)
+    return {"per_set": per_fn}
 
 
-def criterion_9(theta: float = THETA) -> CriterionResult:
+@_criterion(9, "inclusion-probes")
+def criterion_9(failures: list[str], theta: float) -> dict:
     """Inclusion probes between the three set constructions.
 
     Chain: wavelet set inside enlarged second-difference set, second
     difference inside Poisson, Poisson inside wavelet; each at half the
     source's critical threshold, witnessed somewhere on the (c, R) grid.
     """
-    t0 = time.perf_counter()
-    failures = []
     J = 12
     s = 1.0
     J_range = (6, 10)
@@ -382,24 +376,19 @@ def criterion_9(theta: float = THETA) -> CriterionResult:
     achieved = {}
     for (src, tgt), est in zip(chain, estimates):
         eps = 0.5 * est.epsilon_star
-        rep = _distance.inclusion_probe(
-            fields[src], fields[tgt], eps,
-            c_grid=(1.0, 0.5, 0.25, 0.125), R_grid=(0.5, 1.0, 2.0, 4.0), eta=0.99)
+        rep = _distance.inclusion_probe(fields[src], fields[tgt], eps, eta=0.99)
         achieved[f"{src}->{tgt}"] = {
             "achieved": rep.achieved, "eps": eps,
             "source_cells": rep.source_cells, "best_fraction": max(map(max, rep.fractions)),
         }
         if rep.achieved is None:
             failures.append(f"{src}->{tgt}: fraction 0.99 not achieved on the grid")
-    dt = time.perf_counter() - t0
-    return CriterionResult(9, "inclusion-probes", not failures, dt,
-                           {"witnesses": achieved}, failures)
+    return {"witnesses": achieved}
 
 
-def criterion_10() -> CriterionResult:
+@_criterion(10, "continuity-checks")
+def criterion_10(failures: list[str], theta: float) -> dict:
     """Continuity constants finite and stable under sample doubling."""
-    t0 = time.perf_counter()
-    failures = []
     J = 12
     base_count = 10_000
     per_fn = {}
@@ -420,38 +409,13 @@ def criterion_10() -> CriterionResult:
                     failures.append(f"{f.label} s={s}: {what} ratio not finite")
                 if drift > 0.20:
                     failures.append(f"{f.label} s={s}: {what} drift {drift:.2f} > 0.20")
-    dt = time.perf_counter() - t0
-    return CriterionResult(10, "continuity-checks", not failures, dt,
-                           {"per_function": per_fn}, failures)
+    return {"per_function": per_fn}
 
 
-CRITERIA = {
-    1: criterion_1,
-    2: criterion_2,
-    3: criterion_3,
-    4: criterion_4,
-    5: criterion_5,
-    6: criterion_6,
-    7: criterion_7,
-    8: criterion_8,
-    9: criterion_9,
-    10: criterion_10,
-}
-
-
-def run_all(numbers=None, theta: float = THETA) -> list[CriterionResult]:
+def run_all(numbers=None, theta: float = _distance.THETA) -> list[CriterionResult]:
     """Run the selected criteria; theta reaches the divergence-flag checks
     (criteria pin their own grid depths and tolerances)."""
-    import inspect
-
     selected = sorted(numbers) if numbers else sorted(CRITERIA)
     if not set(selected) <= set(CRITERIA):
         raise ValueError(f"criteria are numbered 1-{len(CRITERIA)}, got {selected}")
-    results = []
-    for k in selected:
-        fn = CRITERIA[k]
-        if "theta" in inspect.signature(fn).parameters:
-            results.append(fn(theta=theta))
-        else:
-            results.append(fn())
-    return results
+    return [CRITERIA[k](theta) for k in selected]

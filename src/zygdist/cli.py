@@ -41,10 +41,9 @@ class RunConfig:
     J_grid: int = 12
     s: float = 1.0
     wavelet_p: int = 8
-    theta: float = 0.1
+    theta: float = _distance.THETA
     J_lo: int = 7
     J_hi: int = 10
-    K: int = 0  # 0 means the per-dimension default
     out: str = "out"
 
     def as_dict(self) -> dict:
@@ -85,8 +84,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             cfg.J_lo, cfg.J_hi = (int(v) for v in args.jrange.split(":"))
         except ValueError:
             raise SpecError(f"--jrange {args.jrange!r} must be two integers lo:hi") from None
-    if cfg.K < 0:
-        raise SpecError(f"K={cfg.K} must be >= 0 (0 means the per-dimension default)")
     if not 0.0 < cfg.theta < math.inf:
         raise SpecError(f"theta={cfg.theta} must be finite and > 0")
     # a J_hi deeper than the field is allowed: carleson_sup continues M_J past it
@@ -139,10 +136,6 @@ def _emit_json(cfg: RunConfig, name: str, body: dict, spec_text: str | None,
     return path
 
 
-def _k_or_none(cfg: RunConfig):
-    return cfg.K if cfg.K > 0 else None
-
-
 def _print_warnings(estimates):
     for est in estimates:
         for text in est.warnings:
@@ -157,7 +150,7 @@ def cmd_seminorms(args) -> int:
     # the Poisson field first: its buffers then lie on a heap that no earlier
     # stage has left fragmented
     [poisson_norm] = _poisson.holder_poisson_norm(f, (s,))
-    [holder_semi] = _secdiff.holder_seminorm(f, (s,), K=_k_or_none(cfg))
+    [holder_semi] = _secdiff.holder_seminorm(f, (s,))
     coeffs = _wavelet.analyze(f, _wavelet.filter_bank(cfg.wavelet_p))
     norms = {
         "holder_direct": holder_semi + sup_norm(f),
@@ -192,7 +185,7 @@ def cmd_sets(args) -> int:
     spec = parse_function_spec(args.spec)
     f = synthesize(spec, cfg.n, cfg.J_grid)
     [fld] = _distance.method_context(
-        f, (cfg.s,), args.method, bank=_wavelet.filter_bank(cfg.wavelet_p), K=_k_or_none(cfg))
+        f, (cfg.s,), args.method, bank=_wavelet.filter_bank(cfg.wavelet_p))
     A = fld.threshold(args.eps)
     J_range = (cfg.J_lo, cfg.J_hi)
     m_values = carleson_sup((A,), J_range)
@@ -216,7 +209,7 @@ def cmd_distance(args) -> int:
     f = synthesize(spec, cfg.n, cfg.J_grid)
     comp = _distance.compare_methods(
         f, cfg.s, (cfg.J_lo, cfg.J_hi), cfg.theta,
-        bank=_wavelet.filter_bank(cfg.wavelet_p), K=_k_or_none(cfg))
+        bank=_wavelet.filter_bank(cfg.wavelet_p))
     _print_warnings(comp.estimates.values())
     body = {"function": f.label, "n": cfg.n, "s": cfg.s,
             "comparisons": comp.as_dict()}
@@ -231,7 +224,7 @@ def cmd_inclusion(args) -> int:
     f = synthesize(spec, cfg.n, cfg.J_grid)
     bank = _wavelet.filter_bank(cfg.wavelet_p)
     # one source field serves the bisection and the probe
-    [src] = _distance.method_context(f, (cfg.s,), args.source, bank=bank, K=_k_or_none(cfg))
+    [src] = _distance.method_context(f, (cfg.s,), args.source, bank=bank)
     if args.eps is None:
         ests = _distance.epsilon_star((src,), (cfg.s,), (cfg.J_lo, cfg.J_hi), cfg.theta)
         _print_warnings(ests)
@@ -240,7 +233,7 @@ def cmd_inclusion(args) -> int:
         eps = args.eps
     # the target field is built after the bisection, whose sets are gone by then
     tgt = src if args.target == args.source else _distance.method_context(
-        f, (cfg.s,), args.target, bank=bank, K=_k_or_none(cfg))[0]
+        f, (cfg.s,), args.target, bank=bank)[0]
     rep = _distance.inclusion_probe(src, tgt, eps, eta=args.eta)
     body = {"function": f.label, "n": cfg.n, "s": cfg.s,
             "inclusions": rep.as_dict()}
@@ -280,7 +273,6 @@ def _add_shared(parser: argparse.ArgumentParser):
     parser.add_argument("--wavelet-p", dest="wavelet_p", type=int, default=None)
     parser.add_argument("--theta", type=float, default=None)
     parser.add_argument("--jrange", type=str, default=None, help="lo:hi depth range")
-    parser.add_argument("--K", type=int, default=None, help="direction count for n=2")
     parser.add_argument("--out", type=str, default=None)
     parser.add_argument("--config", type=str, default=None, help="key=value file")
 

@@ -52,11 +52,18 @@ ITERATIONS = 20
 # The band [1/BAND, BAND] the cross-method ratios of eps0 must lie in.
 BAND = 32.0
 
+# A set diverges when its M_J slope exceeds THETA * log 2 (the default theta).
+THETA = 0.1
+
+# The inclusion probe's grid, in the order it walks it: c falling (a lower
+# target threshold grows the target set), then R rising.
+C_GRID = (1.0, 0.5, 0.25, 0.125)
+R_GRID = (0.5, 1.0, 2.0, 4.0)
+
 
 def method_context(
     f: GridFunction, s: tuple[float, ...], method: str,
     J_max: int | None = None, bank: _wavelet.FilterBank | None = None,
-    K: int | None = None,
 ) -> tuple[LevelField, ...]:
     """The method's probe fields, one per entry of s, in order, on levels up
     to J_max (by default, and at most, the deepest level the method supports
@@ -76,7 +83,7 @@ def method_context(
         return fields
     J_max = f.J_grid - 2 if J_max is None else min(J_max, f.J_grid - 2)
     if method == "secdiff":
-        return _secdiff.second_diff_field(f, s, J_max, K=K)
+        return _secdiff.second_diff_field(f, s, J_max)
     return _poisson.derivative_field(f, s, J_max)
 
 
@@ -239,7 +246,7 @@ class _Bisection:
 
 def epsilon_star(
     fields: tuple[LevelField, ...], s: tuple[float, ...], J_range: tuple[int, int],
-    theta: float = 0.1,
+    theta: float = THETA,
 ) -> DistanceEstimates:
     """For each field, bisect for the smallest eps whose superlevel set is not
     diverging, fields[i] judged at s[i], in ITERATIONS steps after the probe
@@ -311,8 +318,8 @@ class MethodComparison:
 
 
 def compare_methods(
-    f: GridFunction, s: float, J_range: tuple[int, int], theta: float = 0.1,
-    bank: _wavelet.FilterBank | None = None, K: int | None = None,
+    f: GridFunction, s: float, J_range: tuple[int, int], theta: float = THETA,
+    bank: _wavelet.FilterBank | None = None,
 ) -> MethodComparison:
     """Critical thresholds under all three constructions plus pairwise ratios,
     flagging those outside [1/BAND, BAND]; each method's field is built and
@@ -322,7 +329,7 @@ def compare_methods(
     ratio is defined as 1 (the zero-zero convention).
     """
     estimates = {
-        m: epsilon_star(method_context(f, (s,), m, bank=bank, K=K), (s,), J_range, theta)[0]
+        m: epsilon_star(method_context(f, (s,), m, bank=bank), (s,), J_range, theta)[0]
         for m in METHODS
     }
     ratios: dict[str, float] = {}
@@ -352,9 +359,7 @@ class InclusionReport:
     target_method: str
     eps: float
     eta: float
-    c_grid: tuple[float, ...]
-    R_grid: tuple[float, ...]
-    fractions: list[list[float]]
+    fractions: list[list[float]]  # rows: C_GRID; columns: R_GRID
     achieved: tuple[float, float] | None
     source_cells: int
 
@@ -364,8 +369,8 @@ class InclusionReport:
             "target": self.target_method,
             "eps": self.eps,
             "eta": self.eta,
-            "c_grid": list(self.c_grid),
-            "R_grid": list(self.R_grid),
+            "c_grid": list(C_GRID),
+            "R_grid": list(R_GRID),
             "fractions": self.fractions,
             "achieved": list(self.achieved) if self.achieved else None,
             "source_cells": self.source_cells,
@@ -384,35 +389,26 @@ def _contained_fraction(source: HalfSpaceSet, target: HalfSpaceSet) -> float:
     return inside / total
 
 
-def inclusion_probe(
-    src: LevelField, tgt: LevelField, eps: float,
-    c_grid=(1.0, 0.5, 0.25, 0.125), R_grid=(0.5, 1.0, 2.0, 4.0),
-    eta: float = 0.99,
-) -> InclusionReport:
-    """Fraction of src cells at eps inside the R-enlarged tgt set at c * eps.
+def inclusion_probe(src: LevelField, tgt: LevelField, eps: float,
+                    eta: float = 0.99) -> InclusionReport:
+    """Fraction of src cells at eps inside the R-enlarged tgt set at c * eps,
+    for c in C_GRID and R in R_GRID.
 
     The target threshold is lowered (c <= 1 grows the target set) and the
     target is hyperbolically enlarged; the preferred witness is the largest c
     and then the smallest R reaching the target fraction eta.
     """
-    if any(not 0.0 < c <= 1.0 for c in c_grid):
-        raise ValueError("c_grid entries must lie in (0, 1]")
-    if any(r < 0.0 for r in R_grid):
-        raise ValueError("R_grid entries must be >= 0")
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must lie in (0, 1]")
     if src.n != tgt.n:
         raise ValueError(f"source field has n={src.n}, target field n={tgt.n}")
     source = src.threshold(eps)
-
-    cs = tuple(sorted(c_grid, reverse=True))
-    rs = tuple(sorted(R_grid))
     fractions: list[list[float]] = []
     achieved: tuple[float, float] | None = None
-    for c in cs:
+    for c in C_GRID:
         row = []
         base_target = tgt.threshold(c * eps)
-        for R in rs:
+        for R in R_GRID:
             frac = _contained_fraction(source, enlarge(base_target, R))
             row.append(frac)
             if achieved is None and frac >= eta:
@@ -420,7 +416,7 @@ def inclusion_probe(
         fractions.append(row)
     return InclusionReport(
         source_method=src.method, target_method=tgt.method, eps=eps,
-        eta=eta, c_grid=cs, R_grid=rs, fractions=fractions,
+        eta=eta, fractions=fractions,
         achieved=achieved, source_cells=source.cell_count,
     )
 

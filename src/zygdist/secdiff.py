@@ -2,12 +2,14 @@
 the large-second-difference cell sets, and empirical continuity checks.
 
 The maximal second difference at (x, y) is the sup over directions |h| = y of
-|f(x+h) - 2 f(x) + f(x-h)|.  On the grid, h is a lattice vector (exact for
-n=1; rounded to within 2 percent of |h| = y for n=2).  On a probe lattice
-x = k * stride, f(x + h) and f(x - h) are strided slices of the samples cut
-where either wraps around the torus and added piece by piece into one buffer
-per lattice, so a direction allocates nothing; sampled positions gather by
-index.
+|f(x+h) - 2 f(x) + f(x-h)|.  On the grid, h is a lattice vector: n=1 probes
+its one direction exactly; n=2 probes DIRECTIONS = 8 angles pi i / 8, each
+rounded to a lattice vector within 2 percent of |h| = y (8, 16 and 32 angles
+gave the same eps0 within 3 percent on rough ladders at n=2 J=9).  On a probe
+lattice x = k * stride, f(x + h) and f(x - h) are strided slices of the
+samples cut where either wraps around the torus and added piece by piece into
+one buffer per lattice, so a direction allocates nothing; sampled positions
+gather by index.
 
 second_diff_field and holder_seminorm take a tuple of s: each probe's
 |Delta2| is divided by y^s for every s, so one pass over the probes serves
@@ -30,30 +32,32 @@ from .gridfn import GridFunction, _deal, _share_count
 CELL_FRACS = (0.625, 0.75, 0.875, 1.0)
 # probe x points per cell and axis, where the grid is that fine
 PROBES_PER_CELL = 8
+# n=2 probe angles pi i / DIRECTIONS, i = 0..DIRECTIONS-1
+DIRECTIONS = 8
 
 
-def _lattice_directions(m, K: int):
-    """For each of K angles pi i / K, the rounded lattice vector (ha, hb) of
-    norm m and whether it is within 2 percent of m.  m may be an int or an
-    int array; ha, hb and valid then have its shape."""
-    K = max(K, 1)
-    for i in range(K):
-        theta = math.pi * i / K
+def _lattice_directions(m):
+    """For each n=2 angle pi i / DIRECTIONS, the rounded lattice vector
+    (ha, hb) of norm m and whether it is within 2 percent of m.  m may be an
+    int or an int array; ha, hb and valid then have its shape."""
+    for i in range(DIRECTIONS):
+        theta = math.pi * i / DIRECTIONS
         ha = np.round(m * math.cos(theta)).astype(int)
         hb = np.round(m * math.sin(theta)).astype(int)
         norm = np.hypot(ha, hb)
         yield ha, hb, (norm > 0) & (np.abs(norm - m) <= 0.02 * m)
 
 
-def _directions(n: int, m: int, K: int) -> list[tuple[int, ...]]:
-    """Lattice direction vectors of norm m (grid units), K angles for n=2,
-    without repeats or opposite pairs.  Angle 0 always yields (m, 0)."""
+def _directions(n: int, m: int) -> list[tuple[int, ...]]:
+    """Lattice direction vectors of norm m (grid units): (m,) for n=1; for
+    n=2 those of _lattice_directions, without repeats or opposite pairs.
+    Angle 0 always yields (m, 0)."""
     if m < 1:
         raise ValueError("probe scale below grid resolution")
     if n == 1:
         return [(m,)]
     dirs: list[tuple[int, ...]] = []
-    for ha, hb, valid in _lattice_directions(m, K):
+    for ha, hb, valid in _lattice_directions(m):
         h = (int(ha), int(hb))
         if valid and h not in dirs and (-h[0], -h[1]) not in dirs:
             dirs.append(h)
@@ -102,10 +106,6 @@ def _d2_lattice(samples: np.ndarray, h: tuple[int, ...], stride: int,
     return np.abs(out, out=out)
 
 
-def _default_K(n: int) -> int:
-    return 1 if n == 1 else 8
-
-
 def _s_values(s) -> tuple[float, ...]:
     """s, checked: a nonempty tuple of smoothness orders in (0, 1]."""
     if not isinstance(s, tuple):
@@ -117,8 +117,7 @@ def _s_values(s) -> tuple[float, ...]:
     return s
 
 
-def holder_seminorm(f: GridFunction, s: tuple[float, ...], K: int | None = None,
-                    refine: int = 1) -> tuple[float, ...]:
+def holder_seminorm(f: GridFunction, s: tuple[float, ...], refine: int = 1) -> tuple[float, ...]:
     """max over grid x, probe scales and directions of Delta2 f / y^s, one
     value per entry of s, in order, from one pass over the probes.
 
@@ -131,13 +130,12 @@ def holder_seminorm(f: GridFunction, s: tuple[float, ...], K: int | None = None,
     s = _s_values(s)
     if refine < 1:
         raise ValueError("refine must be >= 1")
-    K = _default_K(f.n) if K is None else K
     N = f.grid_size
     probes = []  # (y, h) per probe scale and direction
     for j in range(1, f.J_grid):
         base = 2 ** (f.J_grid - j)
         ms = sorted({int(round(base * (0.5 + q / (2.0 * refine)))) for q in range(1, refine + 1)})
-        probes += [(m / N, h) for m in ms if 1 <= m < N for h in _directions(f.n, m, K)]
+        probes += [(m / N, h) for m in ms if 1 <= m < N for h in _directions(f.n, m)]
     twice_center = 2.0 * f.samples
     free = [np.empty_like(twice_center) for _ in range(_share_count(probes, f.samples.size))]
 
@@ -152,8 +150,7 @@ def holder_seminorm(f: GridFunction, s: tuple[float, ...], K: int | None = None,
     return tuple(map(max, zip(*_deal(run, probes, f.samples.size))))
 
 
-def second_diff_field(f: GridFunction, s: tuple[float, ...], J_max: int,
-                      K: int | None = None) -> tuple[LevelField, ...]:
+def second_diff_field(f: GridFunction, s: tuple[float, ...], J_max: int) -> tuple[LevelField, ...]:
     """Per-cell max of Delta2 f(x, y) / y^s over the cell's probe points, one
     field per entry of s, in order, from one pass over the probes.
 
@@ -165,13 +162,12 @@ def second_diff_field(f: GridFunction, s: tuple[float, ...], J_max: int,
     s = _s_values(s)
     if not 0 <= J_max <= f.J_grid - 2:
         raise ValueError(f"J_max={J_max} outside [0, J_grid-2={f.J_grid - 2}]")
-    K = _default_K(f.n) if K is None else K
-    levels = [_level_probe_max(f, s, j, K) for j in range(J_max + 1)]
+    levels = [_level_probe_max(f, s, j) for j in range(J_max + 1)]
     return tuple(LevelField("secdiff", f.n, J_max, dict(enumerate(values)))
                  for values in zip(*levels))
 
 
-def _level_probe_max(f: GridFunction, s: tuple[float, ...], j: int, K: int) -> list[np.ndarray]:
+def _level_probe_max(f: GridFunction, s: tuple[float, ...], j: int) -> list[np.ndarray]:
     """Level j of second_diff_field, per entry of s.  Its lattice arrays are
     freed before the pooling and the next level allocate theirs.  The last s
     divides the stencil buffer in place and the others a copy, so each s
@@ -189,7 +185,7 @@ def _level_probe_max(f: GridFunction, s: tuple[float, ...], j: int, K: int) -> l
         if abs(m - m_exact) > 1e-9 or m < 1:
             continue
         y = m / N
-        for h in _directions(f.n, m, K):
+        for h in _directions(f.n, m):
             _d2_lattice(f.samples, h, stride, twice_center, buf)
             for t, most in zip(s[:-1], probe_max):
                 np.divide(buf, y**t, out=scaled)
@@ -200,7 +196,7 @@ def _level_probe_max(f: GridFunction, s: tuple[float, ...], j: int, K: int) -> l
     return [pool(most, np.maximum, 2**j) for most in probe_max]
 
 
-def _d2_vector(samples: np.ndarray, pos, m: np.ndarray, K: int) -> np.ndarray:
+def _d2_vector(samples: np.ndarray, pos, m: np.ndarray) -> np.ndarray:
     """Maximal second difference at per-sample positions and scales m."""
     N = samples.shape[0]
     if samples.ndim == 1:
@@ -208,7 +204,7 @@ def _d2_vector(samples: np.ndarray, pos, m: np.ndarray, K: int) -> np.ndarray:
         return np.abs((samples[(i + m) % N] + samples[(i - m) % N]) - 2.0 * samples[i])
     out = np.zeros(m.shape)
     i, j = pos
-    for ha, hb, valid in _lattice_directions(m, K):
+    for ha, hb, valid in _lattice_directions(m):
         vals = np.abs(
             (samples[(i + ha) % N, (j + hb) % N]
              + samples[(i - ha) % N, (j - hb) % N])
@@ -271,7 +267,6 @@ def continuity_check(f: GridFunction, s: float, sample_count: int, seed: int) ->
     if norm == 0.0:
         raise ValueError("degenerate function: zero seminorm")
     N = f.grid_size
-    K = _default_K(f.n)
     rng = np.random.default_rng(seed)
     u = rng.uniform(size=(sample_count, 6))
 
@@ -302,8 +297,8 @@ def continuity_check(f: GridFunction, s: float, sample_count: int, seed: int) ->
         if s == 1.0:
             ok &= dist_x < m1 / (2.0 * N)
 
-    d2_1 = _d2_vector(f.samples, pos1, m1, K)
-    d2_2 = _d2_vector(f.samples, pos2, m2, K)
+    d2_1 = _d2_vector(f.samples, pos1, m1)
+    d2_2 = _d2_vector(f.samples, pos2, m2)
 
     y1 = m1 / N
     dy = np.abs(m1 - m2) / N

@@ -9,6 +9,10 @@ full stack at every small threshold).  See "Smooth functions: the C²-decay
 certificate" in README.md.
 """
 
+from types import SimpleNamespace
+
+import pytest
+
 from zygdist import acceptance
 
 
@@ -74,3 +78,24 @@ def test_criterion_09_inclusion_probes():
 def test_criterion_10_continuity_checks():
     result = _run(10)
     assert result.passed, result.failures
+
+
+@pytest.mark.parametrize("took,passed", [(0.999, True), (1.0, False)])
+def test_harness_fails_a_run_that_reaches_its_budget(monkeypatch, took, passed):
+    # a clock that reads 10 s before the body and 10 s + took after it
+    registry = acceptance.CRITERIA
+    monkeypatch.setattr(acceptance, "CRITERIA", {})
+    readings = iter((10.0, 10.0 + took))
+    monkeypatch.setattr(acceptance, "time", SimpleNamespace(perf_counter=lambda: next(readings)))
+
+    @acceptance._criterion(99, "budget-probe", budget=1.0)
+    def probe(failures, theta):
+        return {"theta": theta}
+
+    assert acceptance.CRITERIA == {99: probe}
+    result = probe(0.25)
+    assert (result.number, result.name, result.passed) == (99, "budget-probe", passed)
+    assert result.details == {"theta": 0.25}
+    assert result.seconds == pytest.approx(took)
+    assert result.failures == ([] if passed else ["runtime 1.00s >= 1s"])
+    assert sorted(registry) == list(range(1, 11))

@@ -383,18 +383,22 @@ class TestConfigFile:
         assert "unknown config key" in capsys.readouterr().err
 
     @pytest.mark.parametrize("where", ["flag", "file"])
-    def test_negative_K_rejected(self, tmp_path, capsys, where):
-        # K = 0 means the per-dimension default; a negative K means nothing
-        argv = ["seminorms", "--spec", "trig k=1 a=1", "--jgrid", "8", "--out", str(tmp_path)]
+    def test_direction_count_K_rejected(self, tmp_path, capsys, where):
+        # the n=2 direction count is secdiff.DIRECTIONS: no path takes a K,
+        # and none ignores one silently
+        argv = ["seminorms", "--n", "2", "--spec", "trig k=1,0 a=1", "--jgrid", "6",
+                "--out", str(tmp_path)]
         if where == "flag":
-            argv += ["--K", "-1"]
+            with pytest.raises(SystemExit) as exc:
+                run(argv + ["--K", "8"])
+            assert exc.value.code == EXIT_VALIDATION
+            assert "unrecognized arguments: --K 8" in capsys.readouterr().err
         else:
             cfg = tmp_path / "run.cfg"
-            cfg.write_text("K = -1\n")
-            argv += ["--config", str(cfg)]
-        assert run(argv) == EXIT_VALIDATION
-        assert "K=-1 must be >= 0" in capsys.readouterr().err
-        assert not list(tmp_path.glob("seminorms_*.json"))
+            cfg.write_text("K = 8\n")
+            assert run(argv + ["--config", str(cfg)]) == EXIT_VALIDATION
+            assert "unknown config key 'K'" in capsys.readouterr().err
+        assert not list(tmp_path.glob("seminorms_*"))
 
     @pytest.mark.parametrize("where", ["flag", "file"])
     @pytest.mark.parametrize("theta", ["nan", "-1"])

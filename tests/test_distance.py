@@ -6,8 +6,8 @@ import pytest
 
 from conftest import BAD_S, BOTH_S, carleson, same_bits, same_carleson, same_fields
 from zygdist import GridFunction, distance, parse_function_spec, synthesize
-from zygdist.distance import (C2_DECAY_KAPPA, METHODS, compare_methods, divergence,
-                              epsilon_star, inclusion_probe, method_context,
+from zygdist.distance import (C2_DECAY_KAPPA, C_GRID, METHODS, R_GRID, compare_methods,
+                              divergence, epsilon_star, inclusion_probe, method_context,
                               projection_distance_witness)
 from zygdist.dyadic import LOG2, LevelField, carleson_sup, threshold_set
 from zygdist.wavelet import (analyze, jbmo_box_sup, lip_wavelet_norm, scale_ratio_field,
@@ -397,9 +397,20 @@ class TestInclusionProbe:
     def test_self_inclusion_identity(self, fields_weier):
         fld = fields_weier["secdiff"]
         eps = 0.3 * fld.max_value
-        rep = inclusion_probe(fld, fld, eps, c_grid=(1.0,), R_grid=(0.0,))
-        assert rep.fractions == [[1.0]]
-        assert rep.achieved == (1.0, 0.0)
+        rep = inclusion_probe(fld, fld, eps)
+        assert rep.source_cells > 0
+        assert rep.fractions == [[1.0] * len(R_GRID)] * len(C_GRID)
+        assert rep.achieved == (1.0, 0.5)
+
+    def test_grids_are_the_constants(self, fields_weier):
+        # the probe walks C_GRID then R_GRID as written: c falling, R rising
+        assert C_GRID == tuple(sorted(C_GRID, reverse=True))
+        assert R_GRID == tuple(sorted(R_GRID))
+        rep = inclusion_probe(fields_weier["secdiff"], fields_weier["poisson"],
+                              0.3 * fields_weier["secdiff"].max_value).as_dict()
+        assert rep["c_grid"] == list(C_GRID) == [1.0, 0.5, 0.25, 0.125]
+        assert rep["R_grid"] == list(R_GRID) == [0.5, 1.0, 2.0, 4.0]
+        assert [len(row) for row in rep["fractions"]] == [4] * 4
 
     def test_wavelet_inside_enlarged_secdiff(self, fields_weier):
         est = epsilon_star((fields_weier["wavelet"],), (1.0,), J_RANGE, THETA)[0]
@@ -416,13 +427,6 @@ class TestInclusionProbe:
         assert np.all(np.diff(mat, axis=1) >= -1e-12)  # growing R helps
         assert np.all(np.diff(mat, axis=0) >= -1e-12)  # shrinking c helps
 
-    def test_bad_grids_rejected(self, fields_weier):
-        src, tgt = fields_weier["secdiff"], fields_weier["poisson"]
-        with pytest.raises(ValueError):
-            inclusion_probe(src, tgt, 0.1, c_grid=(2.0,))
-        with pytest.raises(ValueError):
-            inclusion_probe(src, tgt, 0.1, R_grid=(-1.0,))
-
     @pytest.mark.parametrize("eta", [1.5, -1.0, 0.0, float("nan")])
     def test_eta_outside_unit_interval_rejected(self, fields_weier, eta):
         # eta > 1 is never achieved, and eta <= 0 is achieved by any grid point
@@ -432,8 +436,8 @@ class TestInclusionProbe:
 
     def test_eta_one_accepted(self, fields_weier):
         fld = fields_weier["secdiff"]
-        rep = inclusion_probe(fld, fld, 0.3 * fld.max_value, c_grid=(1.0,), R_grid=(0.0,), eta=1.0)
-        assert rep.achieved == (1.0, 0.0)
+        rep = inclusion_probe(fld, fld, 0.3 * fld.max_value, eta=1.0)
+        assert rep.achieved == (1.0, 0.5)
 
     def test_fields_of_different_n_rejected(self, fields_weier):
         f2 = synthesize(parse_function_spec("weierstrass s=1 levels=3"), 2, 6)

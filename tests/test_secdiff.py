@@ -8,8 +8,8 @@ from conftest import BAD_S, BOTH_S, carleson, is_subset, same_bits, same_fields,
 from zygdist import GridFunction, gridfn, parse_function_spec, synthesize
 import zygdist.secdiff as secdiff
 from zygdist.poisson import lipschitz_check
-from zygdist.secdiff import (_d2_lattice, _d2_vector, _default_K, _directions,
-                             continuity_check, holder_seminorm, second_diff_field)
+from zygdist.secdiff import (_d2_lattice, _d2_vector, _directions, continuity_check,
+                             holder_seminorm, second_diff_field)
 
 J = 12
 N = 2**J
@@ -18,12 +18,11 @@ HOLDER_N2_PEAK_MIB = 24.41
 HOLDER_N2_PEAK_SLACK_MIB = 0.25
 
 
-def second_difference(f, x, y, K=None):
+def second_difference(f, x, y):
     """Maximal second difference at grid point x and scale y = m * 2^-J, over
-    K directions (default: as many as the fields use)."""
-    K = _default_K(f.n) if K is None else K
+    the directions the fields use."""
     pos = tuple(np.asarray([v], dtype=int) for v in np.atleast_1d(x))
-    return float(_d2_vector(f.samples, pos, np.asarray([round(y * f.grid_size)]), K)[0])
+    return float(_d2_vector(f.samples, pos, np.asarray([round(y * f.grid_size)]))[0])
 
 
 def weier_d2_oracle(s, levels, x, y):
@@ -89,21 +88,19 @@ class TestSecondDifference:
 
     def test_n2_direction_max(self):
         f = synthesize(parse_function_spec("trig k=1,0 a=1"), 2, 8)
-        # with K=8 directions the (m, 0) axis sees the full 1-d variation
-        val = second_difference(f, (0, 0), 0.5, K=8)
+        # among the 8 directions the (m, 0) axis sees the full 1-d variation
+        val = second_difference(f, (0, 0), 0.5)
         assert abs(val - 4.0) < 1e-12
 
-    def test_n2_default_directions_are_the_fields(self, weier1_12):
-        # the (m, 0) axis alone misses a function of the second coordinate
+    def test_n2_default_directions_are_the_fields(self, monkeypatch):
+        # the (m, 0) axis alone misses a function of the second coordinate,
+        # and the point oracle and the seminorm both read secdiff.DIRECTIONS
         f = synthesize(parse_function_spec("trig k=0,1 a=1"), 2, 8)
-        assert second_difference(f, (0, 0), 0.5, K=1) == 0.0
-        assert second_difference(f, (0, 0), 0.5) == second_difference(f, (0, 0), 0.5, K=8)
-        g = synthesize(parse_function_spec("weierstrass s=1 levels=5 signs=random seed=2"), 2, 7)
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            x = tuple(int(v) for v in rng.integers(0, 128, 2))
-            y = int(rng.integers(1, 64)) / 128
-            assert second_difference(g, x, y) == second_difference(g, x, y, K=8)
+        assert abs(second_difference(f, (0, 0), 0.5) - 4.0) < 1e-12
+        assert holder_seminorm(f, (1.0,))[0] > 0.0
+        monkeypatch.setattr(secdiff, "DIRECTIONS", 1)
+        assert second_difference(f, (0, 0), 0.5) == 0.0
+        assert holder_seminorm(f, (1.0,)) == (0.0,)
 
 
 class TestLatticeStencil:
@@ -131,8 +128,7 @@ class TestLatticeStencil:
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("n,Jg", [(1, 9), (2, 6)])
-    @pytest.mark.parametrize("K", [1, 8])
-    def test_matches_point_oracle(self, n, Jg, K):
+    def test_matches_point_oracle(self, n, Jg):
         # max over the directions and their negatives (negative lattice
         # components on both axes) at every stride a field can use
         rng = np.random.default_rng(4)
@@ -140,7 +136,7 @@ class TestLatticeStencil:
         f = GridFunction(n, Jg, rng.standard_normal((Ng,) * n))
         for stride in (1, 2, 4, 8, 16):
             for m in (1, stride + 1, 5 * stride - 3, Ng // 2 + 3):
-                dirs = _directions(n, m, K)
+                dirs = _directions(n, m)
                 dirs += [tuple(-c for c in h) for h in dirs]
                 field = np.max([lattice_d2(f.samples, h, stride) for h in dirs], axis=0)
                 assert field.shape == (Ng // stride,) * n
@@ -148,7 +144,7 @@ class TestLatticeStencil:
                 picks += [tuple(rng.integers(0, Ng // stride, n)) for _ in range(30)]
                 for k in picks:
                     x = tuple(stride * int(c) for c in k)
-                    assert field[k] == second_difference(f, x if n == 2 else x[0], m / Ng, K)
+                    assert field[k] == second_difference(f, x if n == 2 else x[0], m / Ng)
 
 
 class TestHolderSeminorm:
@@ -187,15 +183,14 @@ class TestHolderSeminorm:
 
     @pytest.mark.parametrize("n,Jg", [(1, 16), (2, 10)])
     @pytest.mark.parametrize("refine", [1, 2])
-    @pytest.mark.parametrize("K", [1, 8])
-    def test_threads_do_not_change_the_value(self, n, Jg, refine, K, monkeypatch):
+    def test_threads_do_not_change_the_value(self, n, Jg, refine, monkeypatch):
         f = synthesize(parse_function_spec("weierstrass s=1 levels=8 signs=random seed=2"), n, Jg)
         monkeypatch.setattr(gridfn, "_CPUS", 2)
         off_caller = spy_deal(monkeypatch, secdiff)
         values = []
         for min_points in (2**62, 0):  # serial, then threaded
             monkeypatch.setattr(gridfn, "_THREAD_MIN_POINTS", min_points)
-            values.append(holder_seminorm(f, (0.5,), K=K, refine=refine)[0])
+            values.append(holder_seminorm(f, (0.5,), refine=refine)[0])
             assert any(off_caller) == (min_points == 0)
             off_caller.clear()
         assert values[0].hex() == values[1].hex()
