@@ -128,9 +128,12 @@ class TestLatticeStencil:
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("n,Jg", [(1, 9), (2, 6)])
-    def test_matches_point_oracle(self, n, Jg):
+    @pytest.mark.parametrize("directions", [1, 8])
+    def test_matches_point_oracle(self, n, Jg, directions, monkeypatch):
         # max over the directions and their negatives (negative lattice
-        # components on both axes) at every stride a field can use
+        # components on both axes) at every stride a field can use; the
+        # stencil and the point oracle agree at any secdiff.DIRECTIONS
+        monkeypatch.setattr(secdiff, "DIRECTIONS", directions)
         rng = np.random.default_rng(4)
         Ng = 2**Jg
         f = GridFunction(n, Jg, rng.standard_normal((Ng,) * n))
@@ -183,7 +186,10 @@ class TestHolderSeminorm:
 
     @pytest.mark.parametrize("n,Jg", [(1, 16), (2, 10)])
     @pytest.mark.parametrize("refine", [1, 2])
-    def test_threads_do_not_change_the_value(self, n, Jg, refine, monkeypatch):
+    @pytest.mark.parametrize("directions", [1, 8])
+    def test_threads_do_not_change_the_value(self, n, Jg, refine, directions, monkeypatch):
+        # with one n=2 direction and with the default eight
+        monkeypatch.setattr(secdiff, "DIRECTIONS", directions)
         f = synthesize(parse_function_spec("weierstrass s=1 levels=8 signs=random seed=2"), n, Jg)
         monkeypatch.setattr(gridfn, "_CPUS", 2)
         off_caller = spy_deal(monkeypatch, secdiff)
