@@ -409,6 +409,8 @@ def criterion_10(failures: list[str], theta: float) -> dict:
                     failures.append(f"{f.label} s={s}: {what} ratio not finite")
                 if drift > 0.20:
                     failures.append(f"{f.label} s={s}: {what} drift {drift:.2f} > 0.20")
+        # one function's reports at a time: the next checks run without them
+        del hyperbolic, lipschitz, continuity, r
     return {"per_function": per_fn}
 
 

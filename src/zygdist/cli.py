@@ -318,6 +318,9 @@ def main(argv=None) -> int:
     parser = make_parser()
     try:
         args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits after --help (0) and on a usage error (2)
+        return exc.code
+    try:
         return args.func(args)
     except (SpecError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -321,8 +321,18 @@ def synthesize(spec: FunctionSpec, n: int, J_grid: int) -> GridFunction:
         k = _index_tuple(kind, p["k"], n)
         if max(abs(v) for v in k) > N // 2:
             raise SpecError(f"trig frequency {p['k']} not resolvable at J_grid={J_grid}")
-        dot = sum(kt * xt for kt, xt in zip(k, np.meshgrid(*(x,) * n, indexing="ij", sparse=True)))
-        samples = p["a"] * np.cos(2 * np.pi * dot + p["phase"])
+        # the operations of p["a"] * cos(2 pi sum(k_t x_t) + p["phase"]), in
+        # order, on one grid: sum() starts from 0, and 0 + k_0 x_0 is
+        # k_0 x_0 + 0, which reads -0.0 as 0.0
+        axes = np.meshgrid(*(x,) * n, indexing="ij", sparse=True, copy=False)
+        samples = np.multiply(k[0], axes[0], out=np.empty((N,) * n))
+        samples += 0
+        for kt, xt in zip(k[1:], axes[1:]):
+            samples += kt * xt
+        samples *= 2 * np.pi
+        samples += p["phase"]
+        np.cos(samples, out=samples)
+        samples *= p["a"]
     elif kind in ("weierstrass", "lacunary-random"):
         levels = p["levels"]
         if levels > J_grid - 2:

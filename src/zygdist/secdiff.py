@@ -15,6 +15,13 @@ second_diff_field and holder_seminorm take a tuple of s: each probe's
 |Delta2| is divided by y^s for every s, so one pass over the probes serves
 all of them, each bitwise as a call with its s alone.  continuity_check
 stays one s, since its sampling depends on whether s = 1.
+
+continuity_check and poisson.lipschitz_check draw, score and drop their
+pairs SAMPLE_CHUNK samples at a time.  Per sample, continuity_check holds
+only the ratio it returns; lipschitz_check holds a ratio per s and, per pair
+endpoint, its rung of the height ladder and d2y u there, plus its grid
+position and sort order until the one pass over the heights ends.
+Everything else they make lives for one chunk.
 """
 
 from __future__ import annotations
@@ -34,6 +41,8 @@ CELL_FRACS = (0.625, 0.75, 0.875, 1.0)
 PROBES_PER_CELL = 8
 # n=2 probe angles pi i / DIRECTIONS, i = 0..DIRECTIONS-1
 DIRECTIONS = 8
+# samples drawn, scored and dropped at a time by the continuity checks
+SAMPLE_CHUNK = 2**12
 
 
 def _lattice_directions(m):
@@ -235,40 +244,38 @@ class ContinuityReport:
                 and np.array_equal(self.ratios, other.ratios))
 
 
-def _pair_report(g1: np.ndarray, g2: np.ndarray, norm: float, distance: np.ndarray,
-                 ok: np.ndarray, s: float) -> ContinuityReport:
-    """Ratios |g1 - g2| / (norm * distance) on the admissible pairs ok, one
-    per sample, and their max."""
-    ratios = np.zeros(ok.size)
-    ratios[ok] = np.abs(g1 - g2)[ok] / (norm * distance[ok])
+def _chunks(sample_count: int):
+    """(lo, hi) for each chunk of SAMPLE_CHUNK samples, in order."""
+    for lo in range(0, sample_count, SAMPLE_CHUNK):
+        yield lo, min(lo + SAMPLE_CHUNK, sample_count)
+
+
+def _pair_ratios(g1: np.ndarray, g2: np.ndarray, norm: float, distance: np.ndarray,
+                 ok: np.ndarray, out: np.ndarray):
+    """Write |g1 - g2| / (norm * distance) on the admissible pairs ok into
+    out, a zeroed slice of a report's ratios."""
+    out[ok] = np.abs(g1 - g2)[ok] / (norm * distance[ok])
+
+
+def _report(ratios: np.ndarray, pairs_used: int, norm: float, s: float) -> ContinuityReport:
+    """The report of a check whose ratios are filled."""
     return ContinuityReport(
         max_ratio=float(ratios.max()) if ratios.size else 0.0,
-        pairs_used=int(ok.sum()),
-        sample_count=ok.size,
+        pairs_used=pairs_used,
+        sample_count=ratios.size,
         norm=norm,
         s=s,
         ratios=ratios,
     )
 
 
-def continuity_check(f: GridFunction, s: float, sample_count: int, seed: int) -> ContinuityReport:
-    """Empirical constant for the second-difference modulus of continuity.
-
-    Samples admissible pairs (x, y), (x', y') with 1/2 < y/y' < 2 (and
-    |x - x'| < y/2 when s = 1) and returns the max of
-    |Delta2(x,y) - Delta2(x',y')| / (seminorm * modulus), where the modulus is
-    |x-x'|^s + |y-y'|^s for s < 1 and the log-corrected variant at s = 1.
-    Drawing more samples with the same seed extends the same sequence, so
-    ratios[:k].max() is the max_ratio of the same-seed check at k samples.
-    """
-    if sample_count < 0:
-        raise ValueError(f"sample_count={sample_count} must be >= 0")
-    [norm] = holder_seminorm(f, (s,))
-    if norm == 0.0:
-        raise ValueError("degenerate function: zero seminorm")
+def _draw_pairs(f: GridFunction, s: float, rng, count: int):
+    """The next count pairs of continuity_check from rng: both points'
+    scales m1, m2 and positions in grid steps, their horizontal distance,
+    and whether the scales (and, at n=2 for s = 1, the distance) admit the
+    pair."""
     N = f.grid_size
-    rng = np.random.default_rng(seed)
-    u = rng.uniform(size=(sample_count, 6))
+    u = rng.uniform(size=(count, 6))
 
     m1 = (1 + np.floor(u[:, 0] * (N // 2 - 1))).astype(int)
     ratio = 0.5 + 1.5 * u[:, 1]
@@ -296,7 +303,14 @@ def continuity_check(f: GridFunction, s: float, sample_count: int, seed: int) ->
         dist_x = np.hypot(dxa, dxb) / N
         if s == 1.0:
             ok &= dist_x < m1 / (2.0 * N)
+    return m1, m2, pos1, pos2, dist_x, ok
 
+
+def _score_pairs(f: GridFunction, s: float, norm: float, pairs, out: np.ndarray) -> int:
+    """Write the ratios of pairs, drawn by _draw_pairs, into out; return the
+    number of admissible pairs."""
+    m1, m2, pos1, pos2, dist_x, ok = pairs
+    N = f.grid_size
     d2_1 = _d2_vector(f.samples, pos1, m1)
     d2_2 = _d2_vector(f.samples, pos2, m2)
 
@@ -310,4 +324,34 @@ def continuity_check(f: GridFunction, s: float, sample_count: int, seed: int) ->
     else:
         modulus = dist_x**s + dy**s
     ok &= modulus > 0
-    return _pair_report(d2_1, d2_2, norm, modulus, ok, s)
+    _pair_ratios(d2_1, d2_2, norm, modulus, ok, out)
+    return int(ok.sum())
+
+
+def continuity_check(f: GridFunction, s: float, sample_count: int, seed: int) -> ContinuityReport:
+    """Empirical constant for the second-difference modulus of continuity.
+
+    Samples admissible pairs (x, y), (x', y') with 1/2 < y/y' < 2 (and
+    |x - x'| < y/2 when s = 1) and returns the max of
+    |Delta2(x,y) - Delta2(x',y')| / (seminorm * modulus), where the modulus is
+    |x-x'|^s + |y-y'|^s for s < 1 and the log-corrected variant at s = 1.
+    Drawing more samples with the same seed extends the same sequence, so
+    ratios[:k].max() is the max_ratio of the same-seed check at k samples.
+
+    The pairs are drawn, scored and dropped SAMPLE_CHUNK at a time, each
+    chunk's arrays freed before the next is drawn: the ratios (8 bytes a
+    sample) are all the check holds per sample.  Chunked draws are the
+    stream of one draw, and every ratio is elementwise, so the report does
+    not depend on the chunk size.
+    """
+    if sample_count < 0:
+        raise ValueError(f"sample_count={sample_count} must be >= 0")
+    [norm] = holder_seminorm(f, (s,))
+    if norm == 0.0:
+        raise ValueError("degenerate function: zero seminorm")
+    rng = np.random.default_rng(seed)
+    ratios = np.zeros(sample_count)
+    pairs_used = 0
+    for lo, hi in _chunks(sample_count):
+        pairs_used += _score_pairs(f, s, norm, _draw_pairs(f, s, rng, hi - lo), ratios[lo:hi])
+    return _report(ratios, pairs_used, norm, s)

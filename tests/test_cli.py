@@ -389,9 +389,7 @@ class TestConfigFile:
         argv = ["seminorms", "--n", "2", "--spec", "trig k=1,0 a=1", "--jgrid", "6",
                 "--out", str(tmp_path)]
         if where == "flag":
-            with pytest.raises(SystemExit) as exc:
-                run(argv + ["--K", "8"])
-            assert exc.value.code == EXIT_VALIDATION
+            assert run(argv + ["--K", "8"]) == EXIT_VALIDATION
             assert "unrecognized arguments: --K 8" in capsys.readouterr().err
         else:
             cfg = tmp_path / "run.cfg"
@@ -474,3 +472,11 @@ class TestConfigFile:
         code = run(["seminorms", "--spec", "trig k=1 a=1", "--config", str(cfg),
                     "--out", str(tmp_path)])
         assert code == EXIT_VALIDATION
+
+
+class TestExitStatus:
+    @pytest.mark.parametrize("argv", [["--help"], ["distance", "--help"]])
+    def test_help_returns_zero(self, capsys, argv):
+        # argparse exits after printing the help; main returns that status
+        assert run(argv) == EXIT_OK
+        assert "usage:" in capsys.readouterr().out

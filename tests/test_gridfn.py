@@ -152,6 +152,9 @@ def _pointwise(spec, n, J):
         return sum(_pointwise(t, n, J) for t in p["terms"])
     if kind == "xlogx":
         return sum(_xlogx_axis(c, p["eps"]) for c in coords)
+    if kind == "trig":
+        k = (p["k"],) if np.isscalar(p["k"]) else p["k"]
+        return p["a"] * np.cos(2 * np.pi * sum(kt * c for kt, c in zip(k, coords)) + p["phase"])
     if kind not in ("weierstrass", "lacunary-random"):
         return synthesize(spec, n, J).samples
     levels, s = p["levels"], p["s"]
@@ -183,6 +186,9 @@ class TestExactArguments:
         "xlogx eps=0.1",
         "sum weierstrass s=1 levels={L} signs=plus + wavelet-atom {atom}",
         "sum lacunary-random s=1 levels={L} seed=5 + xlogx eps=0.1 + wavelet-atom {atom} p=2",
+        "trig k={k} a=0.7 phase=0.4",
+        # a negative frequency makes k x = -0.0 at x = 0
+        "sum trig k={k} a=1 + trig k={k_neg} a=0.2",
     )
 
     # n=1 J=20 levels=16, for the Weierstrass specs only: the one grid where
@@ -192,8 +198,8 @@ class TestExactArguments:
         for n, J in [(1, 4), (1, 12), (1, 16), (2, 4), (2, 8), (2, 10)]
     ] + [(text, 1, 20) for text in SPECS[:2]])
     def test_synthesize_bitwise(self, n, J, text):
-        atom = "l=1 j=2 k=1" if n == 1 else "l=3 j=2 k=1,3"
-        spec = parse_function_spec(text.format(L=min(J - 2, 16), atom=atom))
+        atom, k, k_neg = ("l=1 j=2 k=1", "3", "-7") if n == 1 else ("l=3 j=2 k=1,3", "3,1", "-7,-2")
+        spec = parse_function_spec(text.format(L=min(J - 2, 16), atom=atom, k=k, k_neg=k_neg))
         got = synthesize(spec, n, J).samples
         want = _pointwise(spec, n, J)
         assert got.shape == want.shape
@@ -269,6 +275,11 @@ class TestExactArguments:
         # and the mask where that is nonzero: 3.13 grids, 7.13 with gathers
         "xlogx": 3.25,
         "xlogx eps=0.1": 3.25,
+        # the axis and the samples, each operation in place: 2.01 grids, and
+        # 3.01 for the sum's total besides; 4.00 and 5.00 when the sum of
+        # k x, its phase, cosine and amplitude product each made a grid
+        "trig k=3 a=0.7 phase=0.4": 2.1,
+        "sum trig k=1 a=1 + trig k=7 a=0.2": 3.1,
     }
     # the largest n=2 grid, in sample arrays of 32 MiB
     N2_SYNTHESIS_GRIDS = {
@@ -279,6 +290,9 @@ class TestExactArguments:
         # was held until the sum
         "sum weierstrass s=1 levels=9 signs=plus + lacunary-random s=0.5 levels=9 seed=3"
         " + xlogx eps=0.1": 2.1,
+        # the samples alone, 1.003 grids (3.00 before in place), and the total
+        "trig k=3,1 a=0.7 phase=0.4": 1.1,
+        "sum trig k=1,0 a=1 + trig k=7,-2 a=0.2": 2.1,
     }
 
     @pytest.mark.parametrize("text", N1_SYNTHESIS_GRIDS)

@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import BAD_S, BOTH_S, carleson, is_subset, same_bits, same_fields, spy_deal
+from conftest import (BAD_S, BOTH_S, carleson, is_subset, same_bits, same_fields, same_reports,
+                      spy_deal)
 from zygdist import GridFunction, gridfn, parse_function_spec, synthesize
 import zygdist.secdiff as secdiff
 from zygdist.poisson import lipschitz_check
@@ -16,6 +17,12 @@ N = 2**J
 # tracemalloc peak of holder_seminorm at n=2 J=10 on two threads, see test_memory_n2
 HOLDER_N2_PEAK_MIB = 24.41
 HOLDER_N2_PEAK_SLACK_MIB = 0.25
+# tracemalloc peaks at 2 * 10^5 samples on "weierstrass s=0.5 levels=9 signs=plus"
+# at n=1 J=12: 7.72 MiB for lipschitz_check at BOTH_S and 2.04 MiB for
+# continuity_check at s=1; 40.0 and 36.8 MiB when every sample's arrays were
+# held at once
+LIPSCHITZ_2E5_PEAK_MIB = 8.25
+CONTINUITY_2E5_PEAK_MIB = 2.25
 
 
 def second_difference(f, x, y):
@@ -376,3 +383,60 @@ class TestContinuity:
             assert changed.max_ratio == a.max_ratio
             assert changed != a
         assert a != "not a report"
+
+
+def sampled_checks(f, sample_count, seed=42):
+    """Every report of the sampled checks on f: lipschitz_check at BOTH_S,
+    then continuity_check at each s."""
+    return (*lipschitz_check(f, BOTH_S, sample_count, seed=seed),
+            *(continuity_check(f, s, sample_count, seed=seed) for s in BOTH_S))
+
+
+class TestSampleChunks:
+    """The sampled checks draw, score and drop their pairs SAMPLE_CHUNK at a
+    time; no report depends on the chunk size."""
+
+    @pytest.fixture(params=[(1, 10), (2, 6)], ids=["n1", "n2"])
+    def chunk_f(self, request):
+        n, Jg = request.param
+        return synthesize(parse_function_spec("weierstrass s=0.5 levels=4 signs=plus"), n, Jg)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 2**20])
+    def test_bitwise_across_chunk_sizes(self, chunk_f, chunk, monkeypatch):
+        want = sampled_checks(chunk_f, 600)
+        monkeypatch.setattr(secdiff, "SAMPLE_CHUNK", chunk)
+        got = sampled_checks(chunk_f, 600)
+        assert len(got) == len(want)
+        assert all(same_reports(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("count", [lambda C: 0, lambda C: 1, lambda C: C - 1, lambda C: C,
+                                       lambda C: C + 1], ids=["0", "1", "C-1", "C", "C+1"])
+    def test_chunk_boundaries(self, chunk_f, count, monkeypatch):
+        # against one chunk of every sample
+        count = count(secdiff.SAMPLE_CHUNK)
+        got = sampled_checks(chunk_f, count)
+        monkeypatch.setattr(secdiff, "SAMPLE_CHUNK", 2**20)
+        want = sampled_checks(chunk_f, count)
+        assert all(same_reports(a, b) for a, b in zip(got, want))
+        assert all(r.ratios.shape == (count,) for r in got)
+
+    def test_prefix_across_chunk_boundary(self, chunk_f):
+        # same-seed draws are prefixes of each other across the chunk cut too
+        short = secdiff.SAMPLE_CHUNK - 100
+        for big, small in zip(sampled_checks(chunk_f, short + 200), sampled_checks(chunk_f, short)):
+            assert same_bits(big.ratios[:short], small.ratios)
+            assert float(big.ratios[:short].max()) == small.max_ratio
+
+    @pytest.mark.parametrize("check,bound_mib", [
+        (lambda f: lipschitz_check(f, BOTH_S, 200_000, seed=42), LIPSCHITZ_2E5_PEAK_MIB),
+        (lambda f: continuity_check(f, 1.0, 200_000, seed=42), CONTINUITY_2E5_PEAK_MIB),
+    ], ids=["lipschitz", "continuity"])
+    def test_memory_per_sample(self, check, bound_mib):
+        f = synthesize(parse_function_spec("weierstrass s=0.5 levels=9 signs=plus"), 1, J)
+        tracemalloc.start()
+        try:
+            check(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mib * 2**20
